@@ -15,14 +15,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from . import amplifiers as amp
 from . import detector as det
 from . import fingerprint as fp
 from . import honeypot as hp
 from . import selectors as sel
-from . import sizing
-from . import snoop
-from . import synth
 from . import trace as tr
 
 _DEFAULTS = {
@@ -58,6 +54,15 @@ def _load_config(path: str | None) -> dict:
         obj = json.load(handle)
     if not isinstance(obj, dict):
         raise ValueError("config file must hold a single JSON object")
+    unknown = sorted(set(obj) - set(_DEFAULTS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; valid keys: {sorted(_DEFAULTS)}")
+    for key, value in obj.items():
+        # integer settings take integers; the others take any JSON number
+        integral = isinstance(_DEFAULTS[key], int)
+        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+            kind = "an integer" if integral else "a number"
+            raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
     return obj
 
 
@@ -215,6 +220,8 @@ def _cmd_fingerprint(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_cluster(args: argparse.Namespace, config: dict) -> int:
+    from . import amplifiers as amp
+
     out = _out_dir(args)
     eps = float(_resolve(args, config, "eps"))
     min_pts = int(_resolve(args, config, "min_pts"))
@@ -283,6 +290,8 @@ def _cmd_cluster(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace, config: dict) -> int:
+    from . import sizing
+
     out = _out_dir(args)
     min_days = int(_resolve(args, config, "min_days"))
     min_step = int(_resolve(args, config, "min_step"))
@@ -331,6 +340,8 @@ def _cmd_estimate(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_snoop(args: argparse.Namespace, config: dict) -> int:
+    from . import snoop
+
     out = _out_dir(args)
     responses, skipped = snoop.read_probe_responses(args.responses)
     ttls = snoop.read_default_ttls(args.ttl_table) if args.ttl_table else {}
@@ -348,10 +359,12 @@ def _cmd_snoop(args: argparse.Namespace, config: dict) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace, config: dict) -> int:
+    from . import synth
+
     out = _out_dir(args)
     cfg = synth.read_scenario(args.scenario)
     if args.seed is not None:
-        obj = json.loads(json.dumps(synth_cfg_obj(cfg)))
+        obj = json.loads(json.dumps(synth.scenario_to_obj(cfg)))
         obj["seed"] = args.seed
         cfg = synth.scenario_from_obj(obj)
     records, hp_requests, truth = synth.generate_scenario(cfg)
@@ -365,43 +378,6 @@ def _cmd_synth(args: argparse.Namespace, config: dict) -> int:
     print(f"{len(records)} trace records, {len(hp_requests)} honeypot requests, "
           f"{len(truth.attacks)} planted attacks")
     return 0
-
-
-def synth_cfg_obj(cfg: synth.ScenarioConfig) -> dict:
-    """Round-trippable plain-object form of a scenario config."""
-    obj = {
-        "seed": cfg.seed,
-        "duration_days": cfg.duration_days,
-        "start_day": cfg.start_day,
-        "sampling_denominator": cfg.sampling_denominator,
-        "background_clients": cfg.background_clients,
-        "background_daily_rate": list(cfg.background_daily_rate),
-        "background_names": cfg.background_names,
-        "background_any_fraction": cfg.background_any_fraction,
-        "amplifier_pool_size": cfg.amplifier_pool_size,
-        "churn_retention": cfg.churn_retention,
-        "sensor_count": cfg.sensor_count,
-        "honeypot_requests_per_sensor": cfg.honeypot_requests_per_sensor,
-        "sensor_coverage": list(cfg.sensor_coverage),
-        "attacks": [],
-    }
-    for spec in cfg.attacks:
-        obj["attacks"].append({
-            "victim_ip": spec.victim_ip, "qname": spec.qname, "qps": spec.qps,
-            "start_s": spec.start_s, "duration_s": spec.duration_s,
-            "amplifiers_per_attack": spec.amplifiers_per_attack,
-            "dns_id_mode": spec.dns_id_mode,
-            "honeypot_visible": spec.honeypot_visible,
-            "request_fraction": spec.request_fraction,
-            "response_size": spec.response_size,
-            "benign_packets_per_day": spec.benign_packets_per_day,
-            "entity": spec.entity, "amplifier_mode": spec.amplifier_mode,
-            "amplifier_group": spec.amplifier_group,
-            "drift_per_event": spec.drift_per_event,
-            "dns_id_pool": spec.dns_id_pool, "ip_ttl": spec.ip_ttl,
-            "honeypot_requests_per_sensor": spec.honeypot_requests_per_sensor,
-        })
-    return obj
 
 
 def _cmd_compare(args: argparse.Namespace, config: dict) -> int:
@@ -470,13 +446,10 @@ def _cmd_report(args: argparse.Namespace, config: dict) -> int:
     nscounts: list[int] = []
     if args.trace:
         records, _, _ = _prepared_records(args.trace, None)
-        for record in records:
-            if record.is_response:
-                nscounts.append(record.nscount)
-                if record.qname in set(names):
-                    size = record.dns_payload_len
-                    if size > max_sizes.get(record.qname, -1):
-                        max_sizes[record.qname] = size
+        nscounts = [record.nscount for record in records if record.is_response]
+        listed = set(names)
+        max_sizes = {qname: size for qname, size in sel.selector_max_size(records).ranked
+                     if qname in listed}
 
     def tld(qname: str) -> str:
         labels = tr.qname_labels(qname)

@@ -15,8 +15,6 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .selectors import MisusedNameList
 from .trace import PacketRecord
 
@@ -301,12 +299,30 @@ def victim_summary(events: Sequence[AttackEvent]) -> dict:
         }
         for day in sorted(daily)
     ]
-    durations = np.array([e.duration_s for e in events], dtype=float)
+    durations = sorted(float(e.duration_s) for e in events)
     percentiles = {}
-    if durations.size:
+    if durations:
         for p in (25, 50, 75, 90):
-            percentiles[f"p{p}"] = float(np.percentile(durations, p))
+            percentiles[f"p{p}"] = _percentile(durations, p)
     return {"daily": rows, "duration_percentiles": percentiles}
+
+
+def _percentile(ordered: Sequence[float], p: int) -> float:
+    """np.percentile(values, p) by its default linear method, over the
+    values sorted, with numpy's interpolation arithmetic step for step."""
+    last = len(ordered) - 1
+    position = last * (p / 100)
+    if position >= last:
+        # numpy takes the top value from index -1 on both sides
+        a = b = ordered[last]
+        t = position + 1
+    else:
+        lower = math.floor(position)
+        a, b = ordered[lower], ordered[lower + 1]
+        t = position - lower
+    if t >= 0.5:
+        return b - (b - a) * (1 - t)
+    return a + (b - a) * t
 
 
 _EVENT_FIELDS = (

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .detector import AttackEvent
 from .selectors import MisusedNameList
 from .trace import normalize_qname
@@ -131,6 +129,8 @@ def parity_alternation_period(daily_parity: Sequence[tuple[str, int]],
     """
     if len(daily_parity) < 2:
         return None
+    import numpy as np  # only here, so stages without this analysis skip loading it
+
     days = sorted(daily_parity)
     first = date.fromisoformat(days[0][0]).toordinal()
     last = date.fromisoformat(days[-1][0]).toordinal()

@@ -15,7 +15,7 @@ import hashlib
 import ipaddress
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
@@ -588,6 +588,43 @@ def scenario_from_obj(obj: dict) -> ScenarioConfig:
         return ScenarioConfig(attacks=attacks, **kwargs)
     except TypeError as exc:
         raise ValueError(f"bad scenario config: {exc}")
+
+
+def scenario_to_obj(cfg: ScenarioConfig) -> dict:
+    """Round-trippable plain-object form of a scenario config."""
+    obj = {
+        "seed": cfg.seed,
+        "duration_days": cfg.duration_days,
+        "start_day": cfg.start_day,
+        "sampling_denominator": cfg.sampling_denominator,
+        "background_clients": cfg.background_clients,
+        "background_daily_rate": list(cfg.background_daily_rate),
+        "background_names": cfg.background_names,
+        "background_any_fraction": cfg.background_any_fraction,
+        "amplifier_pool_size": cfg.amplifier_pool_size,
+        "churn_retention": cfg.churn_retention,
+        "sensor_count": cfg.sensor_count,
+        "honeypot_requests_per_sensor": cfg.honeypot_requests_per_sensor,
+        "sensor_coverage": list(cfg.sensor_coverage),
+        "attacks": [],
+    }
+    for spec in cfg.attacks:
+        obj["attacks"].append({
+            "victim_ip": spec.victim_ip, "qname": spec.qname, "qps": spec.qps,
+            "start_s": spec.start_s, "duration_s": spec.duration_s,
+            "amplifiers_per_attack": spec.amplifiers_per_attack,
+            "dns_id_mode": spec.dns_id_mode,
+            "honeypot_visible": spec.honeypot_visible,
+            "request_fraction": spec.request_fraction,
+            "response_size": spec.response_size,
+            "benign_packets_per_day": spec.benign_packets_per_day,
+            "entity": spec.entity, "amplifier_mode": spec.amplifier_mode,
+            "amplifier_group": spec.amplifier_group,
+            "drift_per_event": spec.drift_per_event,
+            "dns_id_pool": spec.dns_id_pool, "ip_ttl": spec.ip_ttl,
+            "honeypot_requests_per_sensor": spec.honeypot_requests_per_sensor,
+        })
+    return obj
 
 
 def read_scenario(path: str) -> ScenarioConfig:

@@ -10,8 +10,10 @@ from __future__ import annotations
 import ipaddress
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from functools import lru_cache
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, TextIO
 
 # Canonical JSONL field order. Serialization always emits these fields in this
@@ -25,6 +27,7 @@ DNS_PORT = 53
 UDP_HEADER_LEN = 8
 MAX_NAME_WIRE_LEN = 255
 MAX_LABEL_LEN = 63
+DAY_S = 86400
 
 
 def normalize_qname(qname: str) -> str:
@@ -114,74 +117,70 @@ class PacketRecord:
     @property
     def day(self) -> str:
         """UTC calendar day of the packet, ISO formatted."""
-        return datetime.fromtimestamp(self.ts, tz=timezone.utc).date().isoformat()
+        ts = self.ts
+        second = math.floor(ts)
+        # fromtimestamp rounds to the microsecond, which can carry the last
+        # microsecond of a day into the next one
+        if ts - second < 0.999999:
+            return _utc_day(second // DAY_S)
+        return datetime.fromtimestamp(ts, tz=timezone.utc).date().isoformat()
 
 
-@dataclass(slots=True)
-class TraceMeta:
-    """Capture parameters of a sampled trace."""
-
-    sampling_denominator: int = 16000
-    truncation_bytes: int = 128
-
-    def __post_init__(self) -> None:
-        if self.sampling_denominator < 1:
-            raise ValueError(
-                f"sampling_denominator must be >= 1, got {self.sampling_denominator}")
-        if self.truncation_bytes < 0:
-            raise ValueError(
-                f"truncation_bytes must be >= 0, got {self.truncation_bytes}")
+@lru_cache(maxsize=4096)
+def _utc_day(day_index: int) -> str:
+    return datetime.fromtimestamp(day_index * DAY_S, tz=timezone.utc).date().isoformat()
 
 
-_INT_FIELDS = ("src_port", "dst_port", "ip_ttl", "ip_id", "udp_len",
-               "dns_id", "qtype", "rcode", "ancount", "nscount")
+# Exact builtin types of the canonical fields, in TRACE_FIELDS order (the QR
+# bit as a bool). Decoded objects and records of exactly these types take the
+# fast paths below.
+_FIELD_TYPES = (float, str, str, int, int, int, int, int, bool, int, str, int, int, int, int)
+_get_fields = itemgetter(*TRACE_FIELDS)
+_record_values = attrgetter(*(f.name for f in fields(PacketRecord)))
+_PLAIN_RECORD_TYPES = {_FIELD_TYPES + (src_as, dst_as)
+                       for src_as in (int, type(None)) for dst_as in (int, type(None))}
 
 
-def _record_from_obj(obj: dict) -> PacketRecord | None:
-    """Build a record from one decoded JSONL object; None if structurally bad."""
+class _Memo(dict):
+    """Per-call cache of function(key): one call per distinct key."""
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
+
+
+def _record_from_obj(obj: dict, normalized: _Memo) -> PacketRecord | None:
+    """Build a record from one decoded JSONL object; None if structurally bad.
+
+    `normalized` maps raw qnames to normalize_qname() of them."""
     if not isinstance(obj, dict):
         return None
     try:
-        ts = obj["ts"]
-        if isinstance(ts, bool) or not isinstance(ts, (int, float)):
-            return None
-        qr = obj["qr"]
-        # the bit arrives as true/false or 0/1 depending on the exporter
-        if not isinstance(qr, bool):
-            if isinstance(qr, int) and qr in (0, 1):
-                qr = bool(qr)
-            else:
-                return None
-        src_ip, dst_ip, qname = obj["src_ip"], obj["dst_ip"], obj["qname"]
-        if not (isinstance(src_ip, str) and isinstance(dst_ip, str)
-                and isinstance(qname, str)):
-            return None
-        ints = {}
-        for name in _INT_FIELDS:
-            value = obj[name]
-            if isinstance(value, bool) or not isinstance(value, int):
-                return None
-            ints[name] = value
+        values = _get_fields(obj)
     except KeyError:
         return None
-    for as_field in ("src_as", "dst_as"):
-        value = obj.get(as_field)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+    ts = values[0]
+    if tuple(map(type, values)) != _FIELD_TYPES:
+        # ts may arrive as an integer, and the QR bit as true/false or 0/1
+        # depending on the exporter
+        qr = values[8]
+        if type(qr) is int and qr in (0, 1):
+            values = (*values[:8], bool(qr), *values[9:])
+        if type(ts) not in (int, float) or tuple(map(type, values[1:])) != _FIELD_TYPES[1:]:
             return None
-    return PacketRecord(
-        ts=float(ts),
-        src_ip=src_ip,
-        dst_ip=dst_ip,
-        is_response=qr,
-        qname=normalize_qname(qname),
-        src_as=obj.get("src_as"),
-        dst_as=obj.get("dst_as"),
-        **ints,
-    )
+    src_as, dst_as = obj.get("src_as"), obj.get("dst_as")
+    if (src_as is not None and type(src_as) is not int) or \
+            (dst_as is not None and type(dst_as) is not int):
+        return None
+    return PacketRecord(float(ts), *values[1:10], normalized[values[10]], *values[11:],
+                        src_as, dst_as)
 
 
-def parse_trace(source: str | TextIO | Iterable[str],
-                meta: TraceMeta | None = None) -> tuple[list[PacketRecord], int]:
+def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord], int]:
     """Parse a JSONL trace into records.
 
     `source` is a file path, an open text handle, or an iterable of lines.
@@ -189,11 +188,10 @@ def parse_trace(source: str | TextIO | Iterable[str],
     fields, wrong types) are counted and skipped, never raised. Semantic
     validity is sanitize()'s job.
     """
-    if meta is not None:
-        TraceMeta(meta.sampling_denominator, meta.truncation_bytes)  # validate
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
             return parse_trace(handle)
+    normalized = _Memo(normalize_qname)
     records: list[PacketRecord] = []
     skipped = 0
     for line in source:
@@ -205,7 +203,7 @@ def parse_trace(source: str | TextIO | Iterable[str],
         except json.JSONDecodeError:
             skipped += 1
             continue
-        record = _record_from_obj(obj)
+        record = _record_from_obj(obj, normalized)
         if record is None:
             skipped += 1
         else:
@@ -239,9 +237,30 @@ def record_to_obj(record: PacketRecord) -> dict:
 
 
 def serialize_trace(records: Iterable[PacketRecord]) -> Iterator[str]:
-    """Yield canonical JSONL lines (no trailing newline per line)."""
+    """Yield canonical JSONL lines (no trailing newline per line).
+
+    Each line equals json.dumps(record_to_obj(r), separators=(",", ":")).
+    Records whose fields are all exactly builtin types, with a finite ts, are
+    written from a template with each distinct string encoded once; any other
+    record goes through json.dumps."""
+    quoted = _Memo(json.dumps)
     for record in records:
-        yield json.dumps(record_to_obj(record), separators=(",", ":"))
+        values = _record_values(record)
+        if tuple(map(type, values)) not in _PLAIN_RECORD_TYPES or not math.isfinite(values[0]):
+            yield json.dumps(record_to_obj(record), separators=(",", ":"))
+            continue
+        (ts, src_ip, dst_ip, src_port, dst_port, ip_ttl, ip_id, udp_len, qr,
+         dns_id, qname, qtype, rcode, ancount, nscount, src_as, dst_as) = values
+        line = (f'{{"ts":{ts!r},"src_ip":{quoted[src_ip]},"dst_ip":{quoted[dst_ip]},'
+                f'"src_port":{src_port},"dst_port":{dst_port},"ip_ttl":{ip_ttl},'
+                f'"ip_id":{ip_id},"udp_len":{udp_len},"qr":{"true" if qr else "false"},'
+                f'"dns_id":{dns_id},"qname":{quoted[qname]},"qtype":{qtype},'
+                f'"rcode":{rcode},"ancount":{ancount},"nscount":{nscount}')
+        if src_as is None and dst_as is None:
+            yield line + "}"
+        else:
+            yield (f'{line},"src_as":{"null" if src_as is None else src_as},'
+                   f'"dst_as":{"null" if dst_as is None else dst_as}}}')
 
 
 def write_trace(records: Iterable[PacketRecord], path: str) -> None:
@@ -258,10 +277,12 @@ def _ip_or_none(text: str) -> ipaddress.IPv4Address | ipaddress.IPv6Address | No
         return None
 
 
-def _record_is_valid(record: PacketRecord) -> bool:
+def _record_is_valid(record: PacketRecord, ip_valid: _Memo, name_valid: _Memo) -> bool:
+    """`ip_valid` and `name_valid` map an address or a normalized qname to
+    whether it is valid."""
     if not (isinstance(record.ts, float) and math.isfinite(record.ts)):
         return False
-    if _ip_or_none(record.src_ip) is None or _ip_or_none(record.dst_ip) is None:
+    if not (ip_valid[record.src_ip] and ip_valid[record.dst_ip]):
         return False
     for port in (record.src_port, record.dst_port):
         if not 0 <= port <= 65535:
@@ -288,7 +309,7 @@ def _record_is_valid(record: PacketRecord) -> bool:
         return False
     if record.ancount < 0 or record.nscount < 0:
         return False
-    return qname_is_valid(record.qname)
+    return name_valid[record.qname]
 
 
 def sanitize(records: Iterable[PacketRecord]) -> tuple[list[PacketRecord], int]:
@@ -296,13 +317,16 @@ def sanitize(records: Iterable[PacketRecord]) -> tuple[list[PacketRecord], int]:
 
     Idempotent: a second pass over the kept records drops nothing. Kept
     records get their qname normalized so hand-built input behaves like
-    parsed input.
+    parsed input. Each distinct address and qname is checked once per call.
     """
+    ip_valid = _Memo(lambda text: _ip_or_none(text) is not None)
+    normalized = _Memo(normalize_qname)
+    name_valid = _Memo(qname_is_valid)
     kept: list[PacketRecord] = []
     dropped = 0
     for record in records:
-        record.qname = normalize_qname(record.qname)
-        if _record_is_valid(record):
+        record.qname = normalized[record.qname]
+        if _record_is_valid(record, ip_valid, name_valid):
             kept.append(record)
         else:
             dropped += 1

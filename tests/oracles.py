@@ -9,10 +9,14 @@ corresponding fast paths under test.
 from __future__ import annotations
 
 import ipaddress
+import json
+import math
 import struct
 from fractions import Fraction
 
 import numpy as np
+
+from dnsamp.trace import normalize_qname, qname_is_valid
 
 QCLASS_IN = 1
 TYPE_CODES = {"A": 1, "NS": 2, "CNAME": 5, "SOA": 6, "MX": 15, "TXT": 16,
@@ -162,3 +166,71 @@ def lpm_reference(ip: str, table: list[tuple[str, int]]) -> int | None:
                 best_len = network.prefixlen
                 best_asn = asn
     return best_asn
+
+
+def _ip_or_none(text):
+    try:
+        return ipaddress.ip_address(text)
+    except ValueError:
+        return None
+
+
+def record_is_valid_reference(record) -> bool:
+    """Per-record validity, every field checked on every record."""
+    if not (isinstance(record.ts, float) and math.isfinite(record.ts)):
+        return False
+    if _ip_or_none(record.src_ip) is None or _ip_or_none(record.dst_ip) is None:
+        return False
+    for port in (record.src_port, record.dst_port):
+        if not 0 <= port <= 65535:
+            return False
+    if (record.src_port == 53) == (record.dst_port == 53):
+        return False
+    if record.is_response and record.src_port != 53:
+        return False
+    if not record.is_response and record.dst_port != 53:
+        return False
+    if not 0 <= record.ip_ttl <= 255:
+        return False
+    if not 0 <= record.ip_id <= 65535:
+        return False
+    if not 0 <= record.dns_id <= 65535:
+        return False
+    if record.udp_len < 8:
+        return False
+    if not 0 <= record.qtype <= 65535:
+        return False
+    if not 0 <= record.rcode <= 15:
+        return False
+    if record.ancount < 0 or record.nscount < 0:
+        return False
+    return qname_is_valid(record.qname)
+
+
+def sanitize_reference(records):
+    """(kept, dropped) with the qname of every record normalized in place."""
+    kept = []
+    dropped = 0
+    for record in records:
+        record.qname = normalize_qname(record.qname)
+        if record_is_valid_reference(record):
+            kept.append(record)
+        else:
+            dropped += 1
+    return kept, dropped
+
+
+def trace_line_reference(record) -> str:
+    """Canonical JSONL line of one record, built by the json module."""
+    obj = {
+        "ts": record.ts, "src_ip": record.src_ip, "dst_ip": record.dst_ip,
+        "src_port": record.src_port, "dst_port": record.dst_port,
+        "ip_ttl": record.ip_ttl, "ip_id": record.ip_id, "udp_len": record.udp_len,
+        "qr": record.is_response, "dns_id": record.dns_id, "qname": record.qname,
+        "qtype": record.qtype, "rcode": record.rcode, "ancount": record.ancount,
+        "nscount": record.nscount,
+    }
+    if record.src_as is not None or record.dst_as is not None:
+        obj["src_as"] = record.src_as
+        obj["dst_as"] = record.dst_as
+    return json.dumps(obj, separators=(",", ":"))

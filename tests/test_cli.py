@@ -83,6 +83,27 @@ class TestExitCodes:
         assert run("--config", str(cfg), "synth",
                    "--scenario", str(cfg), "--out-dir", str(tmp_path)) == 1
 
+    def test_unknown_config_key_is_processing_error(self, ws, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"share_treshold": 0.5}))
+        assert run("--config", str(cfg), "detect",
+                   "--trace", str(out(ws, "ing") / "annotated.jsonl"),
+                   "--names", str(out(ws, "sel") / "names.json"),
+                   "--out-dir", str(tmp_path / "det")) == 1
+        err = capsys.readouterr().err
+        assert "share_treshold" in err and "share_threshold" in err
+
+    @pytest.mark.parametrize("obj", [{"share_threshold": [1]}, {"min_packets": "10"},
+                                     {"k_max": 2.5}, {"eps": True}, {"slack": None}])
+    def test_wrong_typed_config_value_is_processing_error(self, ws, tmp_path, capsys, obj):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(obj))
+        assert run("--config", str(cfg), "detect",
+                   "--trace", str(out(ws, "ing") / "annotated.jsonl"),
+                   "--names", str(out(ws, "sel") / "names.json"),
+                   "--out-dir", str(tmp_path / "det")) == 1
+        assert next(iter(obj)) in capsys.readouterr().err
+
 
 class TestSynthStage:
     def test_outputs_exist(self, ws):

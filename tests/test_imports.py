@@ -1,0 +1,41 @@
+"""Import costs: the trace-only stages must not load numpy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dnsamp
+
+# Modules behind ingest, select-names, detect, compare and report.
+TRACE_STAGE_MODULES = ("dnsamp", "dnsamp.cli", "dnsamp.trace", "dnsamp.selectors",
+                       "dnsamp.detector", "dnsamp.honeypot", "dnsamp.fingerprint")
+
+
+def test_trace_stages_leave_numpy_unloaded():
+    imports = "; ".join(f"import {m}" for m in TRACE_STAGE_MODULES)
+    src = Path(dnsamp.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys; {imports}; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.stdout.strip() == "False"
+
+
+def test_every_exported_name_resolves():
+    for name in dnsamp.__all__:
+        assert getattr(dnsamp, name) is not None, name
+    assert set(dnsamp.__all__) <= set(dir(dnsamp))
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from dnsamp import *", namespace)
+    assert set(dnsamp.__all__) <= set(namespace)
+
+
+def test_unknown_attribute_raises():
+    with pytest.raises(AttributeError):
+        dnsamp.no_such_name  # noqa: B018

@@ -322,8 +322,7 @@ class TestConfig:
 
     def test_scenario_json_round_trip(self, tmp_path):
         cfg = scenario()
-        from dnsamp.cli import synth_cfg_obj
-        obj = synth_cfg_obj(cfg)
+        obj = synth.scenario_to_obj(cfg)
         path = tmp_path / "scenario.json"
         import json
         path.write_text(json.dumps(obj))
