@@ -8,7 +8,6 @@ inputs always yield identical labels.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter, deque
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
@@ -17,6 +16,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .detector import AttackEvent
+from .fileio import read_csv, write_csv
+from .selectors import jaccard
 
 NOISE = -1
 
@@ -140,10 +141,7 @@ def stable_sets(events: Sequence[AttackEvent], labels: Sequence[int],
         core = sets[0]
         for s in sets[1:]:
             core &= s
-        drifts = []
-        for a, b in zip(sets, sets[1:]):
-            u = len(a | b)
-            drifts.append(0.0 if u == 0 else 1.0 - len(a & b) / u)
+        drifts = [1.0 - jaccard(a, b) for a, b in zip(sets, sets[1:])]
         first_day, last_day = group[0].day, group[-1].day
         span = (date.fromisoformat(last_day) - date.fromisoformat(first_day)).days + 1
         reports.append(StableSetReport(
@@ -255,16 +253,12 @@ def involvement_distributions(events: Sequence[AttackEvent]) -> tuple[Counter, C
 def read_seen_table(path: str) -> dict[str, tuple[str, str]]:
     """ip,first_seen,last_seen CSV (ISO dates) from a scan history."""
     table: dict[str, tuple[str, str]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader):
-            if not row or (lineno == 0 and row[0].lower() == "ip"):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"seen table line {lineno + 1}: expected ip,first_seen,last_seen")
-            date.fromisoformat(row[1])
-            date.fromisoformat(row[2])
-            table[row[0]] = (row[1], row[2])
+    for lineno, row in read_csv(path, "ip"):
+        if len(row) != 3:
+            raise ValueError(f"seen table line {lineno}: expected ip,first_seen,last_seen")
+        date.fromisoformat(row[1])
+        date.fromisoformat(row[2])
+        table[row[0]] = (row[1], row[2])
     return table
 
 
@@ -296,14 +290,10 @@ def recency_join(inventory: Mapping[str, AmplifierInfo],
 def read_ns_ip_table(path: str) -> dict[str, str]:
     """ip,ns_name CSV mapping addresses to authoritative nameserver names."""
     table: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader):
-            if not row or (lineno == 0 and row[0].lower() == "ip"):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"ns_ip table line {lineno + 1}: expected ip,ns_name")
-            table[row[0]] = row[1]
+    for lineno, row in read_csv(path, "ip"):
+        if len(row) != 2:
+            raise ValueError(f"ns_ip table line {lineno}: expected ip,ns_name")
+        table[row[0]] = row[1]
     return table
 
 
@@ -335,7 +325,5 @@ def qname_role_breakdown(events: Sequence[AttackEvent],
 
 
 def write_distance_matrix(matrix: np.ndarray, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in np.asarray(matrix, dtype=np.float64):
-            handle.write(",".join(repr(float(v)) for v in row))
-            handle.write("\n")
+    # row by row: the whole matrix as Python floats would be 4x its size
+    write_csv(path, None, (row.tolist() for row in np.asarray(matrix, dtype=np.float64)))

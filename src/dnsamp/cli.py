@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 processing error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from collections import Counter
@@ -20,6 +21,7 @@ from . import fingerprint as fp
 from . import honeypot as hp
 from . import selectors as sel
 from . import trace as tr
+from .fileio import write_csv, write_json, write_jsonl
 
 _DEFAULTS = {
     "share_threshold": 0.9,
@@ -38,13 +40,12 @@ _DEFAULTS = {
 
 
 def _resolve(args: argparse.Namespace, config: dict, key: str):
-    """Flag beats config file beats built-in default."""
+    """Flag beats config file beats built-in default; the value takes the
+    type of the default."""
     value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return _DEFAULTS[key]
+    if value is None:
+        value = config.get(key, _DEFAULTS[key])
+    return type(_DEFAULTS[key])(value)
 
 
 def _load_config(path: str | None) -> dict:
@@ -103,25 +104,23 @@ def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
         "dropped_packet_share": dropped / len(records) if records else 0.0,
         "dropped_byte_share": (1.0 - kept_bytes / total_bytes) if total_bytes else 0.0,
     }
-    with open(out / "ingest_stats.json", "w", encoding="utf-8") as handle:
-        json.dump(stats, handle, indent=2)
-        handle.write("\n")
+    write_json(stats, str(out / "ingest_stats.json"))
     print(f"kept {len(kept)} records ({skipped} malformed lines, {dropped} dropped)")
     return 0
 
 
 def _cmd_select_names(args: argparse.Namespace, config: dict) -> int:
     out = _out_dir(args)
-    k_max = int(_resolve(args, config, "k_max"))
-    slack = float(_resolve(args, config, "slack"))
+    k_max = _resolve(args, config, "k_max")
+    slack = _resolve(args, config, "slack")
     records, _, _ = _prepared_records(args.trace, None)
     rankings = [sel.selector_max_size(records), sel.selector_any_volume(records)]
     if args.honeypot:
         requests, _ = hp.read_honeypot_csv(args.honeypot)
         events = hp.infer_honeypot_attacks(
             requests,
-            min_requests=int(_resolve(args, config, "min_requests")),
-            max_gap_s=float(_resolve(args, config, "max_gap")))
+            min_requests=_resolve(args, config, "min_requests"),
+            max_gap_s=_resolve(args, config, "max_gap"))
         rankings.append(sel.selector_ground_truth(records, events, slack_s=slack))
     else:
         rankings.append(sel.SelectorRanking(sel.SELECTOR_GROUND_TRUTH, ()))
@@ -132,9 +131,7 @@ def _cmd_select_names(args: argparse.Namespace, config: dict) -> int:
     if args.previous:
         previous = _load_names(args.previous)
         delta = sel.jaccard(names.name_set(), previous)
-        with open(out / "delta.json", "w", encoding="utf-8") as handle:
-            json.dump({"previous_jaccard": delta}, handle, indent=2)
-            handle.write("\n")
+        write_json({"previous_jaccard": delta}, str(out / "delta.json"))
         print(f"day-over-day name-list jaccard: {delta:.4f}")
     flagged = f" (empty selectors: {', '.join(names.missing_selectors)})" \
         if names.missing_selectors else ""
@@ -145,9 +142,9 @@ def _cmd_select_names(args: argparse.Namespace, config: dict) -> int:
 def _cmd_detect(args: argparse.Namespace, config: dict) -> int:
     out = _out_dir(args)
     cfg = det.DetectorConfig(
-        share_threshold=float(_resolve(args, config, "share_threshold")),
-        min_sampled_packets=int(_resolve(args, config, "min_packets")),
-        sampling_denominator=int(_resolve(args, config, "sampling")))
+        share_threshold=_resolve(args, config, "share_threshold"),
+        min_sampled_packets=_resolve(args, config, "min_packets"),
+        sampling_denominator=_resolve(args, config, "sampling"))
     records, _, _ = _prepared_records(args.trace, args.prefix_table)
     names = _load_names(args.names)
     stats = det.aggregate_client_days(records, names)
@@ -155,52 +152,47 @@ def _cmd_detect(args: argparse.Namespace, config: dict) -> int:
     det.intensity_deciles(events)
     det.write_events(events, str(out / "attacks.jsonl"))
     summary = det.victim_summary(events)
-    with open(out / "victims_daily.csv", "w", encoding="utf-8") as handle:
-        handle.write("day,victims,prefixes_24,prefixes_16,prefixes_8,victim_ases\n")
-        for row in summary["daily"]:
-            handle.write(
-                f"{row['day']},{row['victims']},{row['prefixes_24']},"
-                f"{row['prefixes_16']},{row['prefixes_8']},{row['victim_ases']}\n")
-    with open(out / "duration_percentiles.csv", "w", encoding="utf-8") as handle:
-        handle.write("percentile,seconds\n")
-        for name, value in summary["duration_percentiles"].items():
-            handle.write(f"{name},{value!r}\n")
+    write_csv(str(out / "victims_daily.csv"),
+              ("day", "victims", "prefixes_24", "prefixes_16", "prefixes_8", "victim_ases"),
+              (row.values() for row in summary["daily"]))
+    write_csv(str(out / "duration_percentiles.csv"), ("percentile", "seconds"),
+              summary["duration_percentiles"].items())
     print(f"{len(events)} attack events from {len(stats)} suspicious client-days")
     return 0
 
 
 def _cmd_fingerprint(args: argparse.Namespace, config: dict) -> int:
     out = _out_dir(args)
-    min_segment = int(_resolve(args, config, "min_segment"))
+    min_segment = _resolve(args, config, "min_segment")
     events = det.read_events(args.attacks)
     fingerprint = fp.read_fingerprint(args.fingerprint_spec)
     attributed, share = fp.attribute_entity(events, fingerprint, min_segment=min_segment)
     attributed_keys = {(e.victim_ip, e.day) for e in attributed}
-    with open(out / "attribution.jsonl", "w", encoding="utf-8") as handle:
-        for event in events:
-            row = {
-                "victim_ip": event.victim_ip,
-                "day": event.day,
-                "dominant_qname": event.dominant_qname(),
-                "attributed": (event.victim_ip, event.day) in attributed_keys,
-            }
-            if len(event.dns_ids) >= 2:
-                pattern = fp.classify_dnsid_pattern(event, min_segment=min_segment)
-                row["id_pattern"] = pattern.kind
-                row["change_point"] = pattern.change_point
-            else:
-                row["id_pattern"] = None
-                row["change_point"] = None
-            for field in ("ip_id", "src_port", "dns_id"):
-                try:
-                    profile = fp.field_cardinality_profile(event, field)
-                    row[f"{field}_ratio"] = profile.ratio
-                    row[f"{field}_low_entropy"] = profile.low_entropy
-                except ValueError:
-                    row[f"{field}_ratio"] = None
-                    row[f"{field}_low_entropy"] = None
-            handle.write(json.dumps(row, separators=(",", ":")))
-            handle.write("\n")
+    rows = []
+    for event in events:
+        row = {
+            "victim_ip": event.victim_ip,
+            "day": event.day,
+            "dominant_qname": event.dominant_qname(),
+            "attributed": (event.victim_ip, event.day) in attributed_keys,
+        }
+        if len(event.dns_ids) >= 2:
+            pattern = fp.classify_dnsid_pattern(event, min_segment=min_segment)
+            row["id_pattern"] = pattern.kind
+            row["change_point"] = pattern.change_point
+        else:
+            row["id_pattern"] = None
+            row["change_point"] = None
+        for field in ("ip_id", "src_port", "dns_id"):
+            try:
+                profile = fp.field_cardinality_profile(event, field)
+                row[f"{field}_ratio"] = profile.ratio
+                row[f"{field}_low_entropy"] = profile.low_entropy
+            except ValueError:
+                row[f"{field}_ratio"] = None
+                row[f"{field}_low_entropy"] = None
+        rows.append(row)
+    write_jsonl(rows, str(out / "attribution.jsonl"))
     names = _load_names(args.names) if args.names else None
     timeline = fp.build_name_timeline(events, names)
     timeline_obj = {
@@ -212,9 +204,7 @@ def _cmd_fingerprint(args: argparse.Namespace, config: dict) -> int:
         "daily_dominant": [list(d) for d in timeline.daily_dominant],
         "ingress_concentration": fp.ingress_concentration(events),
     }
-    with open(out / "timeline.json", "w", encoding="utf-8") as handle:
-        json.dump(timeline_obj, handle, indent=2)
-        handle.write("\n")
+    write_json(timeline_obj, str(out / "timeline.json"))
     print(f"attributed {len(attributed)}/{len(events)} events (share {share:.4f})")
     return 0
 
@@ -223,8 +213,8 @@ def _cmd_cluster(args: argparse.Namespace, config: dict) -> int:
     from . import amplifiers as amp
 
     out = _out_dir(args)
-    eps = float(_resolve(args, config, "eps"))
-    min_pts = int(_resolve(args, config, "min_pts"))
+    eps = _resolve(args, config, "eps")
+    min_pts = _resolve(args, config, "min_pts")
     events = det.read_events(args.attacks)
     sets = amp.amplifier_sets(events)
     matrix = amp.jaccard_distance_matrix(sets)
@@ -251,15 +241,10 @@ def _cmd_cluster(args: argparse.Namespace, config: dict) -> int:
             for s in stable
         ],
     }
-    with open(out / "clusters.json", "w", encoding="utf-8") as handle:
-        json.dump(clusters_obj, handle, indent=2)
-        handle.write("\n")
+    write_json(clusters_obj, str(out / "clusters.json"))
 
     churn = amp.churn_metrics(amp.daily_amplifier_sets(events))
-    with open(out / "churn.csv", "w", encoding="utf-8") as handle:
-        handle.write("day,next_day,overlap\n")
-        for day_a, day_b, value in churn.overlaps:
-            handle.write(f"{day_a},{day_b},{value!r}\n")
+    write_csv(str(out / "churn.csv"), ("day", "next_day", "overlap"), churn.overlaps)
 
     inventory = amp.amplifier_inventory(events)
     coverage = None
@@ -267,20 +252,15 @@ def _cmd_cluster(args: argparse.Namespace, config: dict) -> int:
         inventory, coverage = amp.recency_join(inventory, amp.read_seen_table(args.seen_table))
     ns_table = amp.read_ns_ip_table(args.ns_table) if args.ns_table else None
     amp.classify_amplifier_role(inventory, ns_table)
-    with open(out / "amplifiers.csv", "w", encoding="utf-8") as handle:
-        handle.write("ip,attack_count,first_abuse_ts,last_abuse_ts,role,recency,first_seen,last_seen\n")
-        for ip in sorted(inventory):
-            info = inventory[ip]
-            handle.write(
-                f"{info.ip},{info.attack_count},{info.first_abuse_ts!r},"
-                f"{info.last_abuse_ts!r},{info.role},{info.recency or ''},"
-                f"{info.first_seen or ''},{info.last_seen or ''}\n")
+    write_csv(str(out / "amplifiers.csv"),
+              ("ip", "attack_count", "first_abuse_ts", "last_abuse_ts", "role", "recency",
+               "first_seen", "last_seen"),
+              ((i.ip, i.attack_count, i.first_abuse_ts, i.last_abuse_ts, i.role, i.recency,
+                i.first_seen, i.last_seen) for i in map(inventory.get, sorted(inventory))))
     breakdown = amp.qname_role_breakdown(events, inventory)
-    with open(out / "qname_roles.csv", "w", encoding="utf-8") as handle:
-        handle.write("qname,role,count\n")
-        for qname in sorted(breakdown):
-            for role in sorted(breakdown[qname]):
-                handle.write(f"{qname},{role},{breakdown[qname][role]}\n")
+    write_csv(str(out / "qname_roles.csv"), ("qname", "role", "count"),
+              ((qname, role, breakdown[qname][role])
+               for qname in sorted(breakdown) for role in sorted(breakdown[qname])))
     line = (f"{result.n_clusters} clusters, outlier share {result.outlier_share:.4f}, "
             f"{len(stable)} stable sets")
     if coverage is not None:
@@ -293,18 +273,16 @@ def _cmd_estimate(args: argparse.Namespace, config: dict) -> int:
     from . import sizing
 
     out = _out_dir(args)
-    min_days = int(_resolve(args, config, "min_days"))
-    min_step = int(_resolve(args, config, "min_step"))
+    min_days = _resolve(args, config, "min_days")
+    min_step = _resolve(args, config, "min_step")
     record_sets = sizing.read_record_sets(args.records)
     rows = []
     for record_set in record_sets:
         estimate = sizing.estimate_any_response_size(record_set)
         rows.append((record_set.day or "", estimate))
-    with open(out / "estimates.csv", "w", encoding="utf-8") as handle:
-        handle.write("day,owner,est_bytes,exceeds_edns\n")
-        for day, estimate in sorted(rows, key=lambda r: (r[0], r[1].owner)):
-            handle.write(f"{day},{estimate.owner},{estimate.est_bytes},"
-                         f"{str(estimate.exceeds_edns).lower()}\n")
+    write_csv(str(out / "estimates.csv"), ("day", "owner", "est_bytes", "exceeds_edns"),
+              ((day, estimate.owner, estimate.est_bytes, str(estimate.exceeds_edns).lower())
+               for day, estimate in sorted(rows, key=lambda r: (r[0], r[1].owner))))
 
     latest: dict[str, tuple[str, sizing.SizeEstimate]] = {}
     for day, estimate in rows:
@@ -322,19 +300,17 @@ def _cmd_estimate(args: argparse.Namespace, config: dict) -> int:
         "factors": {owner: ranking.factors[owner] for owner in sorted(ranking.factors)},
         "cdf": [{"owner": o, "est_bytes": b, "cdf": c} for o, b, c in ranking.rows],
     }
-    with open(out / "ranking.json", "w", encoding="utf-8") as handle:
-        json.dump(ranking_obj, handle, indent=2)
-        handle.write("\n")
+    write_json(ranking_obj, str(out / "ranking.json"))
 
-    with open(out / "plateaus.csv", "w", encoding="utf-8") as handle:
-        handle.write("owner,start_day,end_day,days,height\n")
-        for owner, series in sorted(sizing.daily_series(record_sets).items()):
-            values = [value for _, value in series]
-            for plateau in sizing.detect_rollover_plateaus(values, min_days=min_days,
-                                                           min_step_bytes=min_step):
-                handle.write(f"{owner},{series[plateau.start_index][0]},"
-                             f"{series[plateau.end_index][0]},{plateau.length},"
-                             f"{plateau.height}\n")
+    plateaus = []
+    for owner, series in sorted(sizing.daily_series(record_sets).items()):
+        values = [value for _, value in series]
+        for plateau in sizing.detect_rollover_plateaus(values, min_days=min_days,
+                                                       min_step_bytes=min_step):
+            plateaus.append((owner, series[plateau.start_index][0],
+                             series[plateau.end_index][0], plateau.length, plateau.height))
+    write_csv(str(out / "plateaus.csv"), ("owner", "start_day", "end_day", "days", "height"),
+              plateaus)
     print(f"{len(snapshot)} names sized, {ranking.count_above_reference} above reference")
     return 0
 
@@ -347,10 +323,7 @@ def _cmd_snoop(args: argparse.Namespace, config: dict) -> int:
     ttls = snoop.read_default_ttls(args.ttl_table) if args.ttl_table else {}
     kept, dropped = snoop.sanitize_probe_responses(responses, ttls)
     rows = snoop.classification_table(kept, ttls)
-    with open(out / "snoop.jsonl", "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, separators=(",", ":")))
-            handle.write("\n")
+    write_jsonl(rows, str(out / "snoop.jsonl"))
     roles = Counter(row["role"] for row in rows)
     caches = Counter(row["cache"] for row in rows)
     print(f"{len(rows)} responders kept ({skipped} malformed, {dropped} dropped); "
@@ -364,17 +337,12 @@ def _cmd_synth(args: argparse.Namespace, config: dict) -> int:
     out = _out_dir(args)
     cfg = synth.read_scenario(args.scenario)
     if args.seed is not None:
-        obj = json.loads(json.dumps(synth.scenario_to_obj(cfg)))
-        obj["seed"] = args.seed
-        cfg = synth.scenario_from_obj(obj)
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     records, hp_requests, truth = synth.generate_scenario(cfg)
     tr.write_trace(records, str(out / "trace.jsonl"))
     hp.write_honeypot_csv(hp_requests, str(out / "honeypot.csv"))
     synth.write_truth(truth, str(out / "ground_truth.json"))
-    with open(out / "prefixes.csv", "w", encoding="utf-8") as handle:
-        handle.write("prefix,asn\n")
-        for prefix, asn in synth.synthetic_prefix_table(cfg):
-            handle.write(f"{prefix},{asn}\n")
+    write_csv(str(out / "prefixes.csv"), ("prefix", "asn"), synth.synthetic_prefix_table(cfg))
     print(f"{len(records)} trace records, {len(hp_requests)} honeypot requests, "
           f"{len(truth.attacks)} planted attacks")
     return 0
@@ -382,12 +350,12 @@ def _cmd_synth(args: argparse.Namespace, config: dict) -> int:
 
 def _cmd_compare(args: argparse.Namespace, config: dict) -> int:
     out = _out_dir(args)
-    preset = hp.PRESETS[args.preset] if args.preset else None
-    min_requests = int(args.min_requests if args.min_requests is not None
-                       else preset[0] if preset else _resolve(args, config, "min_requests"))
-    max_gap = float(args.max_gap if args.max_gap is not None
-                    else preset[1] if preset else _resolve(args, config, "max_gap"))
-    slack = float(_resolve(args, config, "slack"))
+    if args.preset:
+        # a preset sits between the flags and the config file
+        config = {**config, **dict(zip(("min_requests", "max_gap"), hp.PRESETS[args.preset]))}
+    min_requests = _resolve(args, config, "min_requests")
+    max_gap = _resolve(args, config, "max_gap")
+    slack = _resolve(args, config, "slack")
     events = det.read_events(args.attacks)
     if any(e.intensity_decile is None for e in events):
         det.intensity_deciles(events)
@@ -424,13 +392,9 @@ def _cmd_compare(args: argparse.Namespace, config: dict) -> int:
             "trace_mean": comparison.trace_mean,
             "honeypot_mean": comparison.honeypot_mean,
         }
-    with open(out / "overlap.json", "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
-    with open(out / "convergence.csv", "w", encoding="utf-8") as handle:
-        handle.write("sensors,victim_fraction\n")
-        for rank, fraction in hp.convergence_curve(hp_events):
-            handle.write(f"{rank},{fraction!r}\n")
+    write_json(obj, str(out / "overlap.json"))
+    write_csv(str(out / "convergence.csv"), ("sensors", "victim_fraction"),
+              hp.convergence_curve(hp_events))
     print(f"{report.mutual_count} mutual events "
           f"({report.trace_matched_fraction:.4f} of trace, "
           f"{report.honeypot_matched_fraction:.4f} of honeypot)")
@@ -469,14 +433,15 @@ def _cmd_report(args: argparse.Namespace, config: dict) -> int:
             tlds.add(tld(qname))
         for label in tlds:
             attacks_per_tld[label] += 1
-    with open(out / "tld_summary.csv", "w", encoding="utf-8") as handle:
-        handle.write("tld,names,packets,packet_share,attacks,max_response_size\n")
-        for label in sorted(per_tld_names):
-            packets = packets_per_tld.get(label, 0)
-            share = packets / total_misused if total_misused else 0.0
-            size = max((max_sizes.get(q, 0) for q in per_tld_names[label]), default=0)
-            handle.write(f"{label},{len(per_tld_names[label])},{packets},"
-                         f"{share!r},{attacks_per_tld.get(label, 0)},{size}\n")
+    rows = []
+    for label in sorted(per_tld_names):
+        packets = packets_per_tld.get(label, 0)
+        share = packets / total_misused if total_misused else 0.0
+        size = max((max_sizes.get(q, 0) for q in per_tld_names[label]), default=0)
+        rows.append((label, len(per_tld_names[label]), packets, share,
+                     attacks_per_tld.get(label, 0), size))
+    write_csv(str(out / "tld_summary.csv"),
+              ("tld", "names", "packets", "packet_share", "attacks", "max_response_size"), rows)
     request_total = sum(e.request_count for e in events)
     response_total = sum(e.response_count for e in events)
     obj = {
@@ -493,9 +458,7 @@ def _cmd_report(args: argparse.Namespace, config: dict) -> int:
     if nscounts:
         obj["nscount_le1_share"] = sum(1 for n in nscounts if n <= 1) / len(nscounts)
         obj["nscount_le10_share"] = sum(1 for n in nscounts if n <= 10) / len(nscounts)
-    with open(out / "report.json", "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
+    write_json(obj, str(out / "report.json"))
     print(f"report over {len(events)} events, {len(names)} names")
     return 0
 

@@ -15,6 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .fileio import write_jsonl
 from .selectors import MisusedNameList
 from .trace import PacketRecord
 
@@ -375,10 +376,7 @@ def event_from_obj(obj: dict) -> AttackEvent:
 
 
 def write_events(events: Iterable[AttackEvent], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event_to_obj(event), separators=(",", ":")))
-            handle.write("\n")
+    write_jsonl(map(event_to_obj, events), path)
 
 
 def read_events(path: str) -> list[AttackEvent]:

@@ -8,12 +8,13 @@ matched against trace-side events by victim and time window.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .detector import AttackEvent, decile_ranks
+from .fileio import read_csv, write_csv, write_jsonl
 
 # Inference presets: classic amplifier-honeypot thresholds.
 PRESETS: dict[str, tuple[int, float]] = {
@@ -46,31 +47,29 @@ class HoneypotEvent:
 
 
 def read_honeypot_csv(path: str) -> tuple[list[HoneypotRequest], int]:
-    """ts,sensor_id,victim_ip,qname,qtype rows; malformed rows counted."""
+    """ts,sensor_id,victim_ip,qname,qtype rows; malformed rows, a non-finite
+    ts among them, are counted."""
     requests: list[HoneypotRequest] = []
     skipped = 0
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader):
-            if not row or (lineno == 0 and row[0].lower() == "ts"):
-                continue
-            if len(row) != 5:
-                skipped += 1
-                continue
-            try:
-                requests.append(HoneypotRequest(
-                    ts=float(row[0]), sensor_id=row[1], victim_ip=row[2],
-                    qname=row[3], qtype=int(row[4])))
-            except ValueError:
-                skipped += 1
+    for _, row in read_csv(path, "ts"):
+        if len(row) != 5:
+            skipped += 1
+            continue
+        try:
+            request = HoneypotRequest(ts=float(row[0]), sensor_id=row[1], victim_ip=row[2],
+                                      qname=row[3], qtype=int(row[4]))
+        except ValueError:
+            request = None
+        if request is None or not math.isfinite(request.ts):
+            skipped += 1
+        else:
+            requests.append(request)
     return requests, skipped
 
 
 def write_honeypot_csv(requests: Iterable[HoneypotRequest], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("ts,sensor_id,victim_ip,qname,qtype\n")
-        for req in requests:
-            handle.write(f"{req.ts!r},{req.sensor_id},{req.victim_ip},{req.qname},{req.qtype}\n")
+    write_csv(path, ("ts", "sensor_id", "victim_ip", "qname", "qtype"),
+              ((r.ts, r.sensor_id, r.victim_ip, r.qname, r.qtype) for r in requests))
 
 
 def infer_honeypot_attacks(requests: Sequence[HoneypotRequest],
@@ -269,10 +268,7 @@ def event_to_obj(event: HoneypotEvent) -> dict:
 
 
 def write_honeypot_events(events: Iterable[HoneypotEvent], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for event in events:
-            handle.write(json.dumps(event_to_obj(event), separators=(",", ":")))
-            handle.write("\n")
+    write_jsonl(map(event_to_obj, events), path)
 
 
 def read_honeypot_events(path: str) -> list[HoneypotEvent]:

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Protocol, Sequence
 
+from .fileio import write_csv, write_json
 from .trace import PacketRecord, normalize_qname
 
 QTYPE_ANY = 255
@@ -178,9 +179,7 @@ def name_list_to_obj(names: MisusedNameList) -> dict:
 
 
 def write_name_list(names: MisusedNameList, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(name_list_to_obj(names), handle, indent=2, sort_keys=False)
-        handle.write("\n")
+    write_json(name_list_to_obj(names), path)
 
 
 def read_name_list(path: str) -> MisusedNameList:
@@ -212,7 +211,4 @@ def read_plain_names(path: str) -> set[str]:
 
 
 def write_consensus_curve(names: MisusedNameList, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("k,mean_jaccard\n")
-        for k, mean in names.curve:
-            handle.write(f"{k},{mean!r}\n")
+    write_csv(path, ("k", "mean_jaccard"), names.curve)

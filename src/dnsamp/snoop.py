@@ -9,12 +9,12 @@ the authoritative default mean the answer aged in a cache.
 
 from __future__ import annotations
 
-import csv
 import ipaddress
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .fileio import read_csv
 from .trace import normalize_qname
 
 RCODE_NOERROR = 0
@@ -129,17 +129,13 @@ def two_way_cache_state(response: ProbeResponse,
 def read_default_ttls(path: str) -> dict[str, int]:
     """qname,ttl CSV with the authoritative default TTL per anchor name."""
     table: dict[str, int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        for lineno, row in enumerate(reader):
-            if not row or (lineno == 0 and row[0].lower() == "qname"):
-                continue
-            if len(row) != 2:
-                raise ValueError(f"ttl table line {lineno + 1}: expected qname,ttl")
-            try:
-                table[normalize_qname(row[0])] = int(row[1])
-            except ValueError:
-                raise ValueError(f"ttl table line {lineno + 1}: bad ttl {row[1]!r}")
+    for lineno, row in read_csv(path, "qname"):
+        if len(row) != 2:
+            raise ValueError(f"ttl table line {lineno}: expected qname,ttl")
+        try:
+            table[normalize_qname(row[0])] = int(row[1])
+        except ValueError:
+            raise ValueError(f"ttl table line {lineno}: bad ttl {row[1]!r}")
     return table
 
 

@@ -15,12 +15,15 @@ import hashlib
 import ipaddress
 import json
 import math
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, is_dataclass
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .fileio import write_json
 from .honeypot import HoneypotEvent, HoneypotRequest
 from .trace import PacketRecord, normalize_qname, qname_wire_length
 
@@ -573,58 +576,56 @@ def synthetic_prefix_table(cfg: ScenarioConfig) -> list[tuple[str, int]]:
 
 # --- configuration and ground-truth serialization -------------------------
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation: integer fields need an
+    integer, float fields take any number, bools are never numbers, and a
+    tuple field takes a list."""
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    if is_dataclass(hint):
+        return isinstance(value, dict)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _checked(cls, obj) -> dict:
+    """obj, once it is known to be a JSON object whose values fit the field
+    annotations of cls."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} must be a JSON object, got {obj!r}")
+    hints = typing.get_type_hints(cls)
+    for key, value in obj.items():
+        hint = hints.get(key)
+        if hint is not None and not _fits(value, hint):
+            kind = hint.__name__ if isinstance(hint, type) else hint
+            raise ValueError(f"scenario key {key!r} must be {kind}, got {value!r}")
+    return obj
+
+
 def scenario_from_obj(obj: dict) -> ScenarioConfig:
+    """A scenario from its JSON form; unknown keys and wrong-typed values
+    raise ValueError. dataclasses.asdict() gives the JSON form back."""
+    kwargs = dict(_checked(ScenarioConfig, obj))
     try:
-        attacks = tuple(AttackSpec(**spec) for spec in obj.get("attacks", []))
-        known = {f for f in ScenarioConfig.__dataclass_fields__}  # type: ignore[attr-defined]
-        kwargs = {k: v for k, v in obj.items() if k != "attacks"}
-        unknown = set(kwargs) - known
+        attacks = tuple(AttackSpec(**_checked(AttackSpec, spec))
+                        for spec in kwargs.pop("attacks", ()))
+        unknown = set(kwargs) - set(ScenarioConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        if "background_daily_rate" in kwargs:
-            kwargs["background_daily_rate"] = tuple(kwargs["background_daily_rate"])
-        if "sensor_coverage" in kwargs:
-            kwargs["sensor_coverage"] = tuple(kwargs["sensor_coverage"])
+        for key in ("background_daily_rate", "sensor_coverage"):
+            if key in kwargs:
+                kwargs[key] = tuple(kwargs[key])
         return ScenarioConfig(attacks=attacks, **kwargs)
     except TypeError as exc:
         raise ValueError(f"bad scenario config: {exc}")
-
-
-def scenario_to_obj(cfg: ScenarioConfig) -> dict:
-    """Round-trippable plain-object form of a scenario config."""
-    obj = {
-        "seed": cfg.seed,
-        "duration_days": cfg.duration_days,
-        "start_day": cfg.start_day,
-        "sampling_denominator": cfg.sampling_denominator,
-        "background_clients": cfg.background_clients,
-        "background_daily_rate": list(cfg.background_daily_rate),
-        "background_names": cfg.background_names,
-        "background_any_fraction": cfg.background_any_fraction,
-        "amplifier_pool_size": cfg.amplifier_pool_size,
-        "churn_retention": cfg.churn_retention,
-        "sensor_count": cfg.sensor_count,
-        "honeypot_requests_per_sensor": cfg.honeypot_requests_per_sensor,
-        "sensor_coverage": list(cfg.sensor_coverage),
-        "attacks": [],
-    }
-    for spec in cfg.attacks:
-        obj["attacks"].append({
-            "victim_ip": spec.victim_ip, "qname": spec.qname, "qps": spec.qps,
-            "start_s": spec.start_s, "duration_s": spec.duration_s,
-            "amplifiers_per_attack": spec.amplifiers_per_attack,
-            "dns_id_mode": spec.dns_id_mode,
-            "honeypot_visible": spec.honeypot_visible,
-            "request_fraction": spec.request_fraction,
-            "response_size": spec.response_size,
-            "benign_packets_per_day": spec.benign_packets_per_day,
-            "entity": spec.entity, "amplifier_mode": spec.amplifier_mode,
-            "amplifier_group": spec.amplifier_group,
-            "drift_per_event": spec.drift_per_event,
-            "dns_id_pool": spec.dns_id_pool, "ip_ttl": spec.ip_ttl,
-            "honeypot_requests_per_sensor": spec.honeypot_requests_per_sensor,
-        })
-    return obj
 
 
 def read_scenario(path: str) -> ScenarioConfig:
@@ -673,9 +674,7 @@ def truth_to_obj(truth: GroundTruth) -> dict:
 
 
 def write_truth(truth: GroundTruth, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(truth_to_obj(truth), handle, indent=2)
-        handle.write("\n")
+    write_json(truth_to_obj(truth), path)
 
 
 def read_truth(path: str) -> GroundTruth:

@@ -16,6 +16,8 @@ from functools import lru_cache
 from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, TextIO
 
+from .fileio import read_csv
+
 # Canonical JSONL field order. Serialization always emits these fields in this
 # order so that parse -> serialize round-trips byte-identically.
 TRACE_FIELDS = (
@@ -172,11 +174,15 @@ def _record_from_obj(obj: dict, normalized: _Memo) -> PacketRecord | None:
             values = (*values[:8], bool(qr), *values[9:])
         if type(ts) not in (int, float) or tuple(map(type, values[1:])) != _FIELD_TYPES[1:]:
             return None
+        try:
+            ts = float(ts)
+        except OverflowError:  # an integer beyond the float range
+            return None
     src_as, dst_as = obj.get("src_as"), obj.get("dst_as")
     if (src_as is not None and type(src_as) is not int) or \
             (dst_as is not None and type(dst_as) is not int):
         return None
-    return PacketRecord(float(ts), *values[1:10], normalized[values[10]], *values[11:],
+    return PacketRecord(ts, *values[1:10], normalized[values[10]], *values[11:],
                         src_as, dst_as)
 
 
@@ -185,8 +191,8 @@ def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord
 
     `source` is a file path, an open text handle, or an iterable of lines.
     Returns (records, skipped_line_count); malformed lines (bad JSON, missing
-    fields, wrong types) are counted and skipped, never raised. Semantic
-    validity is sanitize()'s job.
+    fields, wrong types, a ts beyond the float range) are counted and skipped,
+    never raised. Semantic validity is sanitize()'s job.
     """
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
@@ -200,7 +206,8 @@ def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
+            # bad JSON, an integer over the digit limit, or nesting too deep
             skipped += 1
             continue
         record = _record_from_obj(obj, normalized)
@@ -364,25 +371,19 @@ class PrefixTable:
     def from_csv(cls, path: str) -> "PrefixTable":
         """Load `prefix,asn` rows; a header line is tolerated."""
         rows: list[tuple[str, int]] = []
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle):
-                line = line.strip()
-                if not line:
-                    continue
-                parts = line.split(",")
-                if len(parts) != 2:
-                    raise ValueError(f"prefix table line {lineno + 1}: expected prefix,asn")
-                if lineno == 0 and parts[0].lower() == "prefix":
-                    continue
-                try:
-                    asn = int(parts[1])
-                except ValueError:
-                    raise ValueError(f"prefix table line {lineno + 1}: bad ASN {parts[1]!r}")
-                try:
-                    ipaddress.ip_network(parts[0])
-                except ValueError as exc:
-                    raise ValueError(f"prefix table line {lineno + 1}: {exc}") from None
-                rows.append((parts[0], asn))
+        for lineno, row in read_csv(path, "prefix"):
+            if len(row) != 2:
+                raise ValueError(f"prefix table line {lineno}: expected prefix,asn")
+            prefix, asn_text = row[0].strip(), row[1].strip()
+            try:
+                asn = int(asn_text)
+            except ValueError:
+                raise ValueError(f"prefix table line {lineno}: bad ASN {asn_text!r}")
+            try:
+                ipaddress.ip_network(prefix)
+            except ValueError as exc:
+                raise ValueError(f"prefix table line {lineno}: {exc}") from None
+            rows.append((prefix, asn))
         return cls(rows)
 
     def lookup(self, ip: str) -> int | None:

@@ -234,3 +234,13 @@ def trace_line_reference(record) -> str:
         obj["src_as"] = record.src_as
         obj["dst_as"] = record.dst_as
     return json.dumps(obj, separators=(",", ":"))
+
+
+def csv_table_reference(header, rows) -> str:
+    """A CSV table as the f-string writers built it: fields joined by commas,
+    floats by repr, None as an empty field, nothing quoted."""
+    lines = [] if header is None else [",".join(header)]
+    for row in rows:
+        lines.append(",".join("" if value is None else f"{value!r}" if isinstance(value, float)
+                              else f"{value}" for value in row))
+    return "".join(line + "\n" for line in lines)

@@ -126,6 +126,16 @@ class TestSynthStage:
                 (out(ws, "gen") / name).read_bytes()
 
 
+    def test_wrong_typed_scenario_value_is_processing_error(self, tmp_path, capsys):
+        obj = json.loads(SCENARIO_PATH.read_text())
+        obj["background_clients"] = "x"
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj))
+        assert run("synth", "--scenario", str(scenario), "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "background_clients" in err
+
+
 class TestIngestStage:
     def test_outputs(self, ws):
         ing = out(ws, "ing")
@@ -281,6 +291,28 @@ class TestClusterStage:
         clusters = json.loads((cl_dir / "clusters.json").read_text())
         assert len(clusters["labels"]) == 3
 
+    def test_integer_eps_from_config_written_as_float(self, ws, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 1}))
+        assert run("--config", str(cfg), "cluster",
+                   "--attacks", str(out(ws, "det") / "attacks.jsonl"),
+                   "--out-dir", str(tmp_path)) == 0
+        assert '"eps": 1.0,' in (tmp_path / "clusters.json").read_text()
+
+    def test_qname_with_comma_stays_one_field(self, ws, tmp_path):
+        attacks = tmp_path / "attacks.jsonl"
+        reflectors = 0
+        with attacks.open("w") as handle:
+            for line in (out(ws, "det") / "attacks.jsonl").open():
+                event = json.loads(line)
+                event["qname_counts"] = {"a,b.example.": sum(event["qname_counts"].values())}
+                reflectors += len(event["amplifier_set"])
+                handle.write(json.dumps(event) + "\n")
+        assert run("cluster", "--attacks", str(attacks), "--out-dir", str(tmp_path)) == 0
+        with (tmp_path / "qname_roles.csv").open(newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows == [["qname", "role", "count"], ["a,b.example.", "unknown", str(reflectors)]]
+
 
 @pytest.fixture(scope="module")
 def est_dir(tmp_path_factory):
@@ -377,6 +409,22 @@ class TestCompareStage:
                   for line in (cmp_dir / "honeypot_events.jsonl").open()]
         assert len(events) == 3
         assert (cmp_dir / "convergence.csv").is_file()
+
+    @pytest.mark.parametrize("config, flags, events", [
+        ({}, ("--preset", "amppot"), 0),
+        ({"min_requests": 5}, ("--preset", "amppot"), 0),
+        ({}, ("--preset", "amppot", "--min-requests", "5"), 3),
+        ({"min_requests": 100}, (), 0),
+        ({"min_requests": 100}, ("--preset", "ccc"), 3),
+    ])
+    def test_flag_beats_preset_beats_config(self, ws, tmp_path, config, flags, events):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert run("--config", str(cfg), "compare",
+                   "--attacks", str(out(ws, "det") / "attacks.jsonl"),
+                   "--honeypot", str(out(ws, "gen") / "honeypot.csv"),
+                   *flags, "--out-dir", str(tmp_path)) == 0
+        assert len((tmp_path / "honeypot_events.jsonl").read_text().splitlines()) == events
 
     def test_preset_accepts_known_names_only(self, ws, tmp_path):
         assert run("compare", "--attacks", str(out(ws, "det") / "attacks.jsonl"),

@@ -1,5 +1,5 @@
-"""Property tests: the cached and templated trace paths against the
-straightforward implementations in oracles.py."""
+"""Property tests: the cached and templated trace paths, and the CSV table
+format, against the straightforward implementations in oracles.py."""
 
 import copy
 import math
@@ -10,8 +10,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dnsamp import detector as det
+from dnsamp import fileio
 from dnsamp import trace as tr
-from oracles import sanitize_reference, trace_line_reference
+from oracles import csv_table_reference, sanitize_reference, trace_line_reference
 
 # Small pools so that keys repeat within one trace, as they do in real ones.
 ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1",
@@ -128,3 +129,35 @@ def test_day_at_last_microsecond_rounds_into_next_day():
 def test_percentile_matches_numpy(values, p):
     ours = det._percentile(sorted(values), p)
     assert repr(ours) == repr(float(np.percentile(np.array(values, dtype=float), p)))
+
+
+def tables(cell):
+    """(header, rows) of one width, 2 to 6 columns. A row whose only field is
+    empty is written as "" so that it differs from a blank line; two or more
+    columns keep that case out of the byte-for-byte comparison."""
+    return st.integers(2, 6).flatmap(lambda width: st.tuples(
+        st.just(tuple(f"col{i}" for i in range(width))),
+        st.lists(st.lists(cell, min_size=width, max_size=width), max_size=8)))
+
+
+plain_text = st.text(st.characters(blacklist_characters=',"\r\n'), max_size=8)
+plain_cell = st.one_of(st.none(), st.integers(), plain_text,
+                       st.floats(allow_nan=False, allow_infinity=False))
+
+
+@given(tables(plain_cell))
+def test_write_csv_matches_fstring_writer(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    fileio.write_csv(str(path), header, rows)
+    assert path.read_bytes() == csv_table_reference(header, rows).encode("utf-8")
+
+
+@given(st.one_of(tables(st.text(max_size=8)),
+                 st.tuples(st.just(("col0",)), st.lists(st.lists(st.text(max_size=8),
+                                                                  min_size=1, max_size=1)))))
+def test_read_csv_inverts_write_csv(tmp_path_factory, table):
+    header, rows = table
+    path = tmp_path_factory.mktemp("csv") / "table.csv"
+    fileio.write_csv(str(path), header, rows)
+    assert [fields for _, fields in fileio.read_csv(str(path), "COL0")] == rows

@@ -258,13 +258,23 @@ class TestIO:
         hp.write_honeypot_csv(reread, str(again))
         assert path.read_bytes() == again.read_bytes()
 
+    @pytest.mark.parametrize("qname", ["a,b.example.", '"hi".example.'])
+    def test_csv_round_trip_quotes_fields(self, tmp_path, qname):
+        requests = [req(1.0, qname=qname), req(2.0)]
+        path = tmp_path / "honeypot.csv"
+        hp.write_honeypot_csv(requests, str(path))
+        assert hp.read_honeypot_csv(str(path)) == (requests, 0)
+
     def test_csv_counts_malformed(self, tmp_path):
         path = tmp_path / "honeypot.csv"
         path.write_text("ts,sensor_id,victim_ip,qname,qtype\n"
                         "1.0,s1,10.0.0.1,evil.example.,255\n"
-                        "bad,s1,10.0.0.1,evil.example.,255\n")
+                        "bad,s1,10.0.0.1,evil.example.,255\n"
+                        "nan,s1,10.0.0.1,evil.example.,255\n"
+                        "inf,s1,10.0.0.1,evil.example.,255\n"
+                        "-inf,s1,10.0.0.1,evil.example.,255\n")
         reread, malformed = hp.read_honeypot_csv(str(path))
-        assert len(reread) == 1 and malformed == 1
+        assert len(reread) == 1 and malformed == 4
 
     def test_event_jsonl_round_trip(self, tmp_path):
         events = hp.infer_honeypot_attacks([req(float(i)) for i in range(5)])

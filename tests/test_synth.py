@@ -1,5 +1,6 @@
 """Deterministic scenario generation and its ground truth."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -322,11 +323,12 @@ class TestConfig:
 
     def test_scenario_json_round_trip(self, tmp_path):
         cfg = scenario()
-        obj = synth.scenario_to_obj(cfg)
+        obj = dataclasses.asdict(cfg)
         path = tmp_path / "scenario.json"
         import json
         path.write_text(json.dumps(obj))
         reread = synth.read_scenario(str(path))
+        assert json.dumps(dataclasses.asdict(reread)) == json.dumps(obj)
         a = synth.generate_scenario(cfg)
         b = synth.generate_scenario(reread)
         assert a[0] == b[0]
@@ -338,6 +340,29 @@ class TestConfig:
                                     "attacks": [], "bogus": 2}))
         with pytest.raises(ValueError):
             synth.read_scenario(str(path))
+
+    @pytest.mark.parametrize("key, value", [
+        ("background_clients", "x"), ("seed", 1.5), ("duration_days", True),
+        ("background_any_fraction", False), ("background_daily_rate", [1.0]),
+        ("sensor_coverage", "wide"), ("start_day", 20190601),
+        ("attacks", [3]), ("entity", 5), ("honeypot_visible", 1), ("dns_id_pool", 2.0),
+    ])
+    def test_wrong_typed_values_rejected_at_load(self, key, value):
+        obj = dataclasses.asdict(scenario())
+        target = obj if key in obj else obj["attacks"][0]
+        target[key] = value
+        with pytest.raises(ValueError, match=key):
+            synth.scenario_from_obj(obj)
+
+    def test_non_object_scenario_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            synth.scenario_from_obj([])
+
+    def test_numbers_accepted_where_floats_expected(self):
+        obj = dataclasses.asdict(scenario())
+        obj["background_any_fraction"] = 0
+        obj["attacks"][0]["qps"] = 4000
+        assert synth.scenario_from_obj(obj).attacks[0].qps == 4000
 
 
 class TestPrefixTable:

@@ -59,6 +59,16 @@ class TestParse:
         assert len(records) == 2
         assert skipped == 2
 
+    @pytest.mark.parametrize("line", [
+        json.dumps(make_record(ts=10 ** 400)),  # no float holds this ts
+        "[" + "9" * 5000 + "]",                 # over json's integer digit limit
+        "[" * 100000,                           # nested deeper than json decodes
+    ], ids=["ts-overflow", "digit-limit", "deep-nesting"])
+    def test_undecodable_lines_are_skipped(self, line):
+        text = json.dumps(make_record()) + "\n" + line + "\n"
+        records, skipped = tr.parse_trace(io.StringIO(text))
+        assert len(records) == 1 and skipped == 1
+
     def test_rejects_bool_masquerading_as_int(self):
         records, skipped = parse_one(make_record(dns_id=True))
         assert not records and skipped == 1
