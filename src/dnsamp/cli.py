@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import detector as det
@@ -21,50 +21,40 @@ from . import fingerprint as fp
 from . import honeypot as hp
 from . import selectors as sel
 from . import trace as tr
-from .fileio import write_csv, write_json, write_jsonl
-
-_DEFAULTS = {
-    "share_threshold": 0.9,
-    "min_packets": 10,
-    "sampling": 16000,
-    "k_max": 64,
-    "slack": 300.0,
-    "min_requests": 5,
-    "max_gap": 900.0,
-    "eps": 0.6,
-    "min_pts": 5,
-    "min_segment": 3,
-    "min_days": 7,
-    "min_step": 256,
-}
+from .fileio import field_types, from_obj, read_json, to_obj, write_csv, write_json, write_jsonl
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str):
-    """Flag beats config file beats built-in default; the value takes the
-    type of the default."""
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is None:
-        value = config.get(key, _DEFAULTS[key])
-    return type(_DEFAULTS[key])(value)
+@dataclass(frozen=True)
+class Settings:
+    """The keys a --config file may hold, with their defaults. Each is also
+    the flag --<key with dashes> of the subcommands that read it."""
+
+    share_threshold: float = 0.9
+    min_packets: int = 10
+    sampling: int = 16000
+    k_max: int = 64
+    slack: float = 300.0
+    min_requests: int = 5
+    max_gap: float = 900.0
+    eps: float = 0.6
+    min_pts: int = 5
+    min_segment: int = 3
+    min_days: int = 7
+    min_step: int = 256
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    if not isinstance(obj, dict):
-        raise ValueError("config file must hold a single JSON object")
-    unknown = sorted(set(obj) - set(_DEFAULTS))
-    if unknown:
-        raise ValueError(f"unknown config keys {unknown}; valid keys: {sorted(_DEFAULTS)}")
-    for key, value in obj.items():
-        # integer settings take integers; the others take any JSON number
-        integral = isinstance(_DEFAULTS[key], int)
-        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-            kind = "an integer" if integral else "a number"
-            raise ValueError(f"config key {key!r} must be {kind}, got {value!r}")
-    return obj
+def _load_config(path: str | None) -> Settings:
+    return Settings() if path is None else from_obj(Settings, read_json(path), path)
+
+
+def _settings(args: argparse.Namespace, config: Settings) -> Settings:
+    """Flag beats preset beats config file beats default."""
+    if getattr(args, "preset", None):
+        config = dataclasses.replace(
+            config, **dict(zip(("min_requests", "max_gap"), hp.PRESETS[args.preset])))
+    flags = {name: getattr(args, name) for name in field_types(Settings)
+             if getattr(args, name, None) is not None}
+    return dataclasses.replace(config, **flags)
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -87,7 +77,7 @@ def _prepared_records(trace_path: str, prefix_table: str | None) -> tuple[list, 
     return kept, skipped, dropped
 
 
-def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
+def _cmd_ingest(args: argparse.Namespace, config: Settings) -> int:
     out = _out_dir(args)
     records, skipped = tr.parse_trace(args.trace)
     total_bytes = sum(r.udp_len for r in records)
@@ -109,22 +99,18 @@ def _cmd_ingest(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_select_names(args: argparse.Namespace, config: dict) -> int:
+def _cmd_select_names(args: argparse.Namespace, config: Settings) -> int:
     out = _out_dir(args)
-    k_max = _resolve(args, config, "k_max")
-    slack = _resolve(args, config, "slack")
     records, _, _ = _prepared_records(args.trace, None)
     rankings = [sel.selector_max_size(records), sel.selector_any_volume(records)]
     if args.honeypot:
         requests, _ = hp.read_honeypot_csv(args.honeypot)
-        events = hp.infer_honeypot_attacks(
-            requests,
-            min_requests=_resolve(args, config, "min_requests"),
-            max_gap_s=_resolve(args, config, "max_gap"))
-        rankings.append(sel.selector_ground_truth(records, events, slack_s=slack))
+        events = hp.infer_honeypot_attacks(requests, min_requests=config.min_requests,
+                                           max_gap_s=config.max_gap)
+        rankings.append(sel.selector_ground_truth(records, events, slack_s=config.slack))
     else:
         rankings.append(sel.SelectorRanking(sel.SELECTOR_GROUND_TRUTH, ()))
-    names = sel.consensus_merge(rankings, k_max=k_max)
+    names = sel.consensus_merge(rankings, k_max=config.k_max)
     sel.write_name_list(names, str(out / "names.json"))
     sel.write_plain_names(names, str(out / "names.txt"))
     sel.write_consensus_curve(names, str(out / "curve.csv"))
@@ -139,12 +125,12 @@ def _cmd_select_names(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_detect(args: argparse.Namespace, config: dict) -> int:
+def _cmd_detect(args: argparse.Namespace, config: Settings) -> int:
     out = _out_dir(args)
     cfg = det.DetectorConfig(
-        share_threshold=_resolve(args, config, "share_threshold"),
-        min_sampled_packets=_resolve(args, config, "min_packets"),
-        sampling_denominator=_resolve(args, config, "sampling"))
+        share_threshold=config.share_threshold,
+        min_sampled_packets=config.min_packets,
+        sampling_denominator=config.sampling)
     records, _, _ = _prepared_records(args.trace, args.prefix_table)
     names = _load_names(args.names)
     stats = det.aggregate_client_days(records, names)
@@ -161,12 +147,12 @@ def _cmd_detect(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_fingerprint(args: argparse.Namespace, config: dict) -> int:
+def _cmd_fingerprint(args: argparse.Namespace, config: Settings) -> int:
     out = _out_dir(args)
-    min_segment = _resolve(args, config, "min_segment")
     events = det.read_events(args.attacks)
     fingerprint = fp.read_fingerprint(args.fingerprint_spec)
-    attributed, share = fp.attribute_entity(events, fingerprint, min_segment=min_segment)
+    attributed, share = fp.attribute_entity(events, fingerprint,
+                                            min_segment=config.min_segment)
     attributed_keys = {(e.victim_ip, e.day) for e in attributed}
     rows = []
     for event in events:
@@ -177,7 +163,7 @@ def _cmd_fingerprint(args: argparse.Namespace, config: dict) -> int:
             "attributed": (event.victim_ip, event.day) in attributed_keys,
         }
         if len(event.dns_ids) >= 2:
-            pattern = fp.classify_dnsid_pattern(event, min_segment=min_segment)
+            pattern = fp.classify_dnsid_pattern(event, min_segment=config.min_segment)
             row["id_pattern"] = pattern.kind
             row["change_point"] = pattern.change_point
         else:
@@ -195,51 +181,33 @@ def _cmd_fingerprint(args: argparse.Namespace, config: dict) -> int:
     write_jsonl(rows, str(out / "attribution.jsonl"))
     names = _load_names(args.names) if args.names else None
     timeline = fp.build_name_timeline(events, names)
-    timeline_obj = {
-        "intervals": {q: list(v) for q, v in sorted(timeline.intervals.items())},
-        "transitions": [list(t) for t in timeline.transitions],
-        "lexicographic": timeline.lexicographic,
-        "overlaps": [list(o) for o in timeline.overlaps],
-        "parity_period_days": timeline.parity_period_days,
-        "daily_dominant": [list(d) for d in timeline.daily_dominant],
-        "ingress_concentration": fp.ingress_concentration(events),
-    }
-    write_json(timeline_obj, str(out / "timeline.json"))
+    write_json({**to_obj(timeline), "intervals": dict(sorted(timeline.intervals.items())),
+                "ingress_concentration": fp.ingress_concentration(events)},
+               str(out / "timeline.json"))
     print(f"attributed {len(attributed)}/{len(events)} events (share {share:.4f})")
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace, config: dict) -> int:
+def _cmd_cluster(args: argparse.Namespace, config: Settings) -> int:
     from . import amplifiers as amp
 
     out = _out_dir(args)
-    eps = _resolve(args, config, "eps")
-    min_pts = _resolve(args, config, "min_pts")
     events = det.read_events(args.attacks)
     sets = amp.amplifier_sets(events)
     matrix = amp.jaccard_distance_matrix(sets)
     amp.write_distance_matrix(matrix, str(out / "distance_matrix.csv"))
-    result = amp.dbscan_cluster(matrix, eps=eps, min_pts=min_pts)
+    result = amp.dbscan_cluster(matrix, eps=config.eps, min_pts=config.min_pts)
     stable = amp.stable_sets(events, result.labels)
     clusters_obj = {
-        "eps": eps,
-        "min_pts": min_pts,
+        "eps": float(config.eps),  # a config file's integer eps is written as a flag's
+        "min_pts": config.min_pts,
         "n_clusters": result.n_clusters,
         "outlier_share": result.outlier_share,
         "labels": [
             {"victim_ip": e.victim_ip, "day": e.day, "label": label}
             for e, label in zip(events, result.labels)
         ],
-        "stable_sets": [
-            {
-                "cluster_id": s.cluster_id, "n_attacks": s.n_attacks,
-                "n_amplifiers": s.n_amplifiers, "core_size": s.core_size,
-                "first_day": s.first_day, "last_day": s.last_day,
-                "span_days": s.span_days, "mean_drift": s.mean_drift,
-                "max_drift": s.max_drift, "static": s.static,
-            }
-            for s in stable
-        ],
+        "stable_sets": [to_obj(s) for s in stable],
     }
     write_json(clusters_obj, str(out / "clusters.json"))
 
@@ -269,12 +237,10 @@ def _cmd_cluster(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_estimate(args: argparse.Namespace, config: dict) -> int:
+def _cmd_estimate(args: argparse.Namespace, config: Settings) -> int:
     from . import sizing
 
     out = _out_dir(args)
-    min_days = _resolve(args, config, "min_days")
-    min_step = _resolve(args, config, "min_step")
     record_sets = sizing.read_record_sets(args.records)
     rows = []
     for record_set in record_sets:
@@ -305,8 +271,8 @@ def _cmd_estimate(args: argparse.Namespace, config: dict) -> int:
     plateaus = []
     for owner, series in sorted(sizing.daily_series(record_sets).items()):
         values = [value for _, value in series]
-        for plateau in sizing.detect_rollover_plateaus(values, min_days=min_days,
-                                                       min_step_bytes=min_step):
+        for plateau in sizing.detect_rollover_plateaus(values, min_days=config.min_days,
+                                                       min_step_bytes=config.min_step):
             plateaus.append((owner, series[plateau.start_index][0],
                              series[plateau.end_index][0], plateau.length, plateau.height))
     write_csv(str(out / "plateaus.csv"), ("owner", "start_day", "end_day", "days", "height"),
@@ -315,7 +281,7 @@ def _cmd_estimate(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_snoop(args: argparse.Namespace, config: dict) -> int:
+def _cmd_snoop(args: argparse.Namespace, config: Settings) -> int:
     from . import snoop
 
     out = _out_dir(args)
@@ -331,7 +297,7 @@ def _cmd_snoop(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace, config: dict) -> int:
+def _cmd_synth(args: argparse.Namespace, config: Settings) -> int:
     from . import synth
 
     out = _out_dir(args)
@@ -348,23 +314,17 @@ def _cmd_synth(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace, config: dict) -> int:
+def _cmd_compare(args: argparse.Namespace, config: Settings) -> int:
     out = _out_dir(args)
-    if args.preset:
-        # a preset sits between the flags and the config file
-        config = {**config, **dict(zip(("min_requests", "max_gap"), hp.PRESETS[args.preset]))}
-    min_requests = _resolve(args, config, "min_requests")
-    max_gap = _resolve(args, config, "max_gap")
-    slack = _resolve(args, config, "slack")
     events = det.read_events(args.attacks)
     if any(e.intensity_decile is None for e in events):
         det.intensity_deciles(events)
     requests, _ = hp.read_honeypot_csv(args.honeypot)
-    hp_events = hp.infer_honeypot_attacks(requests, min_requests=min_requests,
-                                          max_gap_s=max_gap)
+    hp_events = hp.infer_honeypot_attacks(requests, min_requests=config.min_requests,
+                                          max_gap_s=config.max_gap)
     hp.score_honeypot_deciles(hp_events)
     hp.write_honeypot_events(hp_events, str(out / "honeypot_events.jsonl"))
-    report = hp.overlap(events, hp_events, slack_s=slack)
+    report = hp.overlap(events, hp_events, slack_s=config.slack)
     obj = {
         "mutual_count": report.mutual_count,
         "trace_total": report.trace_total,
@@ -383,15 +343,7 @@ def _cmd_compare(args: argparse.Namespace, config: dict) -> int:
         "intensity": None,
     }
     if report.pairs:
-        comparison = hp.intensity_comparison(events, hp_events, report)
-        obj["intensity"] = {
-            "trace_decile_counts": {str(k): v for k, v
-                                    in sorted(comparison.trace_decile_counts.items())},
-            "honeypot_decile_counts": {str(k): v for k, v
-                                       in sorted(comparison.honeypot_decile_counts.items())},
-            "trace_mean": comparison.trace_mean,
-            "honeypot_mean": comparison.honeypot_mean,
-        }
+        obj["intensity"] = to_obj(hp.intensity_comparison(events, hp_events, report))
     write_json(obj, str(out / "overlap.json"))
     write_csv(str(out / "convergence.csv"), ("sensors", "victim_fraction"),
               hp.convergence_curve(hp_events))
@@ -401,7 +353,7 @@ def _cmd_compare(args: argparse.Namespace, config: dict) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace, config: dict) -> int:
+def _cmd_report(args: argparse.Namespace, config: Settings) -> int:
     out = _out_dir(args)
     events = det.read_events(args.attacks)
     names = sorted(_load_names(args.names)) if args.names else sorted(
@@ -469,6 +421,12 @@ def _build_parser() -> argparse.ArgumentParser:
         description="DNS reflection-attack analysis over sampled traces")
     parser.add_argument("--config", help="JSON config file; flags override its keys")
     sub = parser.add_subparsers(dest="command", required=True)
+    setting_types = field_types(Settings)
+
+    def add_settings(p: argparse.ArgumentParser, *names: str) -> None:
+        """A flag per Settings field the subcommand reads, typed as the field."""
+        for name in names:
+            p.add_argument("--" + name.replace("_", "-"), type=setting_types[name])
 
     p = sub.add_parser("ingest", help="parse, sanitize, and annotate a trace")
     p.add_argument("--trace", required=True)
@@ -479,10 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("select-names", help="build the misused-name consensus list")
     p.add_argument("--trace", required=True)
     p.add_argument("--honeypot")
-    p.add_argument("--k-max", type=int)
-    p.add_argument("--slack", type=float)
-    p.add_argument("--min-requests", type=int)
-    p.add_argument("--max-gap", type=float)
+    add_settings(p, "k_max", "slack", "min_requests", "max_gap")
     p.add_argument("--previous", help="previous day's names.json for fluctuation check")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_select_names)
@@ -491,9 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True)
     p.add_argument("--names", required=True)
     p.add_argument("--prefix-table")
-    p.add_argument("--share-threshold", type=float)
-    p.add_argument("--min-packets", type=int)
-    p.add_argument("--sampling", type=int)
+    add_settings(p, "share_threshold", "min_packets", "sampling")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_detect)
 
@@ -501,14 +454,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacks", required=True)
     p.add_argument("--fingerprint-spec", required=True)
     p.add_argument("--names")
-    p.add_argument("--min-segment", type=int)
+    add_settings(p, "min_segment")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_fingerprint)
 
     p = sub.add_parser("cluster", help="cluster events by amplifier-set distance")
     p.add_argument("--attacks", required=True)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--min-pts", type=int)
+    add_settings(p, "eps", "min_pts")
     p.add_argument("--seen-table")
     p.add_argument("--ns-table")
     p.add_argument("--out-dir", default=".")
@@ -519,8 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference-names")
     p.add_argument("--edns", action="store_true",
                    help="assume an EDNS OPT record in the request size")
-    p.add_argument("--min-days", type=int)
-    p.add_argument("--min-step", type=int)
+    add_settings(p, "min_days", "min_step")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_estimate)
 
@@ -540,9 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attacks", required=True)
     p.add_argument("--honeypot", required=True)
     p.add_argument("--preset", choices=sorted(hp.PRESETS))
-    p.add_argument("--min-requests", type=int)
-    p.add_argument("--max-gap", type=float)
-    p.add_argument("--slack", type=float)
+    add_settings(p, "min_requests", "max_gap", "slack")
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_compare)
 
@@ -559,9 +508,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        return args.func(args, config)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        return args.func(args, _settings(args, _load_config(args.config)))
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

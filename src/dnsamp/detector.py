@@ -9,13 +9,12 @@ stay exact).
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .fileio import write_jsonl
+from .fileio import from_obj, read_jsonl, to_obj, write_jsonl
 from .selectors import MisusedNameList
 from .trace import PacketRecord
 
@@ -326,53 +325,16 @@ def _percentile(ordered: Sequence[float], p: int) -> float:
     return a + (b - a) * t
 
 
-_EVENT_FIELDS = (
-    "victim_ip", "day", "packet_count", "misused_packet_count",
-    "est_original_packets", "est_misused_packets", "share",
-    "share_excluding_root", "first_ts", "last_ts", "request_count",
-    "response_count", "qname_counts", "amplifier_set", "dns_ids",
-    "req_ip_ids", "req_src_ports", "req_dns_ids", "ingress_as_counts",
-    "victim_as", "intensity_decile",
-)
-
-
 def event_to_obj(event: AttackEvent) -> dict:
-    obj = {}
-    for name in _EVENT_FIELDS:
-        value = getattr(event, name)
-        if isinstance(value, tuple):
-            value = list(value)
-        elif name == "ingress_as_counts":
-            value = {str(k): v for k, v in value.items()}
-        obj[name] = value
-    obj["duration_s"] = event.duration_s
-    return obj
+    return {**to_obj(event), "duration_s": event.duration_s}
 
 
-def event_from_obj(obj: dict) -> AttackEvent:
-    return AttackEvent(
-        victim_ip=obj["victim_ip"],
-        day=obj["day"],
-        packet_count=obj["packet_count"],
-        misused_packet_count=obj["misused_packet_count"],
-        est_original_packets=obj["est_original_packets"],
-        est_misused_packets=obj["est_misused_packets"],
-        share=obj["share"],
-        share_excluding_root=obj["share_excluding_root"],
-        first_ts=obj["first_ts"],
-        last_ts=obj["last_ts"],
-        request_count=obj["request_count"],
-        response_count=obj["response_count"],
-        qname_counts=dict(obj["qname_counts"]),
-        amplifier_set=tuple(obj["amplifier_set"]),
-        dns_ids=tuple(obj["dns_ids"]),
-        req_ip_ids=tuple(obj["req_ip_ids"]),
-        req_src_ports=tuple(obj["req_src_ports"]),
-        req_dns_ids=tuple(obj["req_dns_ids"]),
-        ingress_as_counts={int(k): v for k, v in obj["ingress_as_counts"].items()},
-        victim_as=obj.get("victim_as"),
-        intensity_decile=obj.get("intensity_decile"),
-    )
+def event_from_obj(obj: dict, where: str = "event") -> AttackEvent:
+    """An event from its JSON object, less the derived duration_s."""
+    if isinstance(obj, dict):
+        obj = dict(obj)
+        obj.pop("duration_s", None)
+    return from_obj(AttackEvent, obj, where)
 
 
 def write_events(events: Iterable[AttackEvent], path: str) -> None:
@@ -380,10 +342,4 @@ def write_events(events: Iterable[AttackEvent], path: str) -> None:
 
 
 def read_events(path: str) -> list[AttackEvent]:
-    events = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                events.append(event_from_obj(json.loads(line)))
-    return events
+    return [event_from_obj(obj, f"{path} line {lineno}") for lineno, obj in read_jsonl(path)]

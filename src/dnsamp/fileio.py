@@ -3,14 +3,24 @@
 JSON is indented by 2 with a trailing newline, and JSONL holds one compact
 object per line. CSV rows end in "\\n", and a field is quoted, per RFC 4180,
 only when it holds a comma, a quote or a line break.
+
+A dataclass record's JSON form is an object of its fields in declaration
+order (`to_obj`). `from_obj` reads it back, checked against the field
+annotations, so a value of the wrong shape is a ValueError that names the
+key, never a TypeError further on.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from types import SimpleNamespace
-from typing import Any, Iterable, Iterator, Sequence
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
+from types import SimpleNamespace, UnionType
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 def write_json(obj: Any, path: str) -> None:
@@ -54,3 +64,186 @@ def read_csv(path: str, first_column: str) -> Iterator[tuple[int, list[str]]]:
             lineno, start = start, reader.line_num + 1
             if row and not (lineno == 1 and row[0].lower() == header):
                 yield lineno, row
+
+
+def read_json(path: str) -> Any:
+    """The value a JSON file holds; a file that is not JSON raises ValueError
+    naming it."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def read_jsonl(path: str) -> Iterator[tuple[int, Any]]:
+    """Yield (line number, value) for each non-blank line of a JSONL file.
+
+    Line numbers count from 1. A line that is not JSON raises ValueError
+    naming the file and the line."""
+    with open(path, "r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path} line {lineno} column {exc.colno}: {exc.msg}") from None
+            except (ValueError, RecursionError) as exc:
+                # an integer over the digit limit, or nesting too deep
+                raise ValueError(f"{path} line {lineno}: {exc}") from None
+            yield lineno, value
+
+
+def to_obj(record: Any) -> dict[str, Any]:
+    """A dataclass record as its JSON object: its fields in declaration order,
+    one level deep (json writes a tuple as a list, an int key as a string)."""
+    return {f.name: getattr(record, f.name) for f in fields(record)}
+
+
+def field_types(cls: type) -> dict[str, Any]:
+    """The resolved annotation of each field of dataclass cls."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def from_obj(cls: type[T], obj: Any, where: str) -> T:
+    """Build dataclass cls from its JSON object, checked against the field
+    annotations.
+
+    An int field needs a JSON integer. A float field takes any number and
+    keeps it as given. A bool is never a number. A tuple field takes a list,
+    a dict[int, ...] field takes decimal keys, and a dataclass field takes an
+    object, decoded the same way. A missing key takes the field's default.
+    An unknown key, a missing required field or a value that does not fit
+    raises ValueError("<where>: key 'k': expected ...")."""
+    try:
+        return _decoder(cls)(obj)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
+
+
+# The exact types of the JSON values that each scalar annotation takes.
+_SCALARS = {int: ({int}, "an integer"), float: ({int, float}, "a number"),
+            str: ({str}, "a string"), bool: ({bool}, "a boolean"),
+            type(None): ({type(None)}, "null")}
+
+
+def _scalar_types(hint: Any) -> frozenset:
+    """The exact types of the JSON values a scalar annotation, or a union of
+    them, takes; empty for any other annotation."""
+    args = typing.get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    if all(arg in _SCALARS for arg in args):
+        return frozenset().union(*(_SCALARS[arg][0] for arg in args))
+    return frozenset()
+
+
+def _kind(hint: Any) -> str:
+    args = typing.get_args(hint) if isinstance(hint, UnionType) else (hint,)
+    if _scalar_types(hint):
+        return " or ".join(_SCALARS[arg][1] for arg in args)
+    return "a list" if typing.get_origin(hint) is tuple else "a JSON object"
+
+
+def _misfit(hint: Any, value: Any) -> ValueError:
+    text = repr(value)
+    if len(text) > 80:
+        text = text[:77] + "..."
+    return ValueError(f"expected {_kind(hint)}, got {text}")
+
+
+def _decode_all(triples: Iterable[tuple[Any, Callable[[Any], Any], Any]],
+                label: str) -> Iterator[Any]:
+    """decode(value) for each (key, decode, value); a misfit names its key."""
+    for key, decode, value in triples:
+        try:
+            yield decode(value)
+        except ValueError as exc:
+            raise ValueError(f"{label} {key!r}: {exc}") from None
+
+
+@cache
+def _decoder(hint: Any) -> Callable[[Any], Any]:
+    """decode(value): the JSON value as the annotation `hint` takes it, or a
+    ValueError. Built once per annotation, so decoding only checks types; a
+    list or dict of scalars is checked in one pass over its value types."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    accepted = _scalar_types(hint)
+    if accepted:
+        def decode(value):
+            if type(value) in accepted:
+                return value
+            raise _misfit(hint, value)
+    elif origin is tuple and args[-1] is Ellipsis:
+        item, item_types = _decoder(args[0]), _scalar_types(args[0])
+
+        def decode(value):
+            if type(value) is not list and type(value) is not tuple:
+                raise _misfit(hint, value)
+            if item_types.issuperset(map(type, value)):
+                return tuple(value)
+            return tuple(_decode_all(((i, item, v) for i, v in enumerate(value)), "item"))
+    elif origin is tuple:
+        items = tuple(map(_decoder, args))
+
+        def decode(value):
+            if type(value) not in (list, tuple) or len(value) != len(items):
+                raise _misfit(hint, value)
+            return tuple(_decode_all(zip(range(len(items)), items, value), "item"))
+    elif origin is dict and args[0] in (str, int):
+        item, item_types = _decoder(args[1]), _scalar_types(args[1])
+
+        def decode(value):
+            if type(value) is not dict:
+                raise _misfit(hint, value)
+            if not item_types.issuperset(map(type, value.values())):
+                value = dict(zip(value, _decode_all(((k, item, v) for k, v in value.items()),
+                                                    "key")))
+            if args[0] is str:
+                return dict(value)
+            decoded = {}
+            for key, item_value in value.items():
+                try:
+                    number = int(key)
+                except ValueError:
+                    number = None
+                if number is None or str(number) != key:
+                    raise ValueError(f"key {key!r}: expected a decimal integer")
+                decoded[number] = item_value
+            return decoded
+    elif is_dataclass(hint):
+        decode = _dataclass_decoder(hint)
+    else:
+        raise TypeError(f"no JSON form for the annotation {hint!r}")
+    return decode
+
+
+def _dataclass_decoder(cls: type) -> Callable[[Any], Any]:
+    hints = field_types(cls)
+    init = [f for f in fields(cls) if f.init]
+    decoders = {f.name: _decoder(hints[f.name]) for f in init}
+    required = [f.name for f in init if f.default is MISSING and f.default_factory is MISSING]
+    # scalar values are checked here, without a call each
+    scalars = {name: _scalar_types(hints[name]) for name in decoders}
+    valid = ", ".join(map(repr, decoders))
+
+    def decode(obj):
+        if type(obj) is not dict:
+            raise _misfit(cls, obj)
+        kwargs = {}
+        for key, value in obj.items():
+            if type(value) in scalars.get(key, ()):
+                kwargs[key] = value
+                continue
+            if key not in decoders:
+                raise ValueError(f"key {key!r}: expected one of the keys {valid}")
+            try:
+                kwargs[key] = decoders[key](value)
+            except ValueError as exc:
+                raise ValueError(f"key {key!r}: {exc}") from None
+        if len(kwargs) < len(decoders):
+            for key in required:
+                if key not in kwargs:
+                    raise ValueError(f"key {key!r}: expected {_kind(hints[key])}, got nothing")
+        return cls(**kwargs)
+    return decode

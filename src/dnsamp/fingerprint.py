@@ -8,13 +8,13 @@ misused list in order. These profiles let events be attributed to an entity.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
 from typing import Iterable, Sequence
 
 from .detector import AttackEvent
+from .fileio import from_obj, read_json
 from .selectors import MisusedNameList
 from .trace import normalize_qname
 
@@ -240,7 +240,7 @@ class EntityFingerprint:
     """Attribution rule: dominant-name suffix plus DNS-ID pattern class."""
 
     name_suffixes: tuple[str, ...]
-    id_patterns: tuple[str, ...]
+    id_patterns: tuple[str, ...] = ("pure", "phased")
 
     def __post_init__(self) -> None:
         if not self.name_suffixes:
@@ -263,12 +263,7 @@ class EntityFingerprint:
 
 
 def read_fingerprint(path: str) -> EntityFingerprint:
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    return EntityFingerprint(
-        name_suffixes=tuple(obj["name_suffixes"]),
-        id_patterns=tuple(obj.get("id_patterns", ("pure", "phased"))),
-    )
+    return from_obj(EntityFingerprint, read_json(path), path)
 
 
 def attribute_entity(events: Sequence[AttackEvent],

@@ -8,13 +8,12 @@ matched against trace-side events by victim and time window.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .detector import AttackEvent, decile_ranks
-from .fileio import read_csv, write_csv, write_jsonl
+from .fileio import from_obj, read_csv, read_jsonl, to_obj, write_csv, write_jsonl
 
 # Inference presets: classic amplifier-honeypot thresholds.
 PRESETS: dict[str, tuple[int, float]] = {
@@ -256,32 +255,10 @@ def convergence_curve(events: Sequence[HoneypotEvent]) -> list[tuple[int, float]
     return curve
 
 
-def event_to_obj(event: HoneypotEvent) -> dict:
-    return {
-        "victim_ip": event.victim_ip,
-        "start": event.start,
-        "end": event.end,
-        "request_count": event.request_count,
-        "sensor_ids": list(event.sensor_ids),
-        "intensity_decile": event.intensity_decile,
-    }
-
-
 def write_honeypot_events(events: Iterable[HoneypotEvent], path: str) -> None:
-    write_jsonl(map(event_to_obj, events), path)
+    write_jsonl(map(to_obj, events), path)
 
 
 def read_honeypot_events(path: str) -> list[HoneypotEvent]:
-    events = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            events.append(HoneypotEvent(
-                victim_ip=obj["victim_ip"], start=obj["start"], end=obj["end"],
-                request_count=obj["request_count"],
-                sensor_ids=tuple(obj["sensor_ids"]),
-                intensity_decile=obj.get("intensity_decile")))
-    return events
+    return [from_obj(HoneypotEvent, obj, f"{path} line {lineno}")
+            for lineno, obj in read_jsonl(path)]

@@ -7,12 +7,11 @@ traffic toward externally known victims) and merged where they agree best.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Protocol, Sequence
 
-from .fileio import write_csv, write_json
+from .fileio import from_obj, read_json, write_csv, write_json
 from .trace import PacketRecord, normalize_qname
 
 QTYPE_ANY = 255
@@ -167,33 +166,34 @@ def consensus_merge(rankings: Sequence[SelectorRanking],
     )
 
 
-def name_list_to_obj(names: MisusedNameList) -> dict:
-    return {
-        "k_star": names.k_star,
-        "names": [
-            {"qname": qname, "selectors": list(names.provenance[qname])}
-            for qname in names.names
-        ],
-        "missing_selectors": list(names.missing_selectors),
-    }
+@dataclass(frozen=True, slots=True)
+class _NameEntry:
+    qname: str
+    selectors: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True, slots=True)
+class _NameListForm:
+    """The JSON form of a name list."""
+
+    k_star: int
+    names: tuple[_NameEntry, ...]
+    missing_selectors: tuple[str, ...] = ()
 
 
 def write_name_list(names: MisusedNameList, path: str) -> None:
-    write_json(name_list_to_obj(names), path)
+    entries = tuple(_NameEntry(qname, names.provenance[qname]) for qname in names.names)
+    write_json(asdict(_NameListForm(names.k_star, entries, names.missing_selectors)), path)
 
 
 def read_name_list(path: str) -> MisusedNameList:
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    provenance = {
-        normalize_qname(entry["qname"]): tuple(entry.get("selectors", ()))
-        for entry in obj["names"]
-    }
+    form = from_obj(_NameListForm, read_json(path), path)
+    provenance = {normalize_qname(entry.qname): entry.selectors for entry in form.names}
     return MisusedNameList(
         names=tuple(sorted(provenance)),
         provenance=provenance,
-        k_star=int(obj["k_star"]),
-        missing_selectors=tuple(obj.get("missing_selectors", ())),
+        k_star=form.k_star,
+        missing_selectors=form.missing_selectors,
     )
 
 

@@ -9,10 +9,10 @@ double signatures inflate responses by a fixed step for a stretch of days.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .fileio import read_jsonl
 from .trace import qname_is_valid, qname_wire_length, normalize_qname
 
 DNS_HEADER_LEN = 12
@@ -174,22 +174,17 @@ def detect_rollover_plateaus(series: Sequence[int], min_days: int = 7,
 def read_record_sets(path: str) -> list[RecordSet]:
     """JSONL, one {day, owner, records:[{type, ttl, rdata_len}]} per line."""
     sets = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                records = tuple(
-                    ZoneRecord(rr_type=str(r["type"]), ttl=int(r["ttl"]),
-                               rdata_len=int(r["rdata_len"]))
-                    for r in obj["records"]
-                )
-                sets.append(RecordSet(owner=obj["owner"], records=records,
-                                      day=obj.get("date")))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"records file line {lineno + 1}: {exc}")
+    for lineno, obj in read_jsonl(path):
+        try:
+            records = tuple(
+                ZoneRecord(rr_type=str(r["type"]), ttl=int(r["ttl"]),
+                           rdata_len=int(r["rdata_len"]))
+                for r in obj["records"]
+            )
+            sets.append(RecordSet(owner=obj["owner"], records=records,
+                                  day=obj.get("date")))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path} line {lineno}: {exc}") from None
     return sets
 
 

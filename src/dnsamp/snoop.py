@@ -159,7 +159,7 @@ def read_probe_responses(path: str) -> tuple[list[ProbeResponse], int]:
                     rcode=int(obj["rcode"]),
                     ts=float(obj.get("ts", 0.0)),
                 ))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError):
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
                 skipped += 1
     return responses, skipped
 

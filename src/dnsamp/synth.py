@@ -13,17 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import ipaddress
-import json
 import math
-import types
-import typing
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fileio import write_json
+from .fileio import from_obj, read_json, to_obj, write_json
 from .honeypot import HoneypotEvent, HoneypotRequest
 from .trace import PacketRecord, normalize_qname, qname_wire_length
 
@@ -106,7 +103,7 @@ class AttackSpec:
 class ScenarioConfig:
     seed: int
     duration_days: int
-    attacks: tuple[AttackSpec, ...]
+    attacks: tuple[AttackSpec, ...] = ()
     start_day: str = "2019-06-01"
     sampling_denominator: int = 16000
     background_clients: int = 40
@@ -576,99 +573,51 @@ def synthetic_prefix_table(cfg: ScenarioConfig) -> list[tuple[str, int]]:
 
 # --- configuration and ground-truth serialization -------------------------
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation: integer fields need an
-    integer, float fields take any number, bools are never numbers, and a
-    tuple field takes a list."""
-    args = typing.get_args(hint)
-    if isinstance(hint, types.UnionType):
-        return any(_fits(value, arg) for arg in args)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if args[-1] is Ellipsis:
-            args = args[:1] * len(value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    if is_dataclass(hint):
-        return isinstance(value, dict)
-    if isinstance(value, bool):
-        return hint is bool
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _checked(cls, obj) -> dict:
-    """obj, once it is known to be a JSON object whose values fit the field
-    annotations of cls."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{cls.__name__} must be a JSON object, got {obj!r}")
-    hints = typing.get_type_hints(cls)
-    for key, value in obj.items():
-        hint = hints.get(key)
-        if hint is not None and not _fits(value, hint):
-            kind = hint.__name__ if isinstance(hint, type) else hint
-            raise ValueError(f"scenario key {key!r} must be {kind}, got {value!r}")
-    return obj
-
-
-def scenario_from_obj(obj: dict) -> ScenarioConfig:
+def scenario_from_obj(obj: dict, where: str = "scenario") -> ScenarioConfig:
     """A scenario from its JSON form; unknown keys and wrong-typed values
     raise ValueError. dataclasses.asdict() gives the JSON form back."""
-    kwargs = dict(_checked(ScenarioConfig, obj))
-    try:
-        attacks = tuple(AttackSpec(**_checked(AttackSpec, spec))
-                        for spec in kwargs.pop("attacks", ()))
-        unknown = set(kwargs) - set(ScenarioConfig.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        for key in ("background_daily_rate", "sensor_coverage"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return ScenarioConfig(attacks=attacks, **kwargs)
-    except TypeError as exc:
-        raise ValueError(f"bad scenario config: {exc}")
+    return from_obj(ScenarioConfig, obj, where)
 
 
 def read_scenario(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return scenario_from_obj(json.load(handle))
+    return scenario_from_obj(read_json(path), path)
+
+
+@dataclass(frozen=True)
+class _VictimDayCount:
+    victim_ip: str
+    day: str
+    total: int
+    misused: int
+
+
+@dataclass(frozen=True)
+class _TruthFile:
+    """ground_truth.json as written: victim_day_counts, keyed by tuples, as rows."""
+    attacks: tuple[AttackTruth, ...]
+    victim_day_counts: tuple[_VictimDayCount, ...]
+    daily_amplifier_pools: dict[str, tuple[str, ...]]
+    honeypot_events: tuple[HoneypotEvent, ...]
+    entities: dict[str, tuple[str, ...]]
+    misused_names: tuple[str, ...]
+    totals: dict[str, int]
 
 
 def truth_to_obj(truth: GroundTruth) -> dict:
     return {
-        "attacks": [
-            {
-                "attack_id": t.attack_id,
-                "victim_ip": t.victim_ip,
-                "qname": t.qname,
-                "start_ts": t.start_ts,
-                "end_ts": t.end_ts,
-                "qps": t.qps,
-                "dns_id_mode": t.dns_id_mode,
-                "entity": t.entity,
-                "honeypot_visible": t.honeypot_visible,
-                "original_packets": t.original_packets,
-                "sampled_packets": t.sampled_packets,
-                "sampled_requests": t.sampled_requests,
-                "sampled_responses": t.sampled_responses,
-                "daily_packets": t.daily_packets,
-                "daily_amplifiers": {day: list(ips)
-                                     for day, ips in sorted(t.daily_amplifiers.items())},
-            }
-            for t in truth.attacks
-        ],
+        "attacks": [to_obj(t) for t in truth.attacks],
         "victim_day_counts": [
-            {"victim_ip": victim, "day": day, "total": total, "misused": misused}
+            to_obj(_VictimDayCount(victim, day, total, misused))
             for (victim, day), (total, misused) in sorted(truth.victim_day_counts.items())
         ],
-        "daily_amplifier_pools": {day: list(ips)
-                                  for day, ips in sorted(truth.daily_amplifier_pools.items())},
+        "daily_amplifier_pools": dict(sorted(truth.daily_amplifier_pools.items())),
+        # the planted events carry no intensity score
         "honeypot_events": [
-            {"victim_ip": e.victim_ip, "start": e.start, "end": e.end,
-             "request_count": e.request_count, "sensor_ids": list(e.sensor_ids)}
+            {key: value for key, value in to_obj(e).items() if key != "intensity_decile"}
             for e in truth.honeypot_events
         ],
-        "entities": {name: list(ids) for name, ids in sorted(truth.entities.items())},
-        "misused_names": list(truth.misused_names),
+        "entities": dict(sorted(truth.entities.items())),
+        "misused_names": truth.misused_names,
         "totals": dict(sorted(truth.totals.items())),
     }
 
@@ -678,36 +627,14 @@ def write_truth(truth: GroundTruth, path: str) -> None:
 
 
 def read_truth(path: str) -> GroundTruth:
-    with open(path, "r", encoding="utf-8") as handle:
-        obj = json.load(handle)
-    attacks = [
-        AttackTruth(
-            attack_id=t["attack_id"], victim_ip=t["victim_ip"], qname=t["qname"],
-            start_ts=t["start_ts"], end_ts=t["end_ts"], qps=t["qps"],
-            dns_id_mode=t["dns_id_mode"], entity=t.get("entity"),
-            honeypot_visible=t["honeypot_visible"],
-            original_packets=t["original_packets"],
-            sampled_packets=t["sampled_packets"],
-            sampled_requests=t["sampled_requests"],
-            sampled_responses=t["sampled_responses"],
-            daily_packets=dict(t["daily_packets"]),
-            daily_amplifiers={day: tuple(ips)
-                              for day, ips in t["daily_amplifiers"].items()})
-        for t in obj["attacks"]
-    ]
+    stored = from_obj(_TruthFile, read_json(path), path)
     return GroundTruth(
-        attacks=attacks,
-        victim_day_counts={(row["victim_ip"], row["day"]): (row["total"], row["misused"])
-                           for row in obj["victim_day_counts"]},
-        daily_amplifier_pools={day: tuple(ips)
-                               for day, ips in obj["daily_amplifier_pools"].items()},
-        honeypot_events=[
-            HoneypotEvent(victim_ip=e["victim_ip"], start=e["start"], end=e["end"],
-                          request_count=e["request_count"],
-                          sensor_ids=tuple(e["sensor_ids"]))
-            for e in obj["honeypot_events"]
-        ],
-        entities={name: tuple(ids) for name, ids in obj["entities"].items()},
-        misused_names=tuple(obj["misused_names"]),
-        totals=dict(obj["totals"]),
+        attacks=list(stored.attacks),
+        victim_day_counts={(row.victim_ip, row.day): (row.total, row.misused)
+                           for row in stored.victim_day_counts},
+        daily_amplifier_pools=stored.daily_amplifier_pools,
+        honeypot_events=list(stored.honeypot_events),
+        entities=stored.entities,
+        misused_names=stored.misused_names,
+        totals=stored.totals,
     )

@@ -141,6 +141,7 @@ _get_fields = itemgetter(*TRACE_FIELDS)
 _record_values = attrgetter(*(f.name for f in fields(PacketRecord)))
 _PLAIN_RECORD_TYPES = {_FIELD_TYPES + (src_as, dst_as)
                        for src_as in (int, type(None)) for dst_as in (int, type(None))}
+_TEN_INTS = (int,) * 10  # the range-checked integer fields
 
 
 class _Memo(dict):
@@ -288,6 +289,13 @@ def _record_is_valid(record: PacketRecord, ip_valid: _Memo, name_valid: _Memo) -
     """`ip_valid` and `name_valid` map an address or a normalized qname to
     whether it is valid."""
     if not (isinstance(record.ts, float) and math.isfinite(record.ts)):
+        return False
+    # only a builtin int round-trips through write_trace and parse_trace: a
+    # bool is written as true/false, and a numpy integer is not JSON at all
+    if (type(record.src_port), type(record.dst_port), type(record.ip_ttl),
+            type(record.ip_id), type(record.udp_len), type(record.dns_id),
+            type(record.qtype), type(record.rcode), type(record.ancount),
+            type(record.nscount)) != _TEN_INTS:
         return False
     if not (ip_valid[record.src_ip] and ip_valid[record.dst_ip]):
         return False

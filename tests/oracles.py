@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from dnsamp.detector import AttackEvent
 from dnsamp.trace import normalize_qname, qname_is_valid
 
 QCLASS_IN = 1
@@ -179,6 +180,10 @@ def record_is_valid_reference(record) -> bool:
     """Per-record validity, every field checked on every record."""
     if not (isinstance(record.ts, float) and math.isfinite(record.ts)):
         return False
+    integers = (record.src_port, record.dst_port, record.ip_ttl, record.ip_id, record.udp_len,
+                record.dns_id, record.qtype, record.rcode, record.ancount, record.nscount)
+    if any(type(value) is not int for value in integers):
+        return False
     if _ip_or_none(record.src_ip) is None or _ip_or_none(record.dst_ip) is None:
         return False
     for port in (record.src_port, record.dst_port):
@@ -244,3 +249,55 @@ def csv_table_reference(header, rows) -> str:
         lines.append(",".join("" if value is None else f"{value!r}" if isinstance(value, float)
                               else f"{value}" for value in row))
     return "".join(line + "\n" for line in lines)
+
+
+EVENT_FIELDS_REFERENCE = (
+    "victim_ip", "day", "packet_count", "misused_packet_count",
+    "est_original_packets", "est_misused_packets", "share",
+    "share_excluding_root", "first_ts", "last_ts", "request_count",
+    "response_count", "qname_counts", "amplifier_set", "dns_ids",
+    "req_ip_ids", "req_src_ports", "req_dns_ids", "ingress_as_counts",
+    "victim_as", "intensity_decile",
+)
+
+
+def event_to_obj_reference(event) -> dict:
+    """The JSON object of an attack event, field by field as it was written
+    before the record codec."""
+    obj = {}
+    for name in EVENT_FIELDS_REFERENCE:
+        value = getattr(event, name)
+        if isinstance(value, tuple):
+            value = list(value)
+        elif name == "ingress_as_counts":
+            value = {str(k): v for k, v in value.items()}
+        obj[name] = value
+    obj["duration_s"] = event.duration_s
+    return obj
+
+
+def event_from_obj_reference(obj: dict):
+    """An attack event from its JSON object, field by field, unchecked."""
+    return AttackEvent(
+        victim_ip=obj["victim_ip"],
+        day=obj["day"],
+        packet_count=obj["packet_count"],
+        misused_packet_count=obj["misused_packet_count"],
+        est_original_packets=obj["est_original_packets"],
+        est_misused_packets=obj["est_misused_packets"],
+        share=obj["share"],
+        share_excluding_root=obj["share_excluding_root"],
+        first_ts=obj["first_ts"],
+        last_ts=obj["last_ts"],
+        request_count=obj["request_count"],
+        response_count=obj["response_count"],
+        qname_counts=dict(obj["qname_counts"]),
+        amplifier_set=tuple(obj["amplifier_set"]),
+        dns_ids=tuple(obj["dns_ids"]),
+        req_ip_ids=tuple(obj["req_ip_ids"]),
+        req_src_ports=tuple(obj["req_src_ports"]),
+        req_dns_ids=tuple(obj["req_dns_ids"]),
+        ingress_as_counts={int(k): v for k, v in obj["ingress_as_counts"].items()},
+        victim_as=obj.get("victim_as"),
+        intensity_decile=obj.get("intensity_decile"),
+    )

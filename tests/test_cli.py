@@ -105,6 +105,32 @@ class TestExitCodes:
         assert next(iter(obj)) in capsys.readouterr().err
 
 
+    # every subcommand's option strings, in order, as the parser had them
+    # when each flag was declared by hand
+    OPTIONS = {
+        "ingest": "--trace --prefix-table --out-dir",
+        "select-names": "--trace --honeypot --k-max --slack --min-requests --max-gap "
+                        "--previous --out-dir",
+        "detect": "--trace --names --prefix-table --share-threshold --min-packets --sampling "
+                  "--out-dir",
+        "fingerprint": "--attacks --fingerprint-spec --names --min-segment --out-dir",
+        "cluster": "--attacks --eps --min-pts --seen-table --ns-table --out-dir",
+        "estimate": "--records --reference-names --edns --min-days --min-step --out-dir",
+        "snoop": "--responses --ttl-table --out-dir",
+        "synth": "--scenario --seed --out-dir",
+        "compare": "--attacks --honeypot --preset --min-requests --max-gap --slack --out-dir",
+        "report": "--attacks --names --trace --out-dir",
+    }
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_subcommand_options_unchanged(self, command, capsys):
+        assert run(command, "--help") == 0
+        section = capsys.readouterr().out.split("options:\n")[1]
+        listed = [token.rstrip(",") for line in section.splitlines() if line.startswith("  -")
+                  for token in line.split() if token.startswith("-")]
+        assert listed == ["-h", "--help", *self.OPTIONS[command].split()]
+
+
 class TestSynthStage:
     def test_outputs_exist(self, ws):
         gen = out(ws, "gen")
@@ -229,6 +255,23 @@ class TestDetectStage:
                    "--min-packets", "10", "--out-dir", str(loose)) == 0
         assert len((loose / "attacks.jsonl").read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize("names_obj, key", [
+        ([], None),
+        ({"k_star": 1}, "names"),
+        ({"k_star": 1, "names": [3]}, "names"),
+        ({"k_star": 1, "names": [{"qname": 5}]}, "qname"),
+        ({"k_star": "1", "names": []}, "k_star"),
+    ])
+    def test_malformed_name_list_is_processing_error(self, ws, tmp_path, capsys,
+                                                     names_obj, key):
+        names = tmp_path / "names.json"
+        names.write_text(json.dumps(names_obj))
+        assert run("detect", "--trace", str(out(ws, "ing") / "annotated.jsonl"),
+                   "--names", str(names), "--out-dir", str(tmp_path / "det")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {names}: ") and err.count("\n") == 1
+        assert key is None or f"key '{key}'" in err
+
     def test_rerun_byte_identical(self, ws, tmp_path):
         assert run("detect", "--trace", str(out(ws, "ing") / "annotated.jsonl"),
                    "--names", str(out(ws, "sel") / "names.json"),
@@ -276,6 +319,19 @@ def cl_dir(ws, tmp_path_factory):
 
 
 class TestClusterStage:
+    @pytest.mark.parametrize("mangle, where", [
+        (lambda text: "[1,2]\n", "line 1: expected a JSON object"),
+        (lambda text: text.replace('"dns_ids":[', '"dns_ids":["x",', 1), "line 1: key 'dns_ids'"),
+        (lambda text: text + text[:300], "line 4 column"),
+    ], ids=["not-an-object", "string-dns-id", "truncated"])
+    def test_malformed_event_log_is_processing_error(self, ws, tmp_path, capsys,
+                                                     mangle, where):
+        attacks = tmp_path / "attacks.jsonl"
+        attacks.write_text(mangle((out(ws, "det") / "attacks.jsonl").read_text()))
+        assert run("cluster", "--attacks", str(attacks), "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {attacks} {where}") and err.count("\n") == 1
+
     def test_outputs_exist(self, cl_dir):
         for name in ("distance_matrix.csv", "clusters.json", "churn.csv",
                      "amplifiers.csv", "qname_roles.csv"):

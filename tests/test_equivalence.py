@@ -1,18 +1,25 @@
-"""Property tests: the cached and templated trace paths, and the CSV table
-format, against the straightforward implementations in oracles.py."""
+"""Property tests: the cached and templated trace paths, the CSV table format
+and the record codec against the straightforward implementations in
+oracles.py, plus invariants of detection."""
 
 import copy
+import dataclasses
+import json
 import math
 from datetime import datetime, timezone
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dnsamp import detector as det
 from dnsamp import fileio
+from dnsamp import honeypot as hp
+from dnsamp import synth
 from dnsamp import trace as tr
-from oracles import csv_table_reference, sanitize_reference, trace_line_reference
+from oracles import (csv_table_reference, event_from_obj_reference, event_to_obj_reference,
+                     sanitize_reference, trace_line_reference)
 
 # Small pools so that keys repeat within one trace, as they do in real ones.
 ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1",
@@ -161,3 +168,142 @@ def test_read_csv_inverts_write_csv(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     fileio.write_csv(str(path), header, rows)
     assert [fields for _, fields in fileio.read_csv(str(path), "COL0")] == rows
+
+
+# --- the record codec ------------------------------------------------------
+
+numbers = st.one_of(st.floats(allow_nan=False), st.integers(-10 ** 20, 10 ** 20))
+texts = st.text(max_size=6)
+int_tuples = st.lists(st.integers(-3, 70000), max_size=6).map(tuple)
+
+events = st.builds(
+    det.AttackEvent,
+    victim_ip=texts, day=texts, packet_count=st.integers(), misused_packet_count=st.integers(),
+    est_original_packets=st.integers(), est_misused_packets=st.integers(),
+    share=numbers, share_excluding_root=numbers, first_ts=numbers, last_ts=numbers,
+    request_count=st.integers(), response_count=st.integers(),
+    qname_counts=st.dictionaries(texts, st.integers(), max_size=3),
+    amplifier_set=st.lists(texts, max_size=4).map(tuple),
+    dns_ids=int_tuples, req_ip_ids=int_tuples, req_src_ports=int_tuples, req_dns_ids=int_tuples,
+    ingress_as_counts=st.dictionaries(st.integers(-5, 2 ** 32), st.integers(), max_size=3),
+    victim_as=st.one_of(st.none(), st.integers()),
+    intensity_decile=st.one_of(st.none(), st.integers(1, 10)))
+
+
+@given(st.lists(events, max_size=5))
+def test_event_lines_match_reference(tmp_path_factory, batch):
+    path = tmp_path_factory.mktemp("events") / "attacks.jsonl"
+    det.write_events(batch, str(path))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [json.dumps(event_to_obj_reference(e), separators=(",", ":"))
+                     for e in batch]
+    assert det.read_events(str(path)) == batch
+    assert [event_from_obj_reference(json.loads(line)) for line in lines] == batch
+
+
+honeypot_events = st.builds(
+    hp.HoneypotEvent, victim_ip=texts, start=numbers, end=numbers,
+    request_count=st.integers(), sensor_ids=st.lists(texts, max_size=3).map(tuple),
+    intensity_decile=st.one_of(st.none(), st.integers(1, 10)))
+
+attack_truths = st.builds(
+    synth.AttackTruth, attack_id=texts, victim_ip=texts, qname=texts, start_ts=numbers,
+    end_ts=numbers, qps=numbers, dns_id_mode=texts, entity=st.one_of(st.none(), texts),
+    honeypot_visible=st.booleans(), original_packets=st.integers(),
+    sampled_packets=st.integers(), sampled_requests=st.integers(),
+    sampled_responses=st.integers(),
+    daily_packets=st.dictionaries(texts, st.integers(), max_size=3),
+    daily_amplifiers=st.dictionaries(texts, st.lists(texts, max_size=3).map(tuple), max_size=3))
+
+attack_specs = st.builds(
+    synth.AttackSpec, victim_ip=st.sampled_from(["10.1.0.5", "10.2.0.9"]),
+    qname=st.sampled_from(["alpha.example.", "Beta.Example"]),
+    qps=st.one_of(st.integers(1, 10 ** 4), st.floats(0.5, 1e4)),
+    start_s=st.one_of(st.just(0), st.floats(0, 1000)), duration_s=st.floats(1, 1000),
+    amplifiers_per_attack=st.integers(1, 20),
+    dns_id_mode=st.sampled_from(synth.DNS_ID_MODES), request_fraction=st.floats(0, 1),
+    entity=st.one_of(st.none(), texts), dns_id_pool=st.one_of(st.none(), st.integers(1, 9)))
+
+scenarios = st.builds(
+    synth.ScenarioConfig, seed=st.integers(0, 2 ** 64), duration_days=st.integers(1, 3),
+    attacks=st.lists(attack_specs, max_size=3).map(tuple),
+    background_daily_rate=st.tuples(numbers, numbers),
+    background_any_fraction=numbers, sensor_coverage=st.tuples(numbers, numbers))
+
+
+@given(st.one_of(honeypot_events, attack_truths))
+def test_from_obj_inverts_to_obj(record):
+    obj = json.loads(json.dumps(fileio.to_obj(record)))
+    assert fileio.from_obj(type(record), obj, "record") == record
+
+
+# to_obj is one level deep, so a scenario, which nests its attacks, is
+# written with dataclasses.asdict
+@given(scenarios)
+def test_scenario_from_obj_inverts_asdict(scenario):
+    obj = json.loads(json.dumps(dataclasses.asdict(scenario)))
+    assert synth.scenario_from_obj(obj) == scenario
+
+
+# wrong-typed JSON values for each kind of AttackEvent field
+WRONG_VALUES = {
+    "integer": ["7", 1.5, True, None, [7]],
+    "number": ["7", True, None, [1.0], {}],
+    "string": [7, None, False, ["a"]],
+    "optional integer": ["7", 1.5, True, {}],
+    "integer list": ["1,2", {}, 5, ["x"], [1.5], [None], [True]],
+    "string list": ["a", 5, [7], [None]],
+    "string-keyed counts": [[], {"a": "1"}, {"a": 1.5}, {"a": None}],
+    "AS-keyed counts": [[], {"x": 1}, {"01": 1}, {" 1": 1}, {"1": "1"}],
+}
+EVENT_FIELD_KINDS = {
+    **dict.fromkeys(("victim_ip", "day"), "string"),
+    **dict.fromkeys(("packet_count", "misused_packet_count", "est_original_packets",
+                     "est_misused_packets", "request_count", "response_count"), "integer"),
+    **dict.fromkeys(("share", "share_excluding_root", "first_ts", "last_ts"), "number"),
+    **dict.fromkeys(("victim_as", "intensity_decile"), "optional integer"),
+    **dict.fromkeys(("dns_ids", "req_ip_ids", "req_src_ports", "req_dns_ids"), "integer list"),
+    "amplifier_set": "string list",
+    "qname_counts": "string-keyed counts",
+    "ingress_as_counts": "AS-keyed counts",
+}
+wrong_fields = st.sampled_from(sorted(EVENT_FIELD_KINDS)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(WRONG_VALUES[EVENT_FIELD_KINDS[key]])))
+
+
+def test_wrong_field_table_covers_every_field():
+    assert set(EVENT_FIELD_KINDS) == {f.name for f in dataclasses.fields(det.AttackEvent)}
+
+
+@given(events, wrong_fields)
+def test_wrong_typed_field_names_its_key(tmp_path_factory, event, wrong):
+    key, value = wrong
+    obj = {**det.event_to_obj(event), key: value}
+    path = tmp_path_factory.mktemp("events") / "attacks.jsonl"
+    path.write_text(json.dumps(det.event_to_obj(event)) + "\n\n" + json.dumps(obj) + "\n")
+    with pytest.raises(ValueError, match=f"attacks.jsonl line 3: key '{key}': "):
+        det.read_events(str(path))
+
+
+# --- detection thresholds -------------------------------------------------
+
+client_days = st.lists(st.builds(
+    lambda i, total, misused: det.ClientDayStats(
+        client_ip=f"10.0.0.{i}", day="2019-06-01", total_pkts=total,
+        misused_pkts=min(misused, total)),
+    st.integers(0, 255), st.integers(1, 60), st.integers(0, 60)), max_size=30)
+thresholds = st.floats(min_value=1e-6, max_value=1.0)
+
+
+@given(client_days, thresholds, thresholds, st.integers(1, 70), st.integers(1, 70))
+def test_events_shrink_as_thresholds_rise(stats, share_a, share_b, packets_a, packets_b):
+    def detected(share, packets):
+        config = det.DetectorConfig(share_threshold=share, min_sampled_packets=packets)
+        return [(e.victim_ip, e.day) for e in det.detect_attacks(stats, config)]
+
+    low_share, high_share = sorted((share_a, share_b))
+    low_packets, high_packets = sorted((packets_a, packets_b))
+    base = detected(low_share, low_packets)
+    for stricter in (detected(high_share, low_packets), detected(low_share, high_packets)):
+        assert len(stricter) <= len(base)
+        assert set(stricter) <= set(base)

@@ -130,6 +130,15 @@ class TestIO:
         assert responses[0].qname == "probe.example."
         assert responses[0].answer_ttls == (("A", 120),)
 
+    def test_unconvertible_numbers_are_skipped(self, tmp_path):
+        # Infinity cannot become an int, and deep nesting exceeds json's
+        # recursion limit; both count as malformed lines
+        path = tmp_path / "probes.jsonl"
+        path.write_text('{"target_ip": "203.0.113.9", "responder_ip": "203.0.113.10", '
+                        '"qname": "probe.example.", "answer_ttls": [], "rcode": Infinity}\n'
+                        + "[" * 100000 + "\n")
+        assert snoop.read_probe_responses(str(path)) == ([], 2)
+
     def test_read_default_ttls(self, tmp_path):
         path = tmp_path / "ttls.csv"
         path.write_text("qname,ttl\nProbe.Example,300\n")

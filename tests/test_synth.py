@@ -1,6 +1,7 @@
 """Deterministic scenario generation and its ground truth."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -89,6 +90,24 @@ class TestGroundTruth:
         synth.write_truth(truth, str(path))
         reread = synth.read_truth(str(path))
         assert synth.truth_to_obj(reread) == synth.truth_to_obj(truth)
+
+    @pytest.mark.parametrize("key, value", [
+        ("victim_day_counts", 5),
+        ("victim_day_counts", [{"victim_ip": "192.0.2.1", "day": "2019-06-01",
+                                "total": "3", "misused": 0}]),
+        ("daily_amplifier_pools", []),
+        ("entities", {"e": [1]}),
+        ("misused_names", "a.example."),
+        ("totals", {"records": 1.5}),
+    ])
+    def test_malformed_truth_names_its_key(self, tmp_path, key, value):
+        _, _, truth = synth.generate_scenario(scenario())
+        obj = synth.truth_to_obj(truth)
+        obj[key] = value
+        path = tmp_path / "truth.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=f"truth.json: key '{key}'"):
+            synth.read_truth(str(path))
 
     def test_attack_window_covers_misused_packets(self):
         records, _, truth = synth.generate_scenario(scenario())

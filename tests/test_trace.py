@@ -4,6 +4,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 
 from dnsamp import trace as tr
@@ -17,6 +18,12 @@ def make_record(**overrides):
                 ancount=0, nscount=0)
     base.update(overrides)
     return base
+
+
+def hand_built(**overrides):
+    fields = make_record(**overrides)
+    fields["is_response"] = bool(fields.pop("qr"))
+    return tr.PacketRecord(**fields)
 
 
 def parse_one(obj):
@@ -189,6 +196,21 @@ class TestRoundTrip:
         reread, _ = tr.parse_trace(str(path))
         assert reread[0].src_as == 64512
         assert reread[0].dst_as is None
+
+    @pytest.mark.parametrize("field", ["src_port", "ip_ttl", "ip_id", "dns_id", "qtype",
+                                       "rcode", "ancount", "nscount"])
+    @pytest.mark.parametrize("wrap", [lambda value: True, np.int64])
+    def test_hand_built_records_kept_by_sanitize_survive(self, tmp_path, field, wrap):
+        # a bool passes every range check as 0 or 1 but is written as
+        # true/false, and json cannot write an np.int64; an np.float64 ts is
+        # a float and stays
+        bad = wrap(getattr(hand_built(), field))
+        records = [hand_built(ts=np.float64(100.5)), hand_built(**{field: bad})]
+        kept, dropped = tr.sanitize(records)
+        assert (len(kept), dropped) == (1, 1)
+        path = tmp_path / "trace.jsonl"
+        tr.write_trace(kept, str(path))
+        assert tr.parse_trace(str(path)) == (kept, 0)
 
 
 class TestPrefixTable:
