@@ -35,10 +35,7 @@ def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> np.ndarray:
     matrix = np.zeros((n, n), dtype=np.float64)
     for i in range(n):
         for j in range(i + 1, n):
-            a, b = sets[i], sets[j]
-            union = len(a | b)
-            distance = 0.0 if union == 0 else 1.0 - len(a & b) / union
-            matrix[i, j] = matrix[j, i] = distance
+            matrix[i, j] = matrix[j, i] = 1.0 - jaccard(sets[i], sets[j])
     return matrix
 
 

@@ -57,16 +57,16 @@ def _settings(args: argparse.Namespace, config: Settings) -> Settings:
     return dataclasses.replace(config, **flags)
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_names(path: str) -> set[str]:
     if path.endswith(".json"):
         return sel.read_name_list(path).name_set()
     return sel.read_plain_names(path)
+
+
+def _honeypot_events(path: str, config: Settings) -> list[hp.HoneypotEvent]:
+    requests, _ = hp.read_honeypot_csv(path)
+    return hp.infer_honeypot_attacks(requests, min_requests=config.min_requests,
+                                     max_gap_s=config.max_gap)
 
 
 def _prepared_records(trace_path: str, prefix_table: str | None) -> tuple[list, int, int]:
@@ -77,8 +77,7 @@ def _prepared_records(trace_path: str, prefix_table: str | None) -> tuple[list, 
     return kept, skipped, dropped
 
 
-def _cmd_ingest(args: argparse.Namespace, config: Settings) -> int:
-    out = _out_dir(args)
+def _cmd_ingest(args: argparse.Namespace, config: Settings, out: Path) -> int:
     records, skipped = tr.parse_trace(args.trace)
     total_bytes = sum(r.udp_len for r in records)
     kept, dropped = tr.sanitize(records)
@@ -99,14 +98,11 @@ def _cmd_ingest(args: argparse.Namespace, config: Settings) -> int:
     return 0
 
 
-def _cmd_select_names(args: argparse.Namespace, config: Settings) -> int:
-    out = _out_dir(args)
+def _cmd_select_names(args: argparse.Namespace, config: Settings, out: Path) -> int:
     records, _, _ = _prepared_records(args.trace, None)
     rankings = [sel.selector_max_size(records), sel.selector_any_volume(records)]
     if args.honeypot:
-        requests, _ = hp.read_honeypot_csv(args.honeypot)
-        events = hp.infer_honeypot_attacks(requests, min_requests=config.min_requests,
-                                           max_gap_s=config.max_gap)
+        events = _honeypot_events(args.honeypot, config)
         rankings.append(sel.selector_ground_truth(records, events, slack_s=config.slack))
     else:
         rankings.append(sel.SelectorRanking(sel.SELECTOR_GROUND_TRUTH, ()))
@@ -125,8 +121,7 @@ def _cmd_select_names(args: argparse.Namespace, config: Settings) -> int:
     return 0
 
 
-def _cmd_detect(args: argparse.Namespace, config: Settings) -> int:
-    out = _out_dir(args)
+def _cmd_detect(args: argparse.Namespace, config: Settings, out: Path) -> int:
     cfg = det.DetectorConfig(
         share_threshold=config.share_threshold,
         min_sampled_packets=config.min_packets,
@@ -147,8 +142,7 @@ def _cmd_detect(args: argparse.Namespace, config: Settings) -> int:
     return 0
 
 
-def _cmd_fingerprint(args: argparse.Namespace, config: Settings) -> int:
-    out = _out_dir(args)
+def _cmd_fingerprint(args: argparse.Namespace, config: Settings, out: Path) -> int:
     events = det.read_events(args.attacks)
     fingerprint = fp.read_fingerprint(args.fingerprint_spec)
     attributed, share = fp.attribute_entity(events, fingerprint,
@@ -188,10 +182,9 @@ def _cmd_fingerprint(args: argparse.Namespace, config: Settings) -> int:
     return 0
 
 
-def _cmd_cluster(args: argparse.Namespace, config: Settings) -> int:
+def _cmd_cluster(args: argparse.Namespace, config: Settings, out: Path) -> int:
     from . import amplifiers as amp
 
-    out = _out_dir(args)
     events = det.read_events(args.attacks)
     sets = amp.amplifier_sets(events)
     matrix = amp.jaccard_distance_matrix(sets)
@@ -237,10 +230,9 @@ def _cmd_cluster(args: argparse.Namespace, config: Settings) -> int:
     return 0
 
 
-def _cmd_estimate(args: argparse.Namespace, config: Settings) -> int:
+def _cmd_estimate(args: argparse.Namespace, config: Settings, out: Path) -> int:
     from . import sizing
 
-    out = _out_dir(args)
     record_sets = sizing.read_record_sets(args.records)
     rows = []
     for record_set in record_sets:
@@ -255,10 +247,7 @@ def _cmd_estimate(args: argparse.Namespace, config: Settings) -> int:
         if estimate.owner not in latest or day > latest[estimate.owner][0]:
             latest[estimate.owner] = (day, estimate)
     snapshot = [estimate for _, (_, estimate) in sorted(latest.items())]
-    references = []
-    if args.reference_names:
-        with open(args.reference_names, "r", encoding="utf-8") as handle:
-            references = [line.strip() for line in handle if line.strip()]
+    references = sel.read_plain_names(args.reference_names) if args.reference_names else ()
     ranking = sizing.rank_amplification(snapshot, references, edns=args.edns)
     ranking_obj = {
         "count_above_reference": ranking.count_above_reference,
@@ -281,10 +270,9 @@ def _cmd_estimate(args: argparse.Namespace, config: Settings) -> int:
     return 0
 
 
-def _cmd_snoop(args: argparse.Namespace, config: Settings) -> int:
+def _cmd_snoop(args: argparse.Namespace, config: Settings, out: Path) -> int:
     from . import snoop
 
-    out = _out_dir(args)
     responses, skipped = snoop.read_probe_responses(args.responses)
     ttls = snoop.read_default_ttls(args.ttl_table) if args.ttl_table else {}
     kept, dropped = snoop.sanitize_probe_responses(responses, ttls)
@@ -297,10 +285,9 @@ def _cmd_snoop(args: argparse.Namespace, config: Settings) -> int:
     return 0
 
 
-def _cmd_synth(args: argparse.Namespace, config: Settings) -> int:
+def _cmd_synth(args: argparse.Namespace, config: Settings, out: Path) -> int:
     from . import synth
 
-    out = _out_dir(args)
     cfg = synth.read_scenario(args.scenario)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
@@ -314,14 +301,11 @@ def _cmd_synth(args: argparse.Namespace, config: Settings) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace, config: Settings) -> int:
-    out = _out_dir(args)
+def _cmd_compare(args: argparse.Namespace, config: Settings, out: Path) -> int:
     events = det.read_events(args.attacks)
     if any(e.intensity_decile is None for e in events):
         det.intensity_deciles(events)
-    requests, _ = hp.read_honeypot_csv(args.honeypot)
-    hp_events = hp.infer_honeypot_attacks(requests, min_requests=config.min_requests,
-                                          max_gap_s=config.max_gap)
+    hp_events = _honeypot_events(args.honeypot, config)
     hp.score_honeypot_deciles(hp_events)
     hp.write_honeypot_events(hp_events, str(out / "honeypot_events.jsonl"))
     report = hp.overlap(events, hp_events, slack_s=config.slack)
@@ -353,8 +337,7 @@ def _cmd_compare(args: argparse.Namespace, config: Settings) -> int:
     return 0
 
 
-def _cmd_report(args: argparse.Namespace, config: Settings) -> int:
-    out = _out_dir(args)
+def _cmd_report(args: argparse.Namespace, config: Settings, out: Path) -> int:
     events = det.read_events(args.attacks)
     names = sorted(_load_names(args.names)) if args.names else sorted(
         {q for e in events for q in e.qname_counts})
@@ -431,7 +414,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse, sanitize, and annotate a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--prefix-table")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("select-names", help="build the misused-name consensus list")
@@ -439,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--honeypot")
     add_settings(p, "k_max", "slack", "min_requests", "max_gap")
     p.add_argument("--previous", help="previous day's names.json for fluctuation check")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_select_names)
 
     p = sub.add_parser("detect", help="detect attack events per client-day")
@@ -447,7 +428,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--names", required=True)
     p.add_argument("--prefix-table")
     add_settings(p, "share_threshold", "min_packets", "sampling")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_detect)
 
     p = sub.add_parser("fingerprint", help="classify header patterns, attribute entities")
@@ -455,7 +435,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fingerprint-spec", required=True)
     p.add_argument("--names")
     add_settings(p, "min_segment")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_fingerprint)
 
     p = sub.add_parser("cluster", help="cluster events by amplifier-set distance")
@@ -463,7 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
     add_settings(p, "eps", "min_pts")
     p.add_argument("--seen-table")
     p.add_argument("--ns-table")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_cluster)
 
     p = sub.add_parser("estimate", help="size ANY responses from record inventories")
@@ -472,19 +450,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edns", action="store_true",
                    help="assume an EDNS OPT record in the request size")
     add_settings(p, "min_days", "min_step")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("snoop", help="classify cache-snooping probe responses")
     p.add_argument("--responses", required=True)
     p.add_argument("--ttl-table")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_snoop)
 
     p = sub.add_parser("synth", help="generate a synthetic scenario")
     p.add_argument("--scenario", required=True)
     p.add_argument("--seed", type=int, help="override the scenario seed")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("compare", help="match trace events against honeypot events")
@@ -492,15 +467,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--honeypot", required=True)
     p.add_argument("--preset", choices=sorted(hp.PRESETS))
     add_settings(p, "min_requests", "max_gap", "slack")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("report", help="aggregate tables from detected events")
     p.add_argument("--attacks", required=True)
     p.add_argument("--names")
     p.add_argument("--trace")
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=_cmd_report)
+    for p in sub.choices.values():  # added last, so each subcommand lists it last
+        p.add_argument("--out-dir", default=".")
     return parser
 
 
@@ -508,7 +483,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, _settings(args, _load_config(args.config)))
+        config = _settings(args, _load_config(args.config))
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        return args.func(args, config, out)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ stay exact).
 
 from __future__ import annotations
 
+import ipaddress
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
@@ -263,29 +264,30 @@ def visibility_curve(stats: Sequence[ClientDayStats],
     return curve
 
 
-def _v4_prefix(ip: str, bits: int) -> str | None:
-    parts = ip.split(".")
-    if len(parts) != 4:
-        return None
+def _victim_prefixes(ip: str) -> tuple[tuple[int, int], ...]:
+    """(IP version, network number) of the /24, /16 and /8 of an IPv4 victim
+    and of the /48 and /32 of an IPv6 one; none for a victim_ip that is not
+    an address."""
     try:
-        octets = [int(p) for p in parts]
+        address = ipaddress.ip_address(ip)
     except ValueError:
-        return None
-    keep = bits // 8
-    return ".".join(str(o) for o in octets[:keep]) + f"/{bits}"
+        return ()
+    bits = (24, 16, 8) if address.version == 4 else (48, 32)
+    return tuple((address.version, int(address) >> (address.max_prefixlen - b)) for b in bits)
 
 
 def victim_summary(events: Sequence[AttackEvent]) -> dict:
-    """Daily victim/prefix/AS counts plus duration percentiles."""
+    """Daily victim/prefix/AS counts plus duration percentiles.
+
+    An IPv6 victim counts by its /48 in prefixes_24 and by its /32 in
+    prefixes_16; prefixes_8 counts IPv4 victims only."""
     daily: dict[str, dict[str, set]] = defaultdict(
         lambda: {"victims": set(), "p24": set(), "p16": set(), "p8": set(), "ases": set()})
     for event in events:
         bucket = daily[event.day]
         bucket["victims"].add(event.victim_ip)
-        for bits, key in ((24, "p24"), (16, "p16"), (8, "p8")):
-            prefix = _v4_prefix(event.victim_ip, bits)
-            if prefix is not None:
-                bucket[key].add(prefix)
+        for key, prefix in zip(("p24", "p16", "p8"), _victim_prefixes(event.victim_ip)):
+            bucket[key].add(prefix)
         if event.victim_as is not None:
             bucket["ases"].add(event.victim_as)
     rows = [

@@ -25,8 +25,6 @@ PATTERN_MIXED = "mixed"
 
 LOW_ENTROPY_RATIO = 1 / 10
 
-_FIELD_INDEX = {"ip_id": 0, "src_port": 1, "dns_id": 2}
-
 
 @dataclass(slots=True)
 class CardinalityProfile:
@@ -43,13 +41,13 @@ def field_cardinality_profile(event: AttackEvent, field: str) -> CardinalityProf
 
     Flags low entropy when unique/packets <= 1/10.
     """
-    if field not in _FIELD_INDEX:
-        raise ValueError(f"unknown header field {field!r}")
     values = {
         "ip_id": event.req_ip_ids,
         "src_port": event.req_src_ports,
         "dns_id": event.req_dns_ids,
-    }[field]
+    }.get(field)
+    if values is None:
+        raise ValueError(f"unknown header field {field!r}")
     if not values:
         raise ValueError("event has no request packets")
     unique = len(set(values))
@@ -129,25 +127,23 @@ def parity_alternation_period(daily_parity: Sequence[tuple[str, int]],
     """
     if len(daily_parity) < 2:
         return None
-    import numpy as np  # only here, so stages without this analysis skip loading it
-
     days = sorted(daily_parity)
     first = date.fromisoformat(days[0][0]).toordinal()
     last = date.fromisoformat(days[-1][0]).toordinal()
     span = last - first + 1
-    signal = np.zeros(span, dtype=float)
+    signal = [0] * span
     for day, value in days:
         signal[date.fromisoformat(day).toordinal() - first] = value
     top = span - 1 if max_lag is None else min(max_lag, span - 1)
     best_lag, best_value = None, 0.0
     for lag in range(1, top + 1):
-        products = signal[:-lag] * signal[lag:]
-        valid = np.count_nonzero(products)
-        if valid == 0:
+        products = [a * b for a, b in zip(signal, signal[lag:]) if a and b]
+        if not products:
             continue
         # average over days present on both sides, else gap days dilute
-        # short lags and a long lag with two lucky products wins
-        value = float(np.sum(products) / valid)
+        # short lags and a long lag with two lucky products wins; the
+        # products are +1 and -1, so the sum is exact
+        value = sum(products) / len(products)
         if value < best_value:
             best_lag, best_value = lag, value
     return best_lag

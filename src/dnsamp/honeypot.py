@@ -104,24 +104,17 @@ def infer_honeypot_attacks(requests: Sequence[HoneypotRequest],
 
     events: list[HoneypotEvent] = []
     for victim in sorted(segments):
-        spans = sorted(segments[victim])
-        current = None
-        for start, end, count, sensor in spans:
-            if current is None or start > current[1]:
-                if current is not None:
-                    events.append(HoneypotEvent(
-                        victim_ip=victim, start=current[0], end=current[1],
-                        request_count=current[2],
-                        sensor_ids=tuple(sorted(current[3]))))
-                current = [start, end, count, {sensor}]
+        merged: list[list] = []  # [start, end, request count, sensors]
+        for start, end, count, sensor in sorted(segments[victim]):
+            if merged and start <= merged[-1][1]:
+                last = merged[-1]
+                last[1] = max(last[1], end)
+                last[2] += count
+                last[3].add(sensor)
             else:
-                current[1] = max(current[1], end)
-                current[2] += count
-                current[3].add(sensor)
-        if current is not None:
-            events.append(HoneypotEvent(
-                victim_ip=victim, start=current[0], end=current[1],
-                request_count=current[2], sensor_ids=tuple(sorted(current[3]))))
+                merged.append([start, end, count, {sensor}])
+        events.extend(HoneypotEvent(victim, start, end, count, tuple(sorted(sensors)))
+                      for start, end, count, sensors in merged)
     events.sort(key=lambda e: (e.start, e.victim_ip))
     return events
 

@@ -324,6 +324,19 @@ def _dns_ids(cfg: ScenarioConfig, spec: AttackSpec, attack_id: str,
     return np.concatenate([draw(parity, cut), draw(parity ^ 1, count - cut)])
 
 
+def _packet(ts: float, client: str, server: str, client_port: int, is_response: bool,
+            ip_ttl: int, ip_id: int, udp_len: int, dns_id: int, qname: str, qtype: int,
+            ancount: int, nscount: int) -> PacketRecord:
+    """One packet of a client-server exchange: a request goes from the client
+    to the server's port 53 and carries no answer or authority records; a
+    response goes from port 53 back to the client."""
+    if is_response:
+        return PacketRecord(ts, server, client, 53, client_port, ip_ttl, ip_id, udp_len, True,
+                            dns_id, qname, qtype, 0, ancount, nscount)
+    return PacketRecord(ts, client, server, client_port, 53, ip_ttl, ip_id, udp_len, False,
+                        dns_id, qname, qtype, 0, 0, 0)
+
+
 def _attack_records(cfg: ScenarioConfig, spec: AttackSpec, attack_id: str,
                     plan: _AmplifierPlan,
                     truth: AttackTruth) -> list[PacketRecord]:
@@ -357,25 +370,16 @@ def _attack_records(cfg: ScenarioConfig, spec: AttackSpec, attack_id: str,
         ancounts = event_rng.integers(5, 26, size=k)
         nscounts = event_rng.integers(0, 3, size=k)
         for j in range(k):
-            amplifier = amp_set[perm[j % len(amp_set)]]
-            if is_request[j]:
-                records.append(PacketRecord(
-                    ts=float(day_stamps[j]), src_ip=spec.victim_ip, dst_ip=amplifier,
-                    src_port=int(src_ports[j]), dst_port=53,
-                    ip_ttl=int(ip_ttls[j]), ip_id=int(ip_ids[j]),
-                    udp_len=8 + req_wire, is_response=False, dns_id=int(ids[j]),
-                    qname=spec.qname, qtype=QTYPE_ANY, rcode=0,
-                    ancount=0, nscount=0))
-                truth.sampled_requests += 1
-            else:
-                records.append(PacketRecord(
-                    ts=float(day_stamps[j]), src_ip=amplifier, dst_ip=spec.victim_ip,
-                    src_port=53, dst_port=int(dst_ports[j]),
-                    ip_ttl=int(ip_ttls[j]), ip_id=int(ip_ids[j]),
-                    udp_len=8 + spec.response_size, is_response=True,
-                    dns_id=int(ids[j]), qname=spec.qname, qtype=QTYPE_ANY,
-                    rcode=0, ancount=int(ancounts[j]), nscount=int(nscounts[j])))
-                truth.sampled_responses += 1
+            request = bool(is_request[j])
+            records.append(_packet(
+                float(day_stamps[j]), spec.victim_ip, amp_set[perm[j % len(amp_set)]],
+                int(src_ports[j] if request else dst_ports[j]), not request,
+                int(ip_ttls[j]), int(ip_ids[j]),
+                8 + (req_wire if request else spec.response_size), int(ids[j]),
+                spec.qname, QTYPE_ANY, int(ancounts[j]), int(nscounts[j])))
+        requests = int(np.count_nonzero(is_request))
+        truth.sampled_requests += requests
+        truth.sampled_responses += k - requests
     truth.sampled_packets = len(records)
     return records
 
@@ -406,23 +410,12 @@ def _benign_client_records(cfg: ScenarioConfig, client_ip: str, tag: str,
             qtype = QTYPE_ANY
         else:
             qtype = QTYPE_A if type_roll[j] < 0.75 else QTYPE_AAAA
-        server = server_at(int(server_picks[j]))
-        if is_request[j]:
-            records.append(PacketRecord(
-                ts=float(stamps[j]), src_ip=client_ip, dst_ip=server,
-                src_port=int(src_ports[j]), dst_port=53,
-                ip_ttl=int(ip_ttls[j]), ip_id=int(ip_ids[j]),
-                udp_len=8 + 12 + qname_wire_length(qname) + 4,
-                is_response=False, dns_id=int(ids[j]), qname=qname,
-                qtype=qtype, rcode=0, ancount=0, nscount=0))
-        else:
-            records.append(PacketRecord(
-                ts=float(stamps[j]), src_ip=server, dst_ip=client_ip,
-                src_port=53, dst_port=int(src_ports[j]),
-                ip_ttl=int(ip_ttls[j]), ip_id=int(ip_ids[j]),
-                udp_len=8 + int(sizes[j]), is_response=True,
-                dns_id=int(ids[j]), qname=qname, qtype=qtype, rcode=0,
-                ancount=int(ancounts[j]), nscount=0))
+        request = bool(is_request[j])
+        records.append(_packet(
+            float(stamps[j]), client_ip, server_at(int(server_picks[j])), int(src_ports[j]),
+            not request, int(ip_ttls[j]), int(ip_ids[j]),
+            8 + (12 + qname_wire_length(qname) + 4 if request else int(sizes[j])),
+            int(ids[j]), qname, qtype, int(ancounts[j]), 0))
     return records
 
 

@@ -221,23 +221,7 @@ def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord
 
 def record_to_obj(record: PacketRecord) -> dict:
     """Canonical-order dict for one record; AS fields only when annotated."""
-    obj = {
-        "ts": record.ts,
-        "src_ip": record.src_ip,
-        "dst_ip": record.dst_ip,
-        "src_port": record.src_port,
-        "dst_port": record.dst_port,
-        "ip_ttl": record.ip_ttl,
-        "ip_id": record.ip_id,
-        "udp_len": record.udp_len,
-        "qr": record.is_response,
-        "dns_id": record.dns_id,
-        "qname": record.qname,
-        "qtype": record.qtype,
-        "rcode": record.rcode,
-        "ancount": record.ancount,
-        "nscount": record.nscount,
-    }
+    obj = dict(zip(TRACE_FIELDS, _record_values(record)))
     if record.src_as is not None or record.dst_as is not None:
         obj["src_as"] = record.src_as
         obj["dst_as"] = record.dst_as

@@ -12,6 +12,7 @@ import ipaddress
 import json
 import math
 import struct
+from datetime import date
 from fractions import Fraction
 
 import numpy as np
@@ -301,3 +302,27 @@ def event_from_obj_reference(obj: dict):
         victim_as=obj.get("victim_as"),
         intensity_decile=obj.get("intensity_decile"),
     )
+
+
+def parity_alternation_period_reference(daily_parity, max_lag=None):
+    """fingerprint.parity_alternation_period as it was written over numpy."""
+    if len(daily_parity) < 2:
+        return None
+    days = sorted(daily_parity)
+    first = date.fromisoformat(days[0][0]).toordinal()
+    last = date.fromisoformat(days[-1][0]).toordinal()
+    span = last - first + 1
+    signal = np.zeros(span, dtype=float)
+    for day, value in days:
+        signal[date.fromisoformat(day).toordinal() - first] = value
+    top = span - 1 if max_lag is None else min(max_lag, span - 1)
+    best_lag, best_value = None, 0.0
+    for lag in range(1, top + 1):
+        products = signal[:-lag] * signal[lag:]
+        valid = np.count_nonzero(products)
+        if valid == 0:
+            continue
+        value = float(np.sum(products) / valid)
+        if value < best_value:
+            best_lag, best_value = lag, value
+    return best_lag

@@ -131,6 +131,21 @@ class TestExitCodes:
         assert listed == ["-h", "--help", *self.OPTIONS[command].split()]
 
 
+class TestOutDir:
+    @pytest.mark.parametrize("command", ["synth", "ingest", "estimate", "snoop"])
+    def test_missing_nested_out_dir_is_created(self, ws, tmp_path, command):
+        data = SCENARIO_PATH.parent
+        inputs = {
+            "synth": ("--scenario", SCENARIO_PATH),
+            "ingest": ("--trace", out(ws, "gen") / "trace.jsonl"),
+            "estimate": ("--records", data / "record_sets_small.jsonl"),
+            "snoop": ("--responses", data / "probes_small.jsonl"),
+        }[command]
+        target = tmp_path / "new" / "nested"
+        assert run(command, *map(str, inputs), "--out-dir", str(target)) == 0
+        assert any(target.iterdir())
+
+
 class TestSynthStage:
     def test_outputs_exist(self, ws):
         gen = out(ws, "gen")

@@ -219,6 +219,24 @@ class TestSummary:
         assert set(percentiles) == {"p25", "p50", "p75", "p90"}
         assert percentiles["p50"] == pytest.approx(11.0)
 
+    def test_ipv6_victims_counted_by_48_and_32(self):
+        records = [record for client in ("2001:db8:1::1", "2001:db8:1::2", "2001:db8:2::1",
+                                         "10.0.0.1")
+                   for record in burst(12, 0, client=client)]
+        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED),
+                                    det.DetectorConfig())
+        day = det.victim_summary(events)["daily"][0]
+        assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
+                day["prefixes_8"]) == (4, 3, 2, 1)
+
+    def test_victim_that_is_no_address_counts_only_as_victim(self):
+        records = burst(12, 0, client="10.0.0.1") + burst(12, 0, client="victim.example")
+        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED),
+                                    det.DetectorConfig())
+        day = det.victim_summary(events)["daily"][0]
+        assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
+                day["prefixes_8"]) == (2, 1, 1, 1)
+
     def test_victim_ases_counted_when_annotated(self):
         records = burst(12, 0)
         table = tr.PrefixTable([("10.0.0.0/8", 64512), ("192.0.2.0/24", 5)])

@@ -6,7 +6,7 @@ import copy
 import dataclasses
 import json
 import math
-from datetime import datetime, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -15,11 +15,13 @@ from hypothesis import strategies as st
 
 from dnsamp import detector as det
 from dnsamp import fileio
+from dnsamp import fingerprint as fp
 from dnsamp import honeypot as hp
 from dnsamp import synth
 from dnsamp import trace as tr
 from oracles import (csv_table_reference, event_from_obj_reference, event_to_obj_reference,
-                     sanitize_reference, trace_line_reference)
+                     parity_alternation_period_reference, sanitize_reference,
+                     trace_line_reference)
 
 # Small pools so that keys repeat within one trace, as they do in real ones.
 ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1",
@@ -136,6 +138,18 @@ def test_day_at_last_microsecond_rounds_into_next_day():
 def test_percentile_matches_numpy(values, p):
     ours = det._percentile(sorted(values), p)
     assert repr(ours) == repr(float(np.percentile(np.array(values, dtype=float), p)))
+
+
+# days drawn from a short range, so that the axis has gaps and a day repeats
+parity_days = st.lists(st.tuples(
+    st.integers(0, 40).map(lambda k: (date(2019, 6, 1) + timedelta(days=k)).isoformat()),
+    st.sampled_from([-1, 0, 1])), max_size=30)
+
+
+@given(parity_days, st.one_of(st.none(), st.integers(-1, 45)))
+def test_parity_period_matches_numpy(daily_parity, max_lag):
+    assert fp.parity_alternation_period(daily_parity, max_lag) == \
+        parity_alternation_period_reference(daily_parity, max_lag)
 
 
 def tables(cell):
