@@ -58,7 +58,7 @@ def main() -> None:
     print("=== attribute via name predicate AND parity class ===")
     fingerprint = fp.EntityFingerprint(name_suffixes=("gov.",),
                                        id_patterns=("pure", "phased"))
-    attributed, share = fp.attribute_entity(events, fingerprint)
+    attributed, share, _ = fp.attribute_entity(events, fingerprint)
     print(f"attributed {len(attributed)}/{len(events)} events "
           f"(share {share:.2f})")
     got = {(e.victim_ip, e.day) for e in attributed}

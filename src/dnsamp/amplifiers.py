@@ -1,9 +1,9 @@
 """Amplifier-set analysis: clustering, stability, churn, and roles.
 
 Events reusing the same reflector pool betray shared infrastructure. Sets are
-compared with Jaccard distance and grouped by a deterministic DBSCAN (points
-visited in index order, border ties to the first core cluster), so identical
-inputs always yield identical labels.
+compared with exact Jaccard distance, counted on bitsets, and grouped by a
+deterministic DBSCAN (points visited in index order, border ties to the first
+core cluster), so identical inputs always yield identical labels.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .detector import AttackEvent
-from .fileio import read_csv, write_csv
+from .fileio import read_csv, write_float_csv
 from .selectors import jaccard
 
 NOISE = -1
@@ -30,12 +30,30 @@ def amplifier_sets(events: Sequence[AttackEvent]) -> list[frozenset[str]]:
 def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> np.ndarray:
     """Symmetric, zero-diagonal matrix of 1 - Jaccard(set_i, set_j).
 
-    Two empty sets are identical (distance 0)."""
+    Two empty sets are identical (distance 0). Each set becomes a row of
+    64-bit words, one bit per distinct member, and a row's intersections
+    with all later rows are popcounts of their AND. Counts are exact and the
+    division is IEEE, so each entry has the bits of `1.0 - jaccard(a, b)`."""
     n = len(sets)
     matrix = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i, j] = matrix[j, i] = 1.0 - jaccard(sets[i], sets[j])
+    codes: dict = {}
+    for members in sets:
+        for member in members:
+            codes.setdefault(member, len(codes))
+    n_words = max(1, -(-len(codes) // 64))
+    words = np.empty((n, n_words), dtype="<u8")
+    for row, members in zip(words, sets):
+        # a set's bits are distinct, so their sum is their OR
+        mask = sum(1 << codes[member] for member in members)
+        row[:] = np.frombuffer(mask.to_bytes(8 * n_words, "little"), dtype="<u8")
+    del codes  # freed before the row loop allocates its temporaries
+    sizes = np.array([len(members) for members in sets], dtype=np.int64)
+    for i in range(n - 1):
+        inter = np.bitwise_count(words[i] & words[i + 1:]).sum(axis=1, dtype=np.int64)
+        union = sizes[i] + sizes[i + 1:] - inter
+        # two empty sets: union 0, similarity 1
+        similarity = np.divide(inter, union, out=np.ones(len(union)), where=union > 0)
+        matrix[i, i + 1:] = matrix[i + 1:, i] = 1.0 - similarity
     return matrix
 
 
@@ -323,4 +341,4 @@ def qname_role_breakdown(events: Sequence[AttackEvent],
 
 def write_distance_matrix(matrix: np.ndarray, path: str) -> None:
     # row by row: the whole matrix as Python floats would be 4x its size
-    write_csv(path, None, (row.tolist() for row in np.asarray(matrix, dtype=np.float64)))
+    write_float_csv(path, (row.tolist() for row in np.asarray(matrix, dtype=np.float64)))

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import detector as det
-from . import fingerprint as fp
 from . import honeypot as hp
 from . import selectors as sel
 from . import trace as tr
@@ -143,26 +142,23 @@ def _cmd_detect(args: argparse.Namespace, config: Settings, out: Path) -> int:
 
 
 def _cmd_fingerprint(args: argparse.Namespace, config: Settings, out: Path) -> int:
+    from . import fingerprint as fp
+
     events = det.read_events(args.attacks)
     fingerprint = fp.read_fingerprint(args.fingerprint_spec)
-    attributed, share = fp.attribute_entity(events, fingerprint,
-                                            min_segment=config.min_segment)
+    attributed, share, patterns = fp.attribute_entity(events, fingerprint,
+                                                      min_segment=config.min_segment)
     attributed_keys = {(e.victim_ip, e.day) for e in attributed}
     rows = []
-    for event in events:
+    for event, pattern in zip(events, patterns):
         row = {
             "victim_ip": event.victim_ip,
             "day": event.day,
             "dominant_qname": event.dominant_qname(),
             "attributed": (event.victim_ip, event.day) in attributed_keys,
         }
-        if len(event.dns_ids) >= 2:
-            pattern = fp.classify_dnsid_pattern(event, min_segment=config.min_segment)
-            row["id_pattern"] = pattern.kind
-            row["change_point"] = pattern.change_point
-        else:
-            row["id_pattern"] = None
-            row["change_point"] = None
+        row["id_pattern"] = pattern.kind if pattern else None
+        row["change_point"] = pattern.change_point if pattern else None
         for field in ("ip_id", "src_port", "dns_id"):
             try:
                 profile = fp.field_cardinality_profile(event, field)
@@ -186,8 +182,7 @@ def _cmd_cluster(args: argparse.Namespace, config: Settings, out: Path) -> int:
     from . import amplifiers as amp
 
     events = det.read_events(args.attacks)
-    sets = amp.amplifier_sets(events)
-    matrix = amp.jaccard_distance_matrix(sets)
+    matrix = amp.jaccard_distance_matrix(amp.amplifier_sets(events))
     amp.write_distance_matrix(matrix, str(out / "distance_matrix.csv"))
     result = amp.dbscan_cluster(matrix, eps=config.eps, min_pts=config.min_pts)
     stable = amp.stable_sets(events, result.labels)
@@ -338,6 +333,8 @@ def _cmd_compare(args: argparse.Namespace, config: Settings, out: Path) -> int:
 
 
 def _cmd_report(args: argparse.Namespace, config: Settings, out: Path) -> int:
+    from . import fingerprint as fp
+
     events = det.read_events(args.attacks)
     names = sorted(_load_names(args.names)) if args.names else sorted(
         {q for e in events for q in e.qname_counts})

@@ -267,11 +267,14 @@ def visibility_curve(stats: Sequence[ClientDayStats],
 def _victim_prefixes(ip: str) -> tuple[tuple[int, int], ...]:
     """(IP version, network number) of the /24, /16 and /8 of an IPv4 victim
     and of the /48 and /32 of an IPv6 one; none for a victim_ip that is not
-    an address."""
+    an address. An IPv4-mapped IPv6 victim (::ffff:a.b.c.d) is the IPv4
+    victim it maps."""
     try:
         address = ipaddress.ip_address(ip)
     except ValueError:
         return ()
+    if address.version == 6 and address.ipv4_mapped is not None:
+        address = address.ipv4_mapped
     bits = (24, 16, 8) if address.version == 4 else (48, 32)
     return tuple((address.version, int(address) >> (address.max_prefixlen - b)) for b in bits)
 
@@ -280,7 +283,8 @@ def victim_summary(events: Sequence[AttackEvent]) -> dict:
     """Daily victim/prefix/AS counts plus duration percentiles.
 
     An IPv6 victim counts by its /48 in prefixes_24 and by its /32 in
-    prefixes_16; prefixes_8 counts IPv4 victims only."""
+    prefixes_16; prefixes_8 counts IPv4 victims only, IPv4-mapped ones
+    included."""
     daily: dict[str, dict[str, set]] = defaultdict(
         lambda: {"victims": set(), "p24": set(), "p16": set(), "p8": set(), "ases": set()})
     for event in events:

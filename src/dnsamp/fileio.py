@@ -50,6 +50,29 @@ def write_csv(path: str, header: Sequence[str] | None,
         writer.writerows(rows)
 
 
+def write_float_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
+    """The bytes `write_csv(path, None, rows)` writes for rows of floats.
+
+    A float's repr needs no quoting, so a row is its reprs joined by commas,
+    and each distinct value is encoded once."""
+    reprs = _FloatReprs()
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        for row in rows:
+            handle.write(",".join(map(reprs.__getitem__, row)))
+            handle.write("\n")
+
+
+class _FloatReprs(dict):
+    """repr of a float, memoized. Zeros stay out of the memo, where -0.0
+    would find 0.0, and so does nan, which never finds itself."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value == value != 0.0:
+            self[value] = text
+        return text
+
+
 def read_csv(path: str, first_column: str) -> Iterator[tuple[int, list[str]]]:
     """Yield (line number, fields) for each non-blank row of a CSV table.
 

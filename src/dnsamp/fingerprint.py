@@ -264,8 +264,11 @@ def read_fingerprint(path: str) -> EntityFingerprint:
 
 def attribute_entity(events: Sequence[AttackEvent],
                      fingerprint: EntityFingerprint,
-                     min_segment: int = 3) -> tuple[list[AttackEvent], float]:
-    """Events matching the fingerprint, plus their share of all events.
+                     min_segment: int = 3,
+                     ) -> tuple[list[AttackEvent], float, list[DnsIdPattern | None]]:
+    """Events matching the fingerprint, their share of all events, and the
+    DNS-ID pattern of each event (None for an event with fewer than two IDs),
+    aligned with events.
 
     An event matches when its dominant name carries one of the suffixes AND
     its DNS-ID pattern class is allowed. Events with fewer than two IDs are
@@ -273,16 +276,16 @@ def attribute_entity(events: Sequence[AttackEvent],
     """
     allowed = fingerprint.allowed_kinds()
     attributed = []
+    patterns: list[DnsIdPattern | None] = []
     for event in events:
-        if not fingerprint.matches_name(event.dominant_qname()):
-            continue
-        if len(event.dns_ids) < 2:
-            continue
-        pattern = classify_dnsid_pattern(event, min_segment=min_segment)
-        if pattern.kind in allowed:
-            attributed.append(event)
+        pattern = None
+        if len(event.dns_ids) >= 2:
+            pattern = classify_dnsid_pattern(event, min_segment=min_segment)
+            if pattern.kind in allowed and fingerprint.matches_name(event.dominant_qname()):
+                attributed.append(event)
+        patterns.append(pattern)
     share = len(attributed) / len(events) if events else 0.0
-    return attributed, share
+    return attributed, share, patterns
 
 
 def ingress_concentration(events: Iterable[AttackEvent]) -> float | None:

@@ -53,6 +53,19 @@ def wire_any_response(owner: str, records: list[tuple[str, int, int]]) -> bytes:
     return header + question + body
 
 
+def jaccard_distance_matrix_reference(sets) -> np.ndarray:
+    """1 - |a & b| / |a | b| for every pair, one pair at a time; two empty
+    sets are at distance 0."""
+    n = len(sets)
+    matrix = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = sets[i], sets[j]
+            similarity = len(a & b) / len(a | b) if a or b else 1.0
+            matrix[i, j] = matrix[j, i] = 1.0 - similarity
+    return matrix
+
+
 def dbscan_reference(matrix: np.ndarray, eps: float, min_pts: int):
     """First-principles density clustering on a distance matrix.
 

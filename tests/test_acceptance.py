@@ -325,7 +325,7 @@ def test_c10_entity_attribution(capsys):
 
     fingerprint = fp.EntityFingerprint(name_suffixes=("gov.",),
                                        id_patterns=("pure", "phased"))
-    attributed, share = fp.attribute_entity(events, fingerprint)
+    attributed, share, _ = fp.attribute_entity(events, fingerprint)
     got = {(e.victim_ip, e.day) for e in attributed}
     want = {("10.7.0.1", cfg.day_str(day)) for day in range(10)}
     assert got == want  # precision = recall = 1.0

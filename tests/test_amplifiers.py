@@ -1,6 +1,7 @@
 """Amplifier-set clustering, stability, churn, and inventory."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ class TestDistanceMatrix:
     def test_empty_sets_have_zero_distance(self):
         matrix = amp.jaccard_distance_matrix([frozenset(), frozenset()])
         assert matrix[0, 1] == 0.0
+
+    def test_memory_beyond_result_is_small(self):
+        # 700 events of 30 reflectors from a pool of 3400, as in a week's
+        # event log: working memory must stay a few rows of bit words, not
+        # an events-by-reflectors incidence matrix
+        rng = random.Random(11)
+        pool = [ip(i) for i in range(3400)]
+        sets = [frozenset(rng.sample(pool, 30)) for _ in range(700)]
+        tracemalloc.start()
+        try:
+            matrix = amp.jaccard_distance_matrix(sets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < matrix.nbytes + 2 * 2 ** 20
 
 
 class TestDbscan:

@@ -320,6 +320,30 @@ class TestFingerprintStage:
             assert set(row) >= {"dns_id_ratio", "dns_id_low_entropy",
                                 "src_port_ratio", "ip_id_ratio"}
 
+    def test_each_pattern_classified_once(self, ws, fp_dir, tmp_path, monkeypatch):
+        from dnsamp import fingerprint as fp
+
+        calls = []
+        classify = fp.classify_dnsid_pattern
+
+        def counted(ids, *args, **kwargs):
+            calls.append(ids)
+            return classify(ids, *args, **kwargs)
+
+        monkeypatch.setattr(fp, "classify_dnsid_pattern", counted)
+        spec = tmp_path / "entity.json"
+        spec.write_text(json.dumps({"name_suffixes": ["alpha.example."],
+                                    "id_patterns": ["pure", "phased"]}))
+        assert run("fingerprint", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
+                   "--fingerprint-spec", str(spec), "--out-dir", str(tmp_path)) == 0
+        rows = [json.loads(line) for line in (tmp_path / "attribution.jsonl").open()]
+        classified = [row for row in rows if row["id_pattern"] is not None]
+        assert any(row["attributed"] for row in classified)
+        assert any(not row["attributed"] for row in classified)
+        assert len(calls) == len(classified) == len({id(ids) for ids in calls})
+        assert (tmp_path / "attribution.jsonl").read_bytes() == \
+            (fp_dir / "attribution.jsonl").read_bytes()
+
     def test_timeline_written(self, fp_dir):
         timeline = json.loads((fp_dir / "timeline.json").read_text())
         assert "intervals" in timeline and "ingress_concentration" in timeline

@@ -229,6 +229,25 @@ class TestSummary:
         assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
                 day["prefixes_8"]) == (4, 3, 2, 1)
 
+    def test_ipv4_mapped_victims_counted_as_ipv4(self):
+        records = [record for client in ("::ffff:10.1.1.1", "::ffff:172.16.0.1")
+                   for record in burst(12, 0, client=client)]
+        records, dropped = tr.sanitize(records)
+        assert dropped == 0
+        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED),
+                                    det.DetectorConfig())
+        day = det.victim_summary(events)["daily"][0]
+        assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
+                day["prefixes_8"]) == (2, 2, 2, 2)
+
+    def test_ipv4_mapped_victim_shares_prefixes_with_its_ipv4_form(self):
+        records = burst(12, 0, client="10.1.1.1") + burst(12, 0, client="::ffff:10.1.1.2")
+        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED),
+                                    det.DetectorConfig())
+        day = det.victim_summary(events)["daily"][0]
+        assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
+                day["prefixes_8"]) == (2, 1, 1, 1)
+
     def test_victim_that_is_no_address_counts_only_as_victim(self):
         records = burst(12, 0, client="10.0.0.1") + burst(12, 0, client="victim.example")
         events = det.detect_attacks(det.aggregate_client_days(records, MISUSED),

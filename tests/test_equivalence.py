@@ -1,6 +1,6 @@
-"""Property tests: the cached and templated trace paths, the CSV table format
-and the record codec against the straightforward implementations in
-oracles.py, plus invariants of detection."""
+"""Property tests: the cached and templated trace paths, the CSV table format,
+the record codec and the amplifier distance matrix against the
+straightforward implementations in oracles.py, plus invariants of detection."""
 
 import copy
 import dataclasses
@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dnsamp import amplifiers as amp
 from dnsamp import detector as det
 from dnsamp import fileio
 from dnsamp import fingerprint as fp
@@ -20,8 +21,8 @@ from dnsamp import honeypot as hp
 from dnsamp import synth
 from dnsamp import trace as tr
 from oracles import (csv_table_reference, event_from_obj_reference, event_to_obj_reference,
-                     parity_alternation_period_reference, sanitize_reference,
-                     trace_line_reference)
+                     jaccard_distance_matrix_reference, parity_alternation_period_reference,
+                     sanitize_reference, trace_line_reference)
 
 # Small pools so that keys repeat within one trace, as they do in real ones.
 ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1",
@@ -172,6 +173,48 @@ def test_write_csv_matches_fstring_writer(tmp_path_factory, table):
     path = tmp_path_factory.mktemp("csv") / "table.csv"
     fileio.write_csv(str(path), header, rows)
     assert path.read_bytes() == csv_table_reference(header, rows).encode("utf-8")
+
+
+# Members of any hashable type from a pool of about 200, so that the members
+# of a family span several 64-bit words.
+members = st.one_of(st.integers(0, 150), st.integers(0, 40).map(lambda i: f"198.18.0.{i}"),
+                    st.tuples(st.integers(0, 3), st.integers(0, 3)))
+
+
+@st.composite
+def set_families(draw):
+    """Up to 16 sets, some empty, some repeating an earlier one. A large
+    leading set, when drawn, takes the first codes, so that the sets after
+    it meet in later words."""
+    sets = draw(st.lists(st.frozensets(st.integers(0, 150), min_size=64, max_size=120),
+                         max_size=1))
+    sets += draw(st.lists(st.frozensets(members, max_size=40), max_size=12))
+    repeats = draw(st.lists(st.integers(0, max(len(sets) - 1, 0)), max_size=3))
+    return sets + [sets[i] for i in repeats if sets]
+
+
+@given(set_families())
+def test_jaccard_distance_matrix_matches_reference(sets):
+    matrix = amp.jaccard_distance_matrix(sets)
+    reference = jaccard_distance_matrix_reference(sets)
+    assert matrix.shape == reference.shape == (len(sets), len(sets))
+    assert np.array_equal(matrix.view(np.uint64), reference.view(np.uint64))
+
+
+special_floats = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                                  -2.2250738585072e-308, 1.0, 1 / 3])
+float_matrices = st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.one_of(special_floats, st.floats()), min_size=width, max_size=width),
+    max_size=6).map(lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), width)))
+
+
+@given(float_matrices)
+def test_write_distance_matrix_matches_write_csv(tmp_path_factory, matrix):
+    directory = tmp_path_factory.mktemp("matrix")
+    amp.write_distance_matrix(matrix, str(directory / "matrix.csv"))
+    fileio.write_csv(str(directory / "reference.csv"), None, matrix.tolist())
+    assert (directory / "matrix.csv").read_bytes() == \
+        (directory / "reference.csv").read_bytes()
 
 
 @given(st.one_of(tables(st.text(max_size=8)),

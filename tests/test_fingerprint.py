@@ -214,35 +214,35 @@ class TestAttribution:
                            victim="10.0.0.2")
         wrong_ids = event(dns_ids=[1, 2, 5, 8], qname="b.gov-dns.example.",
                           victim="10.0.0.3")
-        attributed, share = fp.attribute_entity(
+        attributed, share, _ = fp.attribute_entity(
             [good, wrong_name, wrong_ids], self.FP)
         assert attributed == [good]
         assert share == pytest.approx(1 / 3)
 
     def test_pure_token_covers_both_parities(self):
         even = event(dns_ids=[0, 2, 4, 6], qname="gov-dns.example.")
-        attributed, _ = fp.attribute_entity([even], self.FP)
+        attributed, _, _ = fp.attribute_entity([even], self.FP)
         assert attributed == [even]
 
     def test_exact_name_counts_as_suffix(self):
         ev = event(dns_ids=[1, 3, 5], qname="gov-dns.example.")
-        attributed, _ = fp.attribute_entity([ev], self.FP)
+        attributed, _, _ = fp.attribute_entity([ev], self.FP)
         assert attributed == [ev]
         # but a name merely containing the string does not
         ev2 = event(dns_ids=[1, 3, 5], qname="gov-dns.example.com.")
-        attributed, _ = fp.attribute_entity([ev2], self.FP)
+        attributed, _, _ = fp.attribute_entity([ev2], self.FP)
         assert attributed == []
 
     def test_phased_fingerprint(self):
         spec = fp.EntityFingerprint(name_suffixes=("x.example.",),
                                     id_patterns=("phased",))
         ev = event(dns_ids=[1, 3, 5, 2, 4, 6], qname="x.example.")
-        attributed, _ = fp.attribute_entity([ev], spec)
+        attributed, _, _ = fp.attribute_entity([ev], spec)
         assert attributed == [ev]
 
     def test_short_events_never_match(self):
         ev = event(dns_ids=[1], qname="gov-dns.example.")
-        attributed, share = fp.attribute_entity([ev], self.FP)
+        attributed, share, _ = fp.attribute_entity([ev], self.FP)
         assert attributed == [] and share == 0.0
 
     def test_unknown_pattern_token_rejected(self):

@@ -24,6 +24,16 @@ def test_trace_stages_leave_numpy_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_leaves_fingerprint_unloaded():
+    src = Path(dnsamp.__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; import dnsamp.cli; print('dnsamp.fingerprint' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.stdout.strip() == "False"
+
+
 def test_name_timeline_leaves_numpy_unloaded():
     # three days of events, so the parity-period analysis runs
     code = """
