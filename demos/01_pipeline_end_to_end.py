@@ -8,10 +8,7 @@ Everything downstream — detection, intensity ranking, clustering, honeypot
 comparison — runs from that recovered name list, never from the ground truth.
 """
 
-from dnsamp import amplifiers as amp
-from dnsamp import detector as det
-from dnsamp import honeypot as hp
-from dnsamp import selectors as sel
+from dnsamp import pipeline
 from dnsamp import synth
 
 
@@ -33,6 +30,9 @@ def main() -> None:
         background_daily_rate=(200000.0, 400000.0), background_names=10,
         amplifier_pool_size=60, sensor_count=3)
 
+    # the stage defaults, with small clusters allowed for three attacks
+    settings = pipeline.Settings(min_pts=2)
+
     print("=== 1. generate a sampled two-day trace ===")
     records, hp_requests, truth = synth.generate_scenario(cfg)
     print(f"{len(records)} sampled packet records "
@@ -41,27 +41,15 @@ def main() -> None:
           f"{len(hp_requests)} honeypot request lines")
 
     print()
-    print("=== 2. rank names with three independent selectors ===")
-    rankings = [sel.selector_max_size(records),
-                sel.selector_any_volume(records)]
-    hp_events = hp.infer_honeypot_attacks(hp_requests)
-    rankings.append(sel.selector_ground_truth(records, hp_events,
-                                              slack_s=300.0))
-    for ranking in rankings:
-        top = ", ".join(q for q, _ in ranking.ranked[:3])
-        print(f"  {ranking.selector_id:<22} top-3: {top}")
-
-    merged = sel.consensus_merge(rankings, k_max=64)
-    curve = ", ".join(f"k={k}:{v:.2f}" for k, v in merged.curve[:5])
+    print("=== 2. merge three independent name selectors ===")
+    names, _ = pipeline.select_names(records, settings, hp_requests)
+    curve = ", ".join(f"k={k}:{v:.2f}" for k, v in names.curve[:5])
     print(f"agreement curve {curve}")
-    print(f"consensus k* = {merged.k_star}; misused names: "
-          f"{', '.join(merged.names)}")
+    print(f"consensus k* = {names.k_star}; misused names: {', '.join(names.names)}")
 
     print()
     print("=== 3. detect attack events per victim and day ===")
-    stats = det.aggregate_client_days(records, merged.name_set())
-    events = det.detect_attacks(stats, det.DetectorConfig())
-    det.intensity_deciles(events)
+    events, _, _ = pipeline.detect(records, names.name_set(), settings)
     for event in events:
         print(f"  {event.day} victim {event.victim_ip:<10} "
               f"{event.packet_count:>5} sampled -> "
@@ -71,21 +59,21 @@ def main() -> None:
 
     print()
     print("=== 4. cluster events by amplifier-set similarity ===")
-    matrix = amp.jaccard_distance_matrix(amp.amplifier_sets(events))
-    result = amp.dbscan_cluster(matrix, eps=0.6, min_pts=2)
-    print(f"{result.n_clusters} cluster(s), labels {list(result.labels)} "
+    _, clusters, *_ = pipeline.cluster(events, settings)
+    labels = [row["label"] for row in clusters["labels"]]
+    print(f"{clusters['n_clusters']} cluster(s), labels {labels} "
           f"(attacks drawing from one shared reflector pool look alike)")
 
     print()
     print("=== 5. compare against the honeypot view ===")
-    report = hp.overlap(events, hp_events, slack_s=300.0)
+    hp_events, overlap, _ = pipeline.compare(events, hp_requests, settings)
     print(f"honeypot saw {len(hp_events)} events; "
-          f"{report.mutual_count} matched trace events "
-          f"({report.trace_matched_fraction:.0%} of the trace side)")
-    for (i, j) in report.pairs:
-        print(f"  trace {events[i].victim_ip} {events[i].day} "
-              f"<-> honeypot window {hp_events[j].start:.0f}..."
-              f"{hp_events[j].end:.0f}")
+          f"{overlap['mutual_count']} matched trace events "
+          f"({overlap['trace_matched_fraction']:.0%} of the trace side)")
+    for pair in overlap["pairs"]:
+        print(f"  trace {pair['victim_ip']} {pair['day']} "
+              f"<-> honeypot window {pair['honeypot_start']:.0f}..."
+              f"{pair['honeypot_end']:.0f}")
 
     print()
     print("=== 6. reconcile with ground truth (demo only) ===")

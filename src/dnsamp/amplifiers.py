@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -189,7 +189,7 @@ def daily_amplifier_sets(events: Iterable[AttackEvent]) -> dict[str, set[str]]:
     return daily
 
 
-def churn_metrics(daily_sets: Mapping[str, Iterable[str]]) -> ChurnReport:
+def churn_metrics(daily_sets: Mapping[str, AbstractSet[str]]) -> ChurnReport:
     """Day-over-day retention of the abused reflector population.
 
     overlap_i = |D_i intersect D_i+1| / |D_i| for consecutive observed days;
@@ -197,19 +197,18 @@ def churn_metrics(daily_sets: Mapping[str, Iterable[str]]) -> ChurnReport:
     sets contribute no overlap entry.
     """
     days = sorted(daily_sets)
-    sets = {day: set(daily_sets[day]) for day in days}
     overlaps = []
     for day_a, day_b in zip(days, days[1:]):
         # only calendar-adjacent pairs: bridging a gap day would measure
         # two days of churn and bias the retention estimate downward
         adjacent = date.fromisoformat(day_b).toordinal() \
             - date.fromisoformat(day_a).toordinal() == 1
-        if adjacent and sets[day_a]:
-            value = len(sets[day_a] & sets[day_b]) / len(sets[day_a])
+        if adjacent and daily_sets[day_a]:
+            value = len(daily_sets[day_a] & daily_sets[day_b]) / len(daily_sets[day_a])
             overlaps.append((day_a, day_b, value))
     first_last = None
-    if len(days) >= 2 and sets[days[0]]:
-        first_last = len(sets[days[0]] & sets[days[-1]]) / len(sets[days[0]])
+    if len(days) >= 2 and daily_sets[days[0]]:
+        first_last = len(daily_sets[days[0]] & daily_sets[days[-1]]) / len(daily_sets[days[0]])
     mean = sum(v for _, _, v in overlaps) / len(overlaps) if overlaps else None
     return ChurnReport(
         overlaps=tuple(overlaps),

@@ -1,0 +1,304 @@
+"""Stage functions: one call per `dnsamp` subcommand, over objects in memory.
+
+Each function takes its stage's inputs, already read, and the `Settings` it
+uses, and returns the objects its subcommand writes, so stages chain without
+files. `synth` needs no stage function: its command is one call to
+`synth.generate_scenario`. The modules only some stages use (amplifiers,
+fingerprint, sizing, snoop) are imported inside those stages, which keeps
+numpy unloaded until a stage needs it.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
+
+from . import detector as det
+from . import honeypot as hp
+from . import selectors as sel
+from . import trace as tr
+from .fileio import to_obj
+
+if TYPE_CHECKING:
+    from .fingerprint import EntityFingerprint
+    from .sizing import RecordSet
+    from .snoop import ProbeResponse
+
+
+@dataclass(frozen=True)
+class Settings:
+    """The keys a --config file may hold, with their defaults. Each is also
+    the flag --<key with dashes> of the subcommands that read it."""
+
+    share_threshold: float = 0.9
+    min_packets: int = 10
+    sampling: int = 16000
+    k_max: int = 64
+    slack: float = 300.0
+    min_requests: int = 5
+    max_gap: float = 900.0
+    eps: float = 0.6
+    min_pts: int = 5
+    min_segment: int = 3
+    min_days: int = 7
+    min_step: int = 256
+
+    def __post_init__(self) -> None:
+        # nan fails every comparison, so no threshold would reject it
+        for key, value in vars(self).items():
+            if value != value:
+                raise ValueError(f"key {key!r}: expected a number, got nan")
+
+
+def _honeypot_events(requests: Sequence[hp.HoneypotRequest],
+                     settings: Settings) -> list[hp.HoneypotEvent]:
+    return hp.infer_honeypot_attacks(requests, min_requests=settings.min_requests,
+                                     max_gap_s=settings.max_gap)
+
+
+def prepare(trace: str | Iterable[str],
+            prefix_table: tr.PrefixTable | None = None) -> tuple[list[tr.PacketRecord], dict]:
+    """ingest: the records of a trace (a path or its lines), parsed, sanitized
+    and annotated from the prefix table when one is given, and the counts of
+    ingest_stats.json."""
+    records, skipped = tr.parse_trace(trace)
+    total_bytes = sum(r.udp_len for r in records)
+    kept, dropped = tr.sanitize(records)
+    kept_bytes = sum(r.udp_len for r in kept)
+    if prefix_table is not None:
+        tr.annotate(kept, prefix_table)
+    return kept, {
+        "parsed_records": len(records),
+        "skipped_lines": skipped,
+        "dropped_records": dropped,
+        "kept_records": len(kept),
+        "dropped_packet_share": dropped / len(records) if records else 0.0,
+        "dropped_byte_share": (1.0 - kept_bytes / total_bytes) if total_bytes else 0.0,
+    }
+
+
+def select_names(records: Sequence[tr.PacketRecord], settings: Settings,
+                 requests: Sequence[hp.HoneypotRequest] | None = None,
+                 previous: AbstractSet[str] | None = None,
+                 ) -> tuple[sel.MisusedNameList, float | None]:
+    """select-names: the consensus of the three selectors, the ground-truth
+    one fed by the honeypot's requests (empty without them), and the list's
+    Jaccard index against a previous day's names (None without them)."""
+    rankings = [sel.selector_max_size(records), sel.selector_any_volume(records)]
+    if requests is None:
+        rankings.append(sel.SelectorRanking(sel.SELECTOR_GROUND_TRUTH, ()))
+    else:
+        rankings.append(sel.selector_ground_truth(
+            records, _honeypot_events(requests, settings), slack_s=settings.slack))
+    names = sel.consensus_merge(rankings, k_max=settings.k_max)
+    return names, None if previous is None else sel.jaccard(names.name_set(), previous)
+
+
+def detect(records: Sequence[tr.PacketRecord], names: AbstractSet[str],
+           settings: Settings) -> tuple[list[det.AttackEvent], dict, int]:
+    """detect: the attack events with their intensity deciles, their
+    `victim_summary`, and the number of client-days with a misused name."""
+    config = det.DetectorConfig(share_threshold=settings.share_threshold,
+                                min_sampled_packets=settings.min_packets,
+                                sampling_denominator=settings.sampling)
+    stats = det.aggregate_client_days(records, names)
+    events = det.detect_attacks(stats, config)
+    det.intensity_deciles(events)
+    return events, det.victim_summary(events), len(stats)
+
+
+def fingerprint(events: Sequence[det.AttackEvent], spec: EntityFingerprint, settings: Settings,
+                names: AbstractSet[str] | None = None) -> tuple[list[dict], dict, int, float]:
+    """fingerprint: one attribution row per event, the timeline.json object,
+    and the number and share of events attributed to the spec's entity."""
+    from . import fingerprint as fp
+
+    attributed, share, patterns = fp.attribute_entity(events, spec,
+                                                      min_segment=settings.min_segment)
+    attributed_keys = {(e.victim_ip, e.day) for e in attributed}
+    rows = []
+    for event, pattern in zip(events, patterns):
+        row = {
+            "victim_ip": event.victim_ip,
+            "day": event.day,
+            "dominant_qname": event.dominant_qname(),
+            "attributed": (event.victim_ip, event.day) in attributed_keys,
+            "id_pattern": pattern.kind if pattern else None,
+            "change_point": pattern.change_point if pattern else None,
+        }
+        for field in ("ip_id", "src_port", "dns_id"):
+            try:
+                profile = fp.field_cardinality_profile(event, field)
+                row[f"{field}_ratio"] = profile.ratio
+                row[f"{field}_low_entropy"] = profile.low_entropy
+            except ValueError:
+                row[f"{field}_ratio"] = None
+                row[f"{field}_low_entropy"] = None
+        rows.append(row)
+    timeline = fp.build_name_timeline(events, names)
+    timeline_obj = {**to_obj(timeline), "intervals": dict(sorted(timeline.intervals.items())),
+                    "ingress_concentration": fp.ingress_concentration(events)}
+    return rows, timeline_obj, len(attributed), share
+
+
+def cluster(events: Sequence[det.AttackEvent], settings: Settings,
+            seen_table: dict[str, tuple[str, str]] | None = None,
+            ns_table: dict[str, str] | None = None) -> tuple:
+    """cluster: (distance matrix, clusters.json object, churn overlaps,
+    reflector inventory in address order, (qname, role, count) rows, scan
+    coverage). The coverage is the share of reflectors in the seen table,
+    None without one; without an NS table every role is unknown."""
+    from . import amplifiers as amp
+
+    matrix = amp.jaccard_distance_matrix(amp.amplifier_sets(events))
+    result = amp.dbscan_cluster(matrix, eps=settings.eps, min_pts=settings.min_pts)
+    clusters = {
+        "eps": float(settings.eps),  # a config file's integer eps is written as a flag's
+        "min_pts": settings.min_pts,
+        "n_clusters": result.n_clusters,
+        "outlier_share": result.outlier_share,
+        "labels": [
+            {"victim_ip": e.victim_ip, "day": e.day, "label": label}
+            for e, label in zip(events, result.labels)
+        ],
+        "stable_sets": [to_obj(s) for s in amp.stable_sets(events, result.labels)],
+    }
+    churn = amp.churn_metrics(amp.daily_amplifier_sets(events))
+    inventory = amp.amplifier_inventory(events)
+    coverage = None
+    if seen_table is not None:
+        inventory, coverage = amp.recency_join(inventory, seen_table)
+    amp.classify_amplifier_role(inventory, ns_table)
+    breakdown = amp.qname_role_breakdown(events, inventory)
+    roles = [(qname, role, breakdown[qname][role])
+             for qname in sorted(breakdown) for role in sorted(breakdown[qname])]
+    return (matrix, clusters, churn.overlaps, [inventory[ip] for ip in sorted(inventory)],
+            roles, coverage)
+
+
+def estimate(record_sets: Sequence[RecordSet], settings: Settings, references: Iterable[str] = (),
+             edns: bool = False) -> tuple[list[tuple], dict, list[tuple]]:
+    """estimate: (day, SizeEstimate) rows in (day, owner) order, an undated
+    set's day "", the ranking.json object over each owner's estimate of its
+    latest day, and the key-rollover plateau rows."""
+    from . import sizing
+
+    rows = sorted(((record_set.day or "", sizing.estimate_any_response_size(record_set))
+                   for record_set in record_sets), key=lambda row: (row[0], row[1].owner))
+    latest: dict[str, sizing.SizeEstimate] = {}
+    # newest first; the stable sort keeps a day's first line first
+    for _, size in sorted(rows, key=lambda row: row[0], reverse=True):
+        latest.setdefault(size.owner, size)
+    ranking = sizing.rank_amplification([latest[owner] for owner in sorted(latest)],
+                                        references, edns=edns)
+    ranking_obj = {
+        "count_above_reference": ranking.count_above_reference,
+        "reference_max": ranking.reference_max,
+        "factors": {owner: ranking.factors[owner] for owner in sorted(ranking.factors)},
+        "cdf": [{"owner": o, "est_bytes": b, "cdf": c} for o, b, c in ranking.rows],
+    }
+    plateaus = [
+        (owner, series[plateau.start_index][0], series[plateau.end_index][0],
+         plateau.length, plateau.height)
+        for owner, series in sorted(sizing.daily_series(record_sets).items())
+        for plateau in sizing.detect_rollover_plateaus(
+            [value for _, value in series], min_days=settings.min_days,
+            min_step_bytes=settings.min_step)
+    ]
+    return rows, ranking_obj, plateaus
+
+
+def snoop(responses: Sequence[ProbeResponse],
+          default_ttls: dict[str, int]) -> tuple[list[dict], int, Counter, Counter]:
+    """snoop: one classified row per responder kept, the number of responses
+    dropped, and the count of each role and of each cache state."""
+    from . import snoop as sn
+
+    kept, dropped = sn.sanitize_probe_responses(responses, default_ttls)
+    rows = sn.classification_table(kept, default_ttls)
+    return (rows, dropped, Counter(row["role"] for row in rows),
+            Counter(row["cache"] for row in rows))
+
+
+def compare(events: Sequence[det.AttackEvent], requests: Sequence[hp.HoneypotRequest],
+            settings: Settings) -> tuple[list[hp.HoneypotEvent], dict, list[tuple]]:
+    """compare: the honeypot events inferred from the requests, with their
+    intensity deciles, the overlap.json object, and the sensor convergence
+    curve. Trace events without deciles are scored in place."""
+    if any(e.intensity_decile is None for e in events):
+        det.intensity_deciles(events)
+    hp_events = _honeypot_events(requests, settings)
+    hp.score_honeypot_deciles(hp_events)
+    report = hp.overlap(events, hp_events, slack_s=settings.slack)
+    overlap = {
+        "mutual_count": report.mutual_count,
+        "trace_total": report.trace_total,
+        "honeypot_total": report.honeypot_total,
+        "trace_matched_fraction": report.trace_matched_fraction,
+        "honeypot_matched_fraction": report.honeypot_matched_fraction,
+        "pairs": [
+            {
+                "victim_ip": events[i].victim_ip, "day": events[i].day,
+                "honeypot_start": hp_events[j].start, "honeypot_end": hp_events[j].end,
+                "trace_decile": events[i].intensity_decile,
+                "honeypot_decile": hp_events[j].intensity_decile,
+            }
+            for i, j in report.pairs
+        ],
+        "intensity": to_obj(hp.intensity_comparison(events, hp_events, report))
+        if report.pairs else None,
+    }
+    return hp_events, overlap, hp.convergence_curve(hp_events)
+
+
+def _tld(qname: str) -> str:
+    labels = tr.qname_labels(qname)
+    return labels[-1] + "." if labels else "."
+
+
+def report(events: Sequence[det.AttackEvent], names: AbstractSet[str] | None = None,
+           records: Sequence[tr.PacketRecord] | None = None) -> tuple[list[tuple], dict, int]:
+    """report: the tld_summary.csv rows, the report.json object, and the
+    number of names tabulated: the given names, else every name in the
+    events. The records of the trace, when given, supply each name's largest
+    response and the nscount shares."""
+    from . import fingerprint as fp
+
+    if names is None:
+        names = {qname for event in events for qname in event.qname_counts}
+    packets: Counter[str] = Counter()
+    attacks: Counter[str] = Counter()
+    victims = set()
+    requests = responses = 0
+    for event in events:
+        tlds = Counter()
+        for qname, count in event.qname_counts.items():
+            tlds[_tld(qname)] += count
+        packets.update(tlds)
+        attacks.update(tlds.keys())
+        victims.add(event.victim_ip)
+        requests += event.request_count
+        responses += event.response_count
+    per_tld: dict[str, list[str]] = {}
+    for qname in sorted(names):
+        per_tld.setdefault(_tld(qname), []).append(qname)
+    sizes = dict(sel.selector_max_size(records).ranked) if records is not None else {}
+    total = sum(packets.values())
+    rows = [(label, len(group), packets[label], packets[label] / total if total else 0.0,
+             attacks[label], max(sizes.get(qname, 0) for qname in group))
+            for label, group in sorted(per_tld.items())]
+    nscounts = [r.nscount for r in records if r.is_response] if records is not None else []
+    obj = {
+        "events": len(events),
+        "victims": len(victims),
+        "request_count": requests,
+        "response_count": responses,
+        "request_share": requests / (requests + responses) if requests + responses else 0.0,
+        "ingress_concentration": fp.ingress_concentration(events),
+        "nscount_le1_share": sum(n <= 1 for n in nscounts) / len(nscounts)
+        if nscounts else None,
+        "nscount_le10_share": sum(n <= 10 for n in nscounts) / len(nscounts)
+        if nscounts else None,
+    }
+    return rows, obj, len(names)

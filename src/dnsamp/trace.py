@@ -339,44 +339,42 @@ class PrefixTable:
         # maps (ip_version, prefix_len) -> {masked_int: asn}
         self._buckets: dict[tuple[int, int], dict[int, int]] = {}
         self._lengths: dict[int, list[int]] = {4: [], 6: []}
-        count = 0
+        self._size = 0
         for index, (prefix, asn) in enumerate(rows):
-            try:
-                network = ipaddress.ip_network(prefix, strict=True)
-            except ValueError as exc:
-                raise ValueError(f"prefix table row {index}: bad CIDR {prefix!r}: {exc}")
-            if not isinstance(asn, int) or isinstance(asn, bool) or asn < 0:
-                raise ValueError(f"prefix table row {index}: bad ASN {asn!r}")
-            key = (network.version, network.prefixlen)
-            self._buckets.setdefault(key, {})[int(network.network_address)] = asn
-            count += 1
-        for version in (4, 6):
-            lengths = sorted({plen for (ver, plen) in self._buckets if ver == version},
-                             reverse=True)
-            self._lengths[version] = lengths
-        self._size = count
+            self._add(prefix, asn, f"row {index}")
+
+    def _add(self, prefix: str, asn: object, where: str) -> None:
+        try:
+            network = ipaddress.ip_network(prefix, strict=True)
+        except ValueError as exc:
+            raise ValueError(f"prefix table {where}: bad CIDR {prefix!r}: {exc}") from None
+        if not isinstance(asn, int) or isinstance(asn, bool) or asn < 0:
+            raise ValueError(f"prefix table {where}: bad ASN {asn!r}")
+        key = (network.version, network.prefixlen)
+        if key not in self._buckets:
+            self._lengths[network.version].append(network.prefixlen)
+            self._lengths[network.version].sort(reverse=True)
+        self._buckets.setdefault(key, {})[int(network.network_address)] = asn
+        self._size += 1
 
     def __len__(self) -> int:
         return self._size
 
     @classmethod
     def from_csv(cls, path: str) -> "PrefixTable":
-        """Load `prefix,asn` rows; a header line is tolerated."""
-        rows: list[tuple[str, int]] = []
+        """Load `prefix,asn` rows; a header line is tolerated. An error names
+        the line of the file."""
+        table = cls(())
         for lineno, row in read_csv(path, "prefix"):
             if len(row) != 2:
                 raise ValueError(f"prefix table line {lineno}: expected prefix,asn")
-            prefix, asn_text = row[0].strip(), row[1].strip()
+            asn_text = row[1].strip()
             try:
-                asn = int(asn_text)
+                asn: object = int(asn_text)
             except ValueError:
-                raise ValueError(f"prefix table line {lineno}: bad ASN {asn_text!r}")
-            try:
-                ipaddress.ip_network(prefix)
-            except ValueError as exc:
-                raise ValueError(f"prefix table line {lineno}: {exc}") from None
-            rows.append((prefix, asn))
-        return cls(rows)
+                asn = asn_text  # reported as a bad ASN
+            table._add(row[0].strip(), asn, f"line {lineno}")
+        return table
 
     def lookup(self, ip: str) -> int | None:
         addr = _ip_or_none(ip)

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from dnsamp.cli import main
+from dnsamp.detector import AttackEvent, write_events
+from dnsamp.trace import PacketRecord, write_trace
 
 
 def run(*argv: str) -> int:
@@ -104,6 +106,22 @@ class TestExitCodes:
                    "--out-dir", str(tmp_path / "det")) == 1
         assert next(iter(obj)) in capsys.readouterr().err
 
+
+    @pytest.mark.parametrize("key, config, flags", [
+        ("slack", {}, ("--slack", "nan")),
+        ("max_gap", {}, ("--max-gap", "nan")),
+        ("max_gap", {"max_gap": float("nan")}, ()),
+        ("slack", {"slack": float("nan")}, ("--preset", "ccc")),
+    ])
+    def test_nan_setting_is_processing_error(self, ws, tmp_path, capsys, key, config, flags):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))  # json writes a float nan as NaN
+        assert run("--config", str(cfg), "compare",
+                   "--attacks", str(out(ws, "det") / "attacks.jsonl"),
+                   "--honeypot", str(out(ws, "gen") / "honeypot.csv"),
+                   *flags, "--out-dir", str(tmp_path / "cmp")) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0]
 
     # every subcommand's option strings, in order, as the parser had them
     # when each flag was declared by hand
@@ -555,3 +573,46 @@ class TestReportStage:
                            "attacks", "max_response_size"]
         tlds = {r[0] for r in rows[1:]}
         assert "example." in tlds
+
+    def test_tables_by_hand(self, tmp_path):
+        def event(victim, day, qname_counts, requests, responses, ingress):
+            return AttackEvent(
+                victim_ip=victim, day=day, packet_count=requests + responses,
+                misused_packet_count=requests + responses, est_original_packets=0,
+                est_misused_packets=0, share=1.0, share_excluding_root=1.0,
+                first_ts=0.0, last_ts=1.0, request_count=requests,
+                response_count=responses, qname_counts=qname_counts, amplifier_set=(),
+                dns_ids=(), req_ip_ids=(), req_src_ports=(), req_dns_ids=(),
+                ingress_as_counts=ingress)
+
+        write_events([
+            event("10.0.0.1", "2019-06-01", {"a.example.": 6, "x.test.": 2}, 5, 3, {100: 6}),
+            event("10.0.0.2", "2019-06-01", {"a.example.": 1, "b.example.": 3}, 1, 3,
+                  {100: 2, 200: 2}),
+            # an unlisted name counts toward the packet total only
+            event("10.0.0.1", "2019-06-02", {"zz.net.": 4}, 4, 0, {300: 4}),
+        ], str(tmp_path / "attacks.jsonl"))
+        (tmp_path / "names.txt").write_text("a.example.\nb.example.\nx.test.\nc.org.\n")
+
+        def packet(qname, udp_len, nscount, is_response=True):
+            ports = (53, 4000) if is_response else (4000, 53)
+            return PacketRecord(1.0, "192.0.2.1", "10.0.0.1", *ports, 60, 1, udp_len,
+                                is_response, 7, qname, 255, 0, 0, nscount)
+
+        # response payloads are udp_len - 8; only responses carry sizes and nscounts
+        write_trace([packet("a.example.", 1008, 0), packet("a.example.", 508, 5),
+                     packet("b.example.", 2008, 13), packet("c.org.", 108, 1),
+                     packet("zz.net.", 4008, 20), packet("x.test.", 9008, 0, False)],
+                    str(tmp_path / "trace.jsonl"))
+        assert run("report", "--attacks", str(tmp_path / "attacks.jsonl"),
+                   "--names", str(tmp_path / "names.txt"),
+                   "--trace", str(tmp_path / "trace.jsonl"), "--out-dir", str(tmp_path)) == 0
+        assert (tmp_path / "tld_summary.csv").read_text() == (
+            "tld,names,packets,packet_share,attacks,max_response_size\n"
+            "example.,2,10,0.625,2,2000\n"
+            "org.,1,0,0.0,0,100\n"
+            "test.,1,2,0.125,1,0\n")
+        assert json.loads((tmp_path / "report.json").read_text()) == {
+            "events": 3, "victims": 2, "request_count": 10, "response_count": 6,
+            "request_share": 0.625, "ingress_concentration": 8 / 14,
+            "nscount_le1_share": 0.4, "nscount_le10_share": 0.6}

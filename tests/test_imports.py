@@ -10,8 +10,9 @@ import pytest
 import dnsamp
 
 # Modules behind ingest, select-names, detect, compare and report.
-TRACE_STAGE_MODULES = ("dnsamp", "dnsamp.cli", "dnsamp.trace", "dnsamp.selectors",
-                       "dnsamp.detector", "dnsamp.honeypot", "dnsamp.fingerprint")
+TRACE_STAGE_MODULES = ("dnsamp", "dnsamp.cli", "dnsamp.pipeline", "dnsamp.trace",
+                       "dnsamp.selectors", "dnsamp.detector", "dnsamp.honeypot",
+                       "dnsamp.fingerprint")
 
 
 def test_trace_stages_leave_numpy_unloaded():

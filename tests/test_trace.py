@@ -238,6 +238,20 @@ class TestPrefixTable:
         with pytest.raises(ValueError, match="3"):
             tr.PrefixTable.from_csv(str(path))
 
+    @pytest.mark.parametrize("row, message", [
+        ("10.0.0.0/8,-3", "prefix table line 2: bad ASN -3"),
+        ("10.0.0.0/8,x", "prefix table line 2: bad ASN 'x'"),
+        ("10.0.0.1/8,5", "prefix table line 2: bad CIDR '10.0.0.1/8'"),
+        ("not-a-prefix,1", "prefix table line 2: bad CIDR 'not-a-prefix'"),
+        ("10.0.0.0/8", "prefix table line 2: expected prefix,asn"),
+    ])
+    def test_from_csv_names_the_file_line(self, tmp_path, row, message):
+        path = tmp_path / "prefixes.csv"
+        path.write_text(f"prefix,asn\n{row}\n")
+        with pytest.raises(ValueError) as info:
+            tr.PrefixTable.from_csv(str(path))
+        assert str(info.value).startswith(message)
+
     def test_annotate_fills_both_sides(self):
         records, _ = parse_one(make_record())
         tr.annotate(records, tr.PrefixTable([("10.0.0.0/8", 7), ("192.0.2.0/24", 8)]))
