@@ -40,7 +40,8 @@ def main() -> None:
     ]
 
     print("=== daily response-size series ===")
-    series = sizing.daily_series(inventory)
+    series = sizing.daily_series(
+        (rs.day, sizing.estimate_any_response_size(rs)) for rs in inventory)
     signed = series["signed.example."]
     values = [est for _, est in signed]
     print(f"signed.example. spans {values[0]} -> {max(values)} bytes "

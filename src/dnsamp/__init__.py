@@ -6,7 +6,7 @@ then fingerprint, cluster, size, and cross-validate them. A deterministic
 scenario generator provides ground truth for end-to-end evaluation.
 
 Public names load their module on first access (PEP 562), so importing the
-package, or a stage that needs only the trace modules, leaves numpy unloaded.
+package loads no analysis module, and only `synth` loads numpy.
 """
 
 import importlib

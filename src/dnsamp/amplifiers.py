@@ -8,12 +8,12 @@ core cluster), so identical inputs always yield identical labels.
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter, deque
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from itertools import compress
 from typing import AbstractSet, Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .detector import AttackEvent
 from .fileio import read_csv, write_float_csv
@@ -27,34 +27,34 @@ def amplifier_sets(events: Sequence[AttackEvent]) -> list[frozenset[str]]:
     return [frozenset(event.amplifier_set) for event in events]
 
 
-def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> np.ndarray:
-    """Symmetric, zero-diagonal matrix of 1 - Jaccard(set_i, set_j).
+def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> list[array]:
+    """Symmetric, zero-diagonal matrix of 1 - Jaccard(set_i, set_j), as n
+    rows of n doubles.
 
-    Two empty sets are identical (distance 0). Each set becomes a row of
-    64-bit words, one bit per distinct member, and a row's intersections
-    with all later rows are popcounts of their AND. Counts are exact and the
-    division is IEEE, so each entry has the bits of `1.0 - jaccard(a, b)`."""
+    Two empty sets are identical (distance 0). Each set becomes one integer
+    mask, one bit per distinct member, and a row's intersections with all
+    later rows are popcounts of their AND; only overlapping pairs divide.
+    Counts are exact and int / int rounds correctly, so each entry has the
+    bits of `1.0 - jaccard(a, b)`."""
     n = len(sets)
-    matrix = np.zeros((n, n), dtype=np.float64)
     codes: dict = {}
     for members in sets:
         for member in members:
             codes.setdefault(member, len(codes))
-    n_words = max(1, -(-len(codes) // 64))
-    words = np.empty((n, n_words), dtype="<u8")
-    for row, members in zip(words, sets):
-        # a set's bits are distinct, so their sum is their OR
-        mask = sum(1 << codes[member] for member in members)
-        row[:] = np.frombuffer(mask.to_bytes(8 * n_words, "little"), dtype="<u8")
-    del codes  # freed before the row loop allocates its temporaries
-    sizes = np.array([len(members) for members in sets], dtype=np.int64)
-    for i in range(n - 1):
-        inter = np.bitwise_count(words[i] & words[i + 1:]).sum(axis=1, dtype=np.int64)
-        union = sizes[i] + sizes[i + 1:] - inter
-        # two empty sets: union 0, similarity 1
-        similarity = np.divide(inter, union, out=np.ones(len(union)), where=union > 0)
-        matrix[i, i + 1:] = matrix[i + 1:, i] = 1.0 - similarity
-    return matrix
+    # a set's bits are distinct, so their sum is their OR
+    masks = [sum(1 << codes[member] for member in members) for members in sets]
+    sizes = [len(members) for members in sets]
+    rows = [array("d", [1.0]) * n for _ in range(n)]
+    for i, (mask, size, row) in enumerate(zip(masks, sizes, rows)):
+        row[i] = 0.0
+        inters = list(map(int.bit_count, map(mask.__and__, masks[i + 1:])))
+        for j, inter in compress(zip(range(i + 1, n), inters), inters):
+            row[j] = rows[j][i] = 1.0 - inter / (size + sizes[j] - inter)
+    empty = [i for i, size in enumerate(sizes) if not size]
+    for i in empty:
+        for j in empty:
+            rows[i][j] = 0.0  # two empty sets: union 0, similarity 1
+    return rows
 
 
 @dataclass(slots=True)
@@ -74,23 +74,24 @@ class ClusterResult:
         return sum(1 for label in self.labels if label == NOISE) / len(self.labels)
 
 
-def dbscan_cluster(matrix: np.ndarray, eps: float = 0.6,
+def dbscan_cluster(matrix: Sequence[Sequence[float]], eps: float = 0.6,
                    min_pts: int = 5) -> ClusterResult:
-    """DBSCAN over a precomputed distance matrix.
+    """DBSCAN over a precomputed distance matrix, given as n rows of n.
 
     Neighborhoods are closed balls (d <= eps) including the point itself.
     Points are visited in index order and seed sets expand FIFO, so border
     points land in the first cluster (creation order) that reaches them.
     """
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"need a square distance matrix, got shape {matrix.shape}")
+    n = len(matrix)
+    for i, row in enumerate(matrix):
+        if len(row) != n:
+            raise ValueError(f"need a square distance matrix, but row {i} of {n} "
+                             f"has {len(row)} entries")
     if not 0.0 <= eps:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    n = matrix.shape[0]
-    neighborhoods = [np.flatnonzero(matrix[i] <= eps) for i in range(n)]
+    neighborhoods = [[j for j, d in enumerate(row) if d <= eps] for row in matrix]
     UNVISITED = -2
     labels = [UNVISITED] * n
     cluster = 0
@@ -101,7 +102,7 @@ def dbscan_cluster(matrix: np.ndarray, eps: float = 0.6,
             labels[start] = NOISE
             continue
         labels[start] = cluster
-        seeds = deque(int(j) for j in neighborhoods[start] if j != start)
+        seeds = deque(j for j in neighborhoods[start] if j != start)
         while seeds:
             point = seeds.popleft()
             if labels[point] == NOISE:
@@ -110,7 +111,7 @@ def dbscan_cluster(matrix: np.ndarray, eps: float = 0.6,
                 continue
             labels[point] = cluster
             if len(neighborhoods[point]) >= min_pts:
-                seeds.extend(int(j) for j in neighborhoods[point])
+                seeds.extend(neighborhoods[point])
         cluster += 1
     return ClusterResult(labels=tuple(labels), eps=eps, min_pts=min_pts)
 
@@ -338,6 +339,8 @@ def qname_role_breakdown(events: Sequence[AttackEvent],
     return breakdown
 
 
-def write_distance_matrix(matrix: np.ndarray, path: str) -> None:
-    # row by row: the whole matrix as Python floats would be 4x its size
-    write_float_csv(path, (row.tolist() for row in np.asarray(matrix, dtype=np.float64)))
+def write_distance_matrix(matrix: Sequence[array], path: str) -> None:
+    # row by row: the whole matrix as Python floats would be 4x its size.
+    # tolist gives floats for array and ndarray rows alike; the repr of a
+    # numpy float64 is not a float's
+    write_float_csv(path, (row.tolist() for row in matrix))

@@ -4,8 +4,8 @@ Each function takes its stage's inputs, already read, and the `Settings` it
 uses, and returns the objects its subcommand writes, so stages chain without
 files. `synth` needs no stage function: its command is one call to
 `synth.generate_scenario`. The modules only some stages use (amplifiers,
-fingerprint, sizing, snoop) are imported inside those stages, which keeps
-numpy unloaded until a stage needs it.
+fingerprint, sizing, snoop) are imported inside those stages, so each stage
+loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -184,8 +184,10 @@ def estimate(record_sets: Sequence[RecordSet], settings: Settings, references: I
     latest day, and the key-rollover plateau rows."""
     from . import sizing
 
-    rows = sorted(((record_set.day or "", sizing.estimate_any_response_size(record_set))
-                   for record_set in record_sets), key=lambda row: (row[0], row[1].owner))
+    sized = [(record_set.day, sizing.estimate_any_response_size(record_set))
+             for record_set in record_sets]
+    rows = sorted(((day or "", size) for day, size in sized),
+                  key=lambda row: (row[0], row[1].owner))
     latest: dict[str, sizing.SizeEstimate] = {}
     # newest first; the stable sort keeps a day's first line first
     for _, size in sorted(rows, key=lambda row: row[0], reverse=True):
@@ -201,7 +203,7 @@ def estimate(record_sets: Sequence[RecordSet], settings: Settings, references: I
     plateaus = [
         (owner, series[plateau.start_index][0], series[plateau.end_index][0],
          plateau.length, plateau.height)
-        for owner, series in sorted(sizing.daily_series(record_sets).items())
+        for owner, series in sorted(sizing.daily_series(sized).items())
         for plateau in sizing.detect_rollover_plateaus(
             [value for _, value in series], min_days=settings.min_days,
             min_step_bytes=settings.min_step)

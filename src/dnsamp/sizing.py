@@ -188,15 +188,14 @@ def read_record_sets(path: str) -> list[RecordSet]:
     return sets
 
 
-def daily_series(record_sets: Sequence[RecordSet],
-                 edns_limit: int = EDNS_DEFAULT_LIMIT) -> dict[str, list[tuple[str, int]]]:
-    """Per-owner (day, est_bytes) series, day-sorted, for plateau scans."""
+def daily_series(sized: Iterable[tuple[str | None, SizeEstimate]]
+                 ) -> dict[str, list[tuple[str, int]]]:
+    """Per-owner (day, est_bytes) series, day-sorted, for plateau scans, from
+    (day, estimate) pairs; an undated estimate (day None) is left out."""
     series: dict[str, list[tuple[str, int]]] = {}
-    for record_set in record_sets:
-        if record_set.day is None:
-            continue
-        estimate = estimate_any_response_size(record_set, edns_limit=edns_limit)
-        series.setdefault(record_set.owner, []).append((record_set.day, estimate.est_bytes))
+    for day, estimate in sized:
+        if day is not None:
+            series.setdefault(estimate.owner, []).append((day, estimate.est_bytes))
     for owner in series:
         series[owner].sort()
     return series

@@ -66,7 +66,7 @@ def jaccard_distance_matrix_reference(sets) -> np.ndarray:
     return matrix
 
 
-def dbscan_reference(matrix: np.ndarray, eps: float, min_pts: int):
+def dbscan_reference(matrix, eps: float, min_pts: int):
     """First-principles density clustering on a distance matrix.
 
     Returns a per-point description rather than labels, because border
@@ -74,6 +74,7 @@ def dbscan_reference(matrix: np.ndarray, eps: float, min_pts: int):
       ('core', component_id) | ('border', frozenset of component ids) | 'noise'
     Component ids are arbitrary but stable (ordered by smallest member).
     """
+    matrix = np.asarray(matrix, dtype=np.float64)
     n = matrix.shape[0]
     neighbors = [set(np.flatnonzero(matrix[i] <= eps)) for i in range(n)]
     core = [len(neighbors[i]) >= min_pts for i in range(n)]

@@ -2,6 +2,7 @@
 
 import random
 import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -35,7 +36,7 @@ class TestDistanceMatrix:
         rng = random.Random(3)
         sets = [frozenset(ip(rng.randint(0, 40)) for _ in range(rng.randint(1, 15)))
                 for _ in range(12)]
-        matrix = amp.jaccard_distance_matrix(sets)
+        matrix = np.asarray(amp.jaccard_distance_matrix(sets))
         assert matrix.shape == (12, 12)
         assert np.allclose(matrix, matrix.T)
         assert np.all(np.diag(matrix) == 0.0)
@@ -45,7 +46,7 @@ class TestDistanceMatrix:
         rng = random.Random(5)
         sets = [frozenset(ip(rng.randint(0, 25)) for _ in range(rng.randint(1, 10)))
                 for _ in range(10)]
-        matrix = amp.jaccard_distance_matrix(sets)
+        matrix = np.asarray(amp.jaccard_distance_matrix(sets))
         n = len(sets)
         for i in range(n):
             for j in range(n):
@@ -53,18 +54,18 @@ class TestDistanceMatrix:
                     assert matrix[i, j] <= matrix[i, k] + matrix[k, j] + 1e-12
 
     def test_known_distance(self):
-        matrix = amp.jaccard_distance_matrix(
-            [frozenset({"a", "b"}), frozenset({"b", "c"})])
+        matrix = np.asarray(amp.jaccard_distance_matrix(
+            [frozenset({"a", "b"}), frozenset({"b", "c"})]))
         assert matrix[0, 1] == pytest.approx(2 / 3)
 
     def test_empty_sets_have_zero_distance(self):
-        matrix = amp.jaccard_distance_matrix([frozenset(), frozenset()])
+        matrix = np.asarray(amp.jaccard_distance_matrix([frozenset(), frozenset()]))
         assert matrix[0, 1] == 0.0
 
     def test_memory_beyond_result_is_small(self):
         # 700 events of 30 reflectors from a pool of 3400, as in a week's
-        # event log: working memory must stay a few rows of bit words, not
-        # an events-by-reflectors incidence matrix
+        # event log: working memory must stay one mask per set and a row of
+        # counts, not an events-by-reflectors incidence matrix
         rng = random.Random(11)
         pool = [ip(i) for i in range(3400)]
         sets = [frozenset(rng.sample(pool, 30)) for _ in range(700)]
@@ -74,7 +75,8 @@ class TestDistanceMatrix:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < matrix.nbytes + 2 * 2 ** 20
+        rows_bytes = sum(len(row) * row.itemsize for row in matrix)
+        assert peak < rows_bytes + 2 * 2 ** 20
 
 
 class TestDbscan:
@@ -113,7 +115,7 @@ class TestDbscan:
             base = amp.dbscan_cluster(matrix, eps=0.6, min_pts=3).labels
             perm = list(range(n))
             rng.shuffle(perm)
-            permuted = matrix[np.ix_(perm, perm)]
+            permuted = np.asarray(matrix)[np.ix_(perm, perm)]
             shuffled = amp.dbscan_cluster(permuted, eps=0.6, min_pts=3).labels
             # labels under permutation must induce the same partition
             mapping = {}
@@ -122,6 +124,14 @@ class TestDbscan:
                 assert (a == -1) == (b == -1)
                 if a != -1:
                     assert mapping.setdefault(a, b) == b
+
+    def test_rows_and_ndarray_give_the_same_labels(self):
+        rng = random.Random(17)
+        for trial in range(40):
+            rows = self.random_matrix(rng, rng.randint(0, 30))
+            eps = rng.choice([0.3, 0.6, 0.8])
+            assert amp.dbscan_cluster(rows, eps=eps, min_pts=3).labels == \
+                amp.dbscan_cluster(np.asarray(rows), eps=eps, min_pts=3).labels
 
     def test_all_points_identical_single_cluster(self):
         matrix = np.zeros((6, 6))
@@ -146,6 +156,8 @@ class TestDbscan:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             amp.dbscan_cluster(np.zeros((2, 3)), eps=0.5, min_pts=2)
+        with pytest.raises(ValueError):
+            amp.dbscan_cluster([array("d", [0.0, 1.0]), array("d", [1.0])], eps=0.5, min_pts=2)
         with pytest.raises(ValueError):
             amp.dbscan_cluster(np.zeros((3, 3)), eps=-0.1, min_pts=2)
         with pytest.raises(ValueError):

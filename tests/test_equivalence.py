@@ -10,7 +10,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dnsamp import amplifiers as amp
@@ -194,8 +194,20 @@ def set_families(draw):
 
 
 @given(set_families())
+# inputs the strategy rarely draws
+@example([frozenset(range(20))] * 300)
+@example([frozenset(), frozenset({1, 2}), frozenset(), frozenset(), frozenset({2, 3}),
+          frozenset(), frozenset({1, 2})])
+@example([frozenset(range(i, i + 40)) for i in range(30)])  # every pair overlaps
+@example([])
+@example([frozenset({"a"})])
+@example([frozenset()])
+# the codes of the second and third sets all lie beyond the first 64 bits
+@example([frozenset(range(100)), frozenset(range(70, 90)), frozenset(range(80, 130))])
 def test_jaccard_distance_matrix_matches_reference(sets):
-    matrix = amp.jaccard_distance_matrix(sets)
+    rows = amp.jaccard_distance_matrix(sets)
+    # n rows of n: the reshape fails on any other row length, also for n = 0
+    matrix = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(rows))
     reference = jaccard_distance_matrix_reference(sets)
     assert matrix.shape == reference.shape == (len(sets), len(sets))
     assert np.array_equal(matrix.view(np.uint64), reference.view(np.uint64))

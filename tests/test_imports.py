@@ -1,4 +1,4 @@
-"""Import costs: the trace-only stages must not load numpy."""
+"""Import costs: no stage but synth may load numpy."""
 
 import os
 import subprocess
@@ -9,10 +9,11 @@ import pytest
 
 import dnsamp
 
-# Modules behind ingest, select-names, detect, compare and report.
+# Modules behind every stage but synth: ingest, select-names, detect,
+# fingerprint, cluster, compare and report.
 TRACE_STAGE_MODULES = ("dnsamp", "dnsamp.cli", "dnsamp.pipeline", "dnsamp.trace",
                        "dnsamp.selectors", "dnsamp.detector", "dnsamp.honeypot",
-                       "dnsamp.fingerprint")
+                       "dnsamp.fingerprint", "dnsamp.amplifiers")
 
 
 def test_trace_stages_leave_numpy_unloaded():
@@ -52,6 +53,33 @@ print(len({e.day for e in events}), "numpy" in sys.modules)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             check=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.stdout.strip() == "3 False"
+
+
+def test_cluster_stage_leaves_numpy_unloaded(tmp_path):
+    # three events: two share a reflector pool, the third shares nothing
+    code = f"""
+import sys
+from dnsamp import cli, detector as det
+pools = [("192.0.2.1", "192.0.2.2"), ("192.0.2.1", "192.0.2.2"), ("198.51.100.7",)]
+events = [det.AttackEvent(
+    victim_ip=f"10.0.0.{{i}}", day="2019-06-01", packet_count=20, misused_packet_count=20,
+    est_original_packets=320000, est_misused_packets=320000, share=1.0,
+    share_excluding_root=1.0, first_ts=0.0, last_ts=100.0, request_count=0,
+    response_count=20, qname_counts={{"evil.example.": 20}}, amplifier_set=pool,
+    dns_ids=(2, 4), req_ip_ids=(), req_src_ports=(), req_dns_ids=(),
+    ingress_as_counts={{}}, victim_as=None, intensity_decile=None)
+    for i, pool in enumerate(pools)]
+det.write_events(events, {str(tmp_path / "attacks.jsonl")!r})
+code = cli.main(["cluster", "--attacks", {str(tmp_path / "attacks.jsonl")!r},
+                 "--min-pts", "2", "--out-dir", {str(tmp_path / "out")!r}])
+print(code, "numpy" in sys.modules)
+"""
+    src = Path(dnsamp.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.stdout.strip().splitlines()[-1] == "0 False", result.stderr
+    assert (tmp_path / "out" / "distance_matrix.csv").read_text() == \
+        "0.0,0.0,1.0\n0.0,0.0,1.0\n1.0,1.0,0.0\n"
 
 
 def test_every_exported_name_resolves():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from dnsamp import sizing
+from dnsamp import pipeline, sizing
 from oracles import wire_any_response
 
 TYPES = ["A", "NS", "TXT", "AAAA", "MX", "RRSIG", "DNSKEY"]
@@ -175,6 +175,25 @@ class TestPlateaus:
                                                    min_step_bytes=100)
         assert len(plateaus) == 1
 
+    def test_estimate_stage_sizes_each_set_once(self, monkeypatch):
+        # the plateau scan reuses the estimates of estimates.csv; an undated
+        # set of the same owner stays out of its series
+        calls = []
+        size = sizing.estimate_any_response_size
+
+        def counted(record_set, **kwargs):
+            calls.append(record_set)
+            return size(record_set, **kwargs)
+
+        monkeypatch.setattr(sizing, "estimate_any_response_size", counted)
+        sets = [record_set("a.example.", [("TXT", 60, 1300 if 3 <= d < 11 else 1000)],
+                           day=f"2019-06-{d:02d}") for d in range(1, 15)]
+        sets += [record_set("a.example.", [("TXT", 60, 5000)]),
+                 record_set("b.example.", [("A", 300, 4)], day="2019-06-01")]
+        rows, _, plateaus = pipeline.estimate(sets, pipeline.Settings())
+        assert len(calls) == len(sets) == len(rows)
+        assert plateaus == [("a.example.", "2019-06-03", "2019-06-10", 8, 300)]
+
 
 class TestRecordSetIO:
     def test_jsonl_reader(self, tmp_path):
@@ -203,7 +222,8 @@ class TestRecordSetIO:
                          f'"records": [{{"type": "TXT", "ttl": 60, '
                          f'"rdata_len": {size}}}]}}')
         path.write_text("\n".join(lines) + "\n")
-        series = sizing.daily_series(sizing.read_record_sets(str(path)))
+        series = sizing.daily_series((rs.day, sizing.estimate_any_response_size(rs))
+                                     for rs in sizing.read_record_sets(str(path)))
         days = [day for day, _ in series["a.example."]]
         assert days == ["2019-06-01", "2019-06-02"]
         values = [value for _, value in series["a.example."]]
