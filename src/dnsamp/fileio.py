@@ -17,6 +17,7 @@ import json
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
+from operator import contains
 from types import SimpleNamespace, UnionType
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -241,6 +242,14 @@ def _decoder(hint: Any) -> Callable[[Any], Any]:
     return decode
 
 
+def _json_types(hint: Any) -> frozenset:
+    """The exact types of the JSON values an annotation takes, as far as
+    their type shows: its scalars, or the list or object that holds it."""
+    if typing.get_origin(hint) is tuple:
+        return frozenset({list, tuple})
+    return _scalar_types(hint) or frozenset({dict})
+
+
 def _dataclass_decoder(cls: type) -> Callable[[Any], Any]:
     hints = field_types(cls)
     init = [f for f in fields(cls) if f.init]
@@ -249,10 +258,27 @@ def _dataclass_decoder(cls: type) -> Callable[[Any], Any]:
     # scalar values are checked here, without a call each
     scalars = {name: _scalar_types(hints[name]) for name in decoders}
     valid = ", ".join(map(repr, decoders))
+    # An object whose keys are the fields in order is decoded whole: one pass
+    # checks the type of every value, and only the list and object values are
+    # decoded, by position. Any misfit goes the per-key way, which names it.
+    names = tuple(decoders)
+    accepted = [_json_types(hints[name]) for name in decoders]
+    containers = [(index, decoders[name]) for index, name in enumerate(decoders)
+                  if not scalars[name]]
 
     def decode(obj):
         if type(obj) is not dict:
             raise _misfit(cls, obj)
+        if tuple(obj) == names:
+            values = list(obj.values())
+            if all(map(contains, accepted, map(type, values))):
+                try:
+                    for index, decode_value in containers:
+                        values[index] = decode_value(values[index])
+                except ValueError:
+                    pass
+                else:
+                    return cls(*values)
         kwargs = {}
         for key, value in obj.items():
             if type(value) in scalars.get(key, ()):

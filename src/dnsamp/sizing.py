@@ -10,6 +10,7 @@ double signatures inflate responses by a fixed step for a stretch of days.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from datetime import date
 from typing import Iterable, Sequence
 
 from .fileio import read_jsonl
@@ -171,8 +172,17 @@ def detect_rollover_plateaus(series: Sequence[int], min_days: int = 7,
     return plateaus
 
 
+def _is_iso_day(value: object) -> bool:
+    """Whether value is a day written as YYYY-MM-DD."""
+    try:
+        return date.fromisoformat(value).isoformat() == value
+    except (TypeError, ValueError):
+        return False
+
+
 def read_record_sets(path: str) -> list[RecordSet]:
-    """JSONL, one {day, owner, records:[{type, ttl, rdata_len}]} per line."""
+    """JSONL, one {date, owner, records:[{type, ttl, rdata_len}]} per line; a
+    date is absent, null or YYYY-MM-DD."""
     sets = []
     for lineno, obj in read_jsonl(path):
         try:
@@ -181,8 +191,11 @@ def read_record_sets(path: str) -> list[RecordSet]:
                            rdata_len=int(r["rdata_len"]))
                 for r in obj["records"]
             )
-            sets.append(RecordSet(owner=obj["owner"], records=records,
-                                  day=obj.get("date")))
+            day = obj.get("date")
+            if day is not None and not _is_iso_day(day):
+                raise ValueError(f"key 'date': expected a YYYY-MM-DD string or null, "
+                                 f"got {day!r}")
+            sets.append(RecordSet(owner=obj["owner"], records=records, day=day))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"{path} line {lineno}: {exc}") from None
     return sets

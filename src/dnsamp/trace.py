@@ -10,6 +10,7 @@ from __future__ import annotations
 import ipaddress
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from functools import lru_cache
@@ -135,11 +136,14 @@ def _utc_day(day_index: int) -> str:
 
 # Exact builtin types of the canonical fields, in TRACE_FIELDS order (the QR
 # bit as a bool). Decoded objects and records of exactly these types take the
-# fast paths below.
-_FIELD_TYPES = (float, str, str, int, int, int, int, int, bool, int, str, int, int, int, int)
+# fast paths below. A list, to compare with a list of a line's types: a tuple
+# built from an iterator starts at another size and is resized, so each one
+# freed would grow the interpreter's free list of 15-tuples (up to 2000 kept)
+# rather than reuse it.
+_FIELD_TYPES = [float, str, str, int, int, int, int, int, bool, int, str, int, int, int, int]
 _get_fields = itemgetter(*TRACE_FIELDS)
 _record_values = attrgetter(*(f.name for f in fields(PacketRecord)))
-_PLAIN_RECORD_TYPES = {_FIELD_TYPES + (src_as, dst_as)
+_PLAIN_RECORD_TYPES = {(*_FIELD_TYPES, src_as, dst_as)
                        for src_as in (int, type(None)) for dst_as in (int, type(None))}
 _TEN_INTS = (int,) * 10  # the range-checked integer fields
 
@@ -156,49 +160,74 @@ class _Memo(dict):
         return value
 
 
-def _record_from_obj(obj: dict, normalized: _Memo) -> PacketRecord | None:
+def _record_from_obj(obj: dict, normalized: _Memo, addresses: _Memo,
+                     integers: _Memo) -> PacketRecord | None:
     """Build a record from one decoded JSONL object; None if structurally bad.
 
-    `normalized` maps raw qnames to normalize_qname() of them."""
+    `normalized` maps raw qnames to normalize_qname() of them; `addresses`
+    and `integers` map an address and udp_len or an AS number (or None) to
+    the one object that every record of the call shares for that value."""
     if not isinstance(obj, dict):
         return None
     try:
         values = _get_fields(obj)
     except KeyError:
         return None
-    ts = values[0]
-    if tuple(map(type, values)) != _FIELD_TYPES:
+    (ts, src_ip, dst_ip, src_port, dst_port, ip_ttl, ip_id, udp_len, qr,
+     dns_id, qname, qtype, rcode, ancount, nscount) = values
+    types = list(map(type, values))
+    if types != _FIELD_TYPES:
         # ts may arrive as an integer, and the QR bit as true/false or 0/1
         # depending on the exporter
-        qr = values[8]
-        if type(qr) is int and qr in (0, 1):
-            values = (*values[:8], bool(qr), *values[9:])
-        if type(ts) not in (int, float) or tuple(map(type, values[1:])) != _FIELD_TYPES[1:]:
-            return None
-        try:
-            ts = float(ts)
-        except OverflowError:  # an integer beyond the float range
+        if types[8] is int and qr in (0, 1):
+            qr, types[8] = bool(qr), bool
+        if types[0] is int:
+            try:
+                ts, types[0] = float(ts), float
+            except OverflowError:  # an integer beyond the float range
+                return None
+        if types != _FIELD_TYPES:
             return None
     src_as, dst_as = obj.get("src_as"), obj.get("dst_as")
     if (src_as is not None and type(src_as) is not int) or \
             (dst_as is not None and type(dst_as) is not int):
         return None
-    return PacketRecord(ts, *values[1:10], normalized[values[10]], *values[11:],
-                        src_as, dst_as)
+    # the memos hold values of exactly one type each (None aside), so no
+    # bool or float equal to an int is ever shared in its place
+    return PacketRecord(ts, addresses[src_ip], addresses[dst_ip], src_port, dst_port,
+                        ip_ttl, ip_id, integers[udp_len], qr, dns_id, normalized[qname],
+                        qtype, rcode, ancount, nscount, integers[src_as], integers[dst_as])
+
+
+def _shared() -> _Memo:
+    """A memo of values to themselves: the first object seen for a value
+    stands for every later equal one."""
+    return _Memo(lambda value: value)
+
+
+# One JSON value at the start of a string, and where it ends. A stripped line
+# is one JSON value exactly when this reads it up to the line's end; the line
+# has no whitespace left to skip, and a BOM is no value.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord], int]:
     """Parse a JSONL trace into records.
 
     `source` is a file path, an open text handle, or an iterable of lines.
-    Returns (records, skipped_line_count); malformed lines (bad JSON, missing
-    fields, wrong types, a ts beyond the float range) are counted and skipped,
-    never raised. Semantic validity is sanitize()'s job.
+    Returns (records, skipped_line_count); malformed lines (bad JSON, bytes
+    that are not UTF-8, missing fields, wrong types, a ts beyond the float
+    range) are counted and skipped, never raised. Semantic validity is
+    sanitize()'s job. Records of one call share each distinct address,
+    qname, udp_len and AS number as one object.
     """
     if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
+        # a byte that is not UTF-8 becomes a lone surrogate, and its line is
+        # skipped below
+        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
             return parse_trace(handle)
     normalized = _Memo(normalize_qname)
+    addresses, integers = _shared(), _shared()
     records: list[PacketRecord] = []
     skipped = 0
     for line in source:
@@ -206,12 +235,16 @@ def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord
         if not line:
             continue
         try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError):
-            # bad JSON, an integer over the digit limit, or nesting too deep
+            if not line.isascii():
+                line.encode("utf-8")  # a lone surrogate is not UTF-8
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            # bad UTF-8 or bad JSON, an integer over the digit limit, or
+            # nesting too deep
             skipped += 1
             continue
-        record = _record_from_obj(obj, normalized)
+        record = _record_from_obj(obj, normalized, addresses, integers) \
+            if end == len(line) else None
         if record is None:
             skipped += 1
         else:
@@ -269,46 +302,44 @@ def _ip_or_none(text: str) -> ipaddress.IPv4Address | ipaddress.IPv6Address | No
         return None
 
 
+# A canonical dotted quad: the IPv4 text ipaddress accepts, ASCII digits with
+# no leading zeros, each octet at most 255. Any other text goes to ipaddress.
+_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
+_IPV4 = re.compile(r"\.".join([_OCTET] * 4) + r"\Z")
+
+
+def _ipv4_int(text: str) -> int | None:
+    """The address a canonical dotted quad writes, as an integer; None for
+    any other text."""
+    quad = _IPV4.match(text) if isinstance(text, str) else None
+    if quad is None:
+        return None
+    a, b, c, d = map(int, quad.groups())
+    return a << 24 | b << 16 | c << 8 | d
+
+
 def _record_is_valid(record: PacketRecord, ip_valid: _Memo, name_valid: _Memo) -> bool:
     """`ip_valid` and `name_valid` map an address or a normalized qname to
     whether it is valid."""
-    if not (isinstance(record.ts, float) and math.isfinite(record.ts)):
-        return False
     # only a builtin int round-trips through write_trace and parse_trace: a
-    # bool is written as true/false, and a numpy integer is not JSON at all
-    if (type(record.src_port), type(record.dst_port), type(record.ip_ttl),
-            type(record.ip_id), type(record.udp_len), type(record.dns_id),
-            type(record.qtype), type(record.rcode), type(record.ancount),
-            type(record.nscount)) != _TEN_INTS:
-        return False
-    if not (ip_valid[record.src_ip] and ip_valid[record.dst_ip]):
-        return False
-    for port in (record.src_port, record.dst_port):
-        if not 0 <= port <= 65535:
-            return False
-    # Exactly one endpoint on the DNS port, consistent with the QR bit:
-    # requests travel to port 53, responses come from it.
-    if (record.src_port == DNS_PORT) == (record.dst_port == DNS_PORT):
-        return False
-    if record.is_response and record.src_port != DNS_PORT:
-        return False
-    if not record.is_response and record.dst_port != DNS_PORT:
-        return False
-    if not 0 <= record.ip_ttl <= 255:
-        return False
-    if not 0 <= record.ip_id <= 65535:
-        return False
-    if not 0 <= record.dns_id <= 65535:
-        return False
-    if record.udp_len < UDP_HEADER_LEN:
-        return False
-    if not 0 <= record.qtype <= 65535:
-        return False
-    if not 0 <= record.rcode <= 15:
-        return False
-    if record.ancount < 0 or record.nscount < 0:
-        return False
-    return name_valid[record.qname]
+    # bool is written as true/false, and a numpy integer is not JSON at all.
+    # Exactly one endpoint is on the DNS port, consistent with the QR bit:
+    # requests travel to port 53, responses come from it. (Reading each field
+    # where it is used is faster than unpacking all 17 of them first.)
+    return (isinstance(record.ts, float) and math.isfinite(record.ts)
+            and (type(record.src_port), type(record.dst_port), type(record.ip_ttl),
+                 type(record.ip_id), type(record.udp_len), type(record.dns_id),
+                 type(record.qtype), type(record.rcode), type(record.ancount),
+                 type(record.nscount)) == _TEN_INTS
+            and ip_valid[record.src_ip] and ip_valid[record.dst_ip]
+            and 0 <= record.src_port <= 65535 and 0 <= record.dst_port <= 65535
+            and (record.src_port == DNS_PORT) != (record.dst_port == DNS_PORT)
+            and (record.src_port if record.is_response else record.dst_port) == DNS_PORT
+            and 0 <= record.ip_ttl <= 255 and 0 <= record.ip_id <= 65535
+            and 0 <= record.dns_id <= 65535 and record.udp_len >= UDP_HEADER_LEN
+            and 0 <= record.qtype <= 65535 and 0 <= record.rcode <= 15
+            and record.ancount >= 0 and record.nscount >= 0
+            and name_valid[record.qname])
 
 
 def sanitize(records: Iterable[PacketRecord]) -> tuple[list[PacketRecord], int]:
@@ -318,7 +349,7 @@ def sanitize(records: Iterable[PacketRecord]) -> tuple[list[PacketRecord], int]:
     records get their qname normalized so hand-built input behaves like
     parsed input. Each distinct address and qname is checked once per call.
     """
-    ip_valid = _Memo(lambda text: _ip_or_none(text) is not None)
+    ip_valid = _Memo(lambda text: _ipv4_int(text) is not None or _ip_or_none(text) is not None)
     normalized = _Memo(normalize_qname)
     name_valid = _Memo(qname_is_valid)
     kept: list[PacketRecord] = []
@@ -377,14 +408,17 @@ class PrefixTable:
         return table
 
     def lookup(self, ip: str) -> int | None:
-        addr = _ip_or_none(ip)
-        if addr is None:
-            return None
-        max_bits = addr.max_prefixlen
-        addr_int = int(addr)
-        for plen in self._lengths[addr.version]:
+        addr_int = _ipv4_int(ip)
+        if addr_int is not None:
+            version, max_bits = 4, 32
+        else:
+            addr = _ip_or_none(ip)
+            if addr is None:
+                return None
+            version, max_bits, addr_int = addr.version, addr.max_prefixlen, int(addr)
+        for plen in self._lengths[version]:
             masked = (addr_int >> (max_bits - plen)) << (max_bits - plen) if plen else 0
-            asn = self._buckets[(addr.version, plen)].get(masked)
+            asn = self._buckets[(version, plen)].get(masked)
             if asn is not None:
                 return asn
         return None

@@ -18,7 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from dnsamp.detector import AttackEvent
-from dnsamp.trace import normalize_qname, qname_is_valid
+from dnsamp.trace import TRACE_FIELDS, PacketRecord, normalize_qname, qname_is_valid
 
 QCLASS_IN = 1
 TYPE_CODES = {"A": 1, "NS": 2, "CNAME": 5, "SOA": 6, "MX": 15, "TXT": 16,
@@ -171,8 +171,10 @@ def decile_reference(counts: list[int]) -> list[int]:
 
 
 def lpm_reference(ip: str, table: list[tuple[str, int]]) -> int | None:
-    """Longest-prefix match by linear scan."""
-    address = ipaddress.ip_address(ip)
+    """Longest-prefix match by linear scan; None for text that is no address."""
+    address = _ip_or_none(ip)
+    if address is None:
+        return None
     best_len = -1
     best_asn = None
     for prefix, asn in table:
@@ -238,6 +240,56 @@ def sanitize_reference(records):
         else:
             dropped += 1
     return kept, dropped
+
+
+def _record_from_obj_reference(obj, normalized: dict) -> PacketRecord | None:
+    if not isinstance(obj, dict):
+        return None
+    try:
+        values = tuple(obj[name] for name in TRACE_FIELDS)
+    except KeyError:
+        return None
+    types = (float, str, str, int, int, int, int, int, bool, int, str, int, int, int, int)
+    ts = values[0]
+    if tuple(map(type, values)) != types:
+        qr = values[8]
+        if type(qr) is int and qr in (0, 1):
+            values = (*values[:8], bool(qr), *values[9:])
+        if type(ts) not in (int, float) or tuple(map(type, values[1:])) != types[1:]:
+            return None
+        try:
+            ts = float(ts)
+        except OverflowError:
+            return None
+    src_as, dst_as = obj.get("src_as"), obj.get("dst_as")
+    if (src_as is not None and type(src_as) is not int) or \
+            (dst_as is not None and type(dst_as) is not int):
+        return None
+    qname = normalized.setdefault(values[10], normalize_qname(values[10]))
+    return PacketRecord(ts, *values[1:10], qname, *values[11:], src_as, dst_as)
+
+
+def parse_trace_reference(lines) -> tuple[list[PacketRecord], int]:
+    """(records, skipped) of trace lines, each stripped line decoded by
+    json.loads, as the trace reader did before its single-scan path."""
+    normalized: dict = {}
+    records = []
+    skipped = 0
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (ValueError, RecursionError):
+            skipped += 1
+            continue
+        record = _record_from_obj_reference(obj, normalized)
+        if record is None:
+            skipped += 1
+        else:
+            records.append(record)
+    return records, skipped
 
 
 def trace_line_reference(record) -> str:

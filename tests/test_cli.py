@@ -210,6 +210,17 @@ class TestIngestStage:
             row = json.loads(next(handle))
         assert "src_as" in row and "dst_as" in row
 
+    def test_line_not_utf8_is_skipped(self, ws, tmp_path):
+        lines = (out(ws, "gen") / "trace.jsonl").read_bytes().splitlines(keepends=True)[:20]
+        # the fourth line keeps its JSON shape, with one byte that is not UTF-8
+        lines[3] = lines[3].replace(b'"qname":"', b'"qname":"\xff', 1)
+        trace = tmp_path / "trace.jsonl"
+        trace.write_bytes(b"".join(lines))
+        assert run("ingest", "--trace", str(trace), "--out-dir", str(tmp_path / "ing")) == 0
+        stats = json.loads((tmp_path / "ing" / "ingest_stats.json").read_text())
+        assert stats["skipped_lines"] == 1
+        assert stats["parsed_records"] == 19
+
 
 class TestSelectStage:
     def test_consensus_finds_attack_names(self, ws):
@@ -465,6 +476,15 @@ class TestEstimateStage:
 
     def test_plateaus_written(self, est_dir):
         assert (est_dir / "plateaus.csv").is_file()
+
+    @pytest.mark.parametrize("dates", [("20190601", '"2019-06-01"'), ('"2019-06-01"', '"junk"')])
+    def test_bad_date_is_processing_error(self, tmp_path, capsys, dates):
+        records = tmp_path / "records.jsonl"
+        records.write_text("".join(
+            f'{{"date": {date}, "owner": "a.example.", "records": []}}\n' for date in dates))
+        assert run("estimate", "--records", str(records), "--out-dir", str(tmp_path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {records} line ")
+        assert not (tmp_path / "estimates.csv").exists()
 
     def test_missing_reference_name_errors(self, est_dir, tmp_path):
         records = tmp_path / "records.jsonl"

@@ -10,7 +10,7 @@ from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnsamp import amplifiers as amp
@@ -21,12 +21,16 @@ from dnsamp import honeypot as hp
 from dnsamp import synth
 from dnsamp import trace as tr
 from oracles import (csv_table_reference, event_from_obj_reference, event_to_obj_reference,
-                     jaccard_distance_matrix_reference, parity_alternation_period_reference,
+                     jaccard_distance_matrix_reference, lpm_reference,
+                     parity_alternation_period_reference, parse_trace_reference,
                      sanitize_reference, trace_line_reference)
 
 # Small pools so that keys repeat within one trace, as they do in real ones.
 ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1",
-             "256.1.1.1", "10.0.0", "not-an-ip", "", "2001:db8::zz", " 10.0.0.1")
+             "256.1.1.1", "10.0.0", "not-an-ip", "", "2001:db8::zz", " 10.0.0.1",
+             # dotted quads at the edges of the canonical IPv4 form
+             "010.0.0.1", "1.2.3.04", "0.0.0.0", "255.255.255.255", "10.0.0.1\n",
+             "\uff11.2.3.4", "\u0661.\u0662.\u0663.\u0664", "::ffff:10.0.0.1")
 QNAMES = ("example.com.", "Example.COM", "www.example.com", ".", "", "  ",
           "a..b.", "-.", "x" * 63 + ".", "x" * 64 + ".", ".".join(["y" * 60] * 5),
           "ünïcode.example.", 'quote".example.', "back\\slash.", "tab\there.",
@@ -109,6 +113,52 @@ def test_parse_after_serialize_is_identity(batch):
     assert skipped == 0
     assert parsed == kept
     assert list(tr.serialize_trace(parsed)) == lines
+
+
+# Ways a trace line goes wrong, or stays right in a form the writer never uses.
+LINE_EDITS = {
+    "as-written": lambda line: line,
+    "bom": lambda line: "\ufeff" + line,
+    "trailing-garbage": lambda line: line + "x",
+    "second-value": lambda line: line + " {}",
+    "cut-short": lambda line: line[:-1],
+    "repeated-key": lambda line: line[:-1] + ',"ts":7}',
+    "in-a-list": lambda line: f"[{line}]",
+    "over-digit-limit": lambda line: line.replace('"ip_id":', '"ip_id":' + "9" * 5000 + ',"x":'),
+    "ts-over-float-range": lambda line: line.replace('"ts":', '"ts":' + "9" * 400 + ',"y":'),
+    "qr-as-0-1": lambda line: line.replace('"qr":true', '"qr":1').replace('"qr":false', '"qr":0'),
+    "qr-as-2": lambda line: line.replace('"qr":true', '"qr":2').replace('"qr":false', '"qr":-1'),
+    "nan": lambda line: line.replace('"ancount":', '"ancount":NaN,"z":'),
+    "infinity": lambda line: line.replace('"nscount":', '"nscount":-Infinity,"z":'),
+    "inner-whitespace": lambda line: line.replace(":", " :\t", 3).replace(",", "\r, ", 2),
+    "json-whitespace": lambda line: " \t" + line + "\r\x0c",
+    "python-whitespace": lambda line: "\xa0\x1c" + line + "\u3000\x85",
+    "zero-width-space": lambda line: line + "\u200b",
+}
+CONSTANT_LINES = ("[" * 3000 + "]" * 3000, '{"a":' * 3000 + "1" + "}" * 3000, "5", '"text"',
+                  "null", "true", "{}", "", "   ", "NaN", "[]")
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS)
+@settings(max_examples=15)
+# mostly lines that parse before their edit
+@given(st.lists(st.one_of(records(ts=finite_ts, bools_as_ints=False), records()),
+                min_size=1, max_size=6),
+       st.lists(st.sampled_from(CONSTANT_LINES), max_size=2))
+def test_parse_matches_json_loads_reader(edit, batch, constants):
+    lines = [LINE_EDITS[edit](line) for line in tr.serialize_trace(batch)] + constants
+    records, skipped = tr.parse_trace(lines)
+    records_ref, skipped_ref = parse_trace_reference(lines)
+    assert skipped == skipped_ref
+    # serialized, because a nan ts never equals itself
+    assert list(tr.serialize_trace(records)) == list(tr.serialize_trace(records_ref))
+
+
+@pytest.mark.parametrize("address", ADDRESSES)
+def test_lookup_matches_linear_scan(address):
+    table = [("0.0.0.0/0", 1), ("10.0.0.0/8", 2), ("10.0.0.1/32", 3), ("1.2.3.0/24", 4),
+             ("255.255.255.254/31", 5), ("2001:db8::/32", 6), ("::/0", 7), ("::ffff:0:0/96", 8)]
+    assert tr.PrefixTable(table).lookup(address) == lpm_reference(address, table)
 
 
 def utc_day_reference(ts):

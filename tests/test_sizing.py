@@ -214,6 +214,23 @@ class TestRecordSetIO:
         with pytest.raises(ValueError, match="line 2"):
             sizing.read_record_sets(str(path))
 
+    @pytest.mark.parametrize("date", ["20190601", '"junk"', '"20190601"', '"2019-W23-6"',
+                                      "true", '["2019-06-01"]'])
+    def test_date_not_an_iso_day_names_file_and_line(self, tmp_path, date):
+        # `estimate` sorts by day, which fails on an integer beside a
+        # string, and writes the day of each estimate as it was read
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"date": "2019-06-01", "owner": "a.", "records": []}\n'
+                        f'{{"date": {date}, "owner": "a.", "records": []}}\n')
+        with pytest.raises(ValueError, match=r"records.jsonl line 2: key 'date': "):
+            sizing.read_record_sets(str(path))
+
+    def test_date_may_be_absent_or_null(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('{"owner": "a.", "records": []}\n'
+                        '{"date": null, "owner": "a.", "records": []}\n')
+        assert [s.day for s in sizing.read_record_sets(str(path))] == [None, None]
+
     def test_daily_series_ordered(self, tmp_path):
         path = tmp_path / "records.jsonl"
         lines = []

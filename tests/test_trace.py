@@ -3,6 +3,7 @@
 import io
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,6 +102,55 @@ class TestParse:
     def test_payload_length_strips_udp_header(self):
         records, _ = parse_one(make_record(udp_len=64))
         assert records[0].dns_payload_len == 56
+
+    def test_line_with_a_lone_surrogate_is_skipped(self):
+        # what a byte that is not UTF-8 becomes when the file is read
+        bad = json.dumps(make_record(qname="x\udcff."), ensure_ascii=False)
+        accented = json.dumps(make_record(qname="\u00e9t\u00e9."), ensure_ascii=False)
+        records, skipped = tr.parse_trace([bad, accented])
+        assert [r.qname for r in records] == ["\u00e9t\u00e9."] and skipped == 1
+
+    def test_undecodable_byte_in_file_is_a_skipped_line(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        good = json.dumps(make_record()).encode()
+        path.write_bytes(good + b"\n" + good.replace(b"example", b"ex\xffample") + b"\r\n" + good)
+        records, skipped = tr.parse_trace(str(path))
+        assert len(records) == 2 and skipped == 1
+
+    @staticmethod
+    def repeating_lines(count):
+        """Annotated lines whose addresses, udp_len and AS numbers repeat, as
+        a trace's heavy clients and amplifiers do."""
+        rng = random.Random(5)
+        lines = []
+        for i in range(count):
+            lines.append(json.dumps(make_record(
+                ts=1559347200 + i / 7, qr=False,
+                src_ip=f"10.0.{rng.randrange(4)}.{rng.randrange(50)}",
+                dst_ip=f"198.18.0.{rng.randrange(20)}", src_port=rng.randrange(1024, 65536),
+                ip_id=rng.randrange(300, 65536), udp_len=rng.choice([1200, 3000, 4096]),
+                dns_id=rng.randrange(300, 65536), src_as=64512 + rng.randrange(4),
+                dst_as=65000 + rng.randrange(20)), separators=(",", ":")))
+        return lines
+
+    def test_records_share_repeated_values(self):
+        records, _ = tr.parse_trace(self.repeating_lines(400))
+        for field in ("src_ip", "dst_ip", "udp_len", "src_as", "dst_as", "qname"):
+            values = [getattr(r, field) for r in records]
+            assert len({id(v) for v in values}) == len(set(values)), field
+
+    def test_kept_bytes_per_record(self):
+        lines = self.repeating_lines(4000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            records, _ = tr.parse_trace(lines)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # about 290 B/rec; a copy of every value per record, and a freed
+        # tuple per line kept on the free list, cost about 565
+        assert kept / len(records) <= 380
 
 
 class TestSanitize:
