@@ -16,7 +16,7 @@ from itertools import compress
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
 from .detector import AttackEvent
-from .fileio import read_csv, write_float_csv
+from .fileio import is_iso_day, read_csv, write_float_csv
 from .selectors import jaccard
 
 NOISE = -1
@@ -271,8 +271,9 @@ def read_seen_table(path: str) -> dict[str, tuple[str, str]]:
     for lineno, row in read_csv(path, "ip"):
         if len(row) != 3:
             raise ValueError(f"seen table line {lineno}: expected ip,first_seen,last_seen")
-        date.fromisoformat(row[1])
-        date.fromisoformat(row[2])
+        if not (is_iso_day(row[1]) and is_iso_day(row[2])):
+            raise ValueError(f"seen table line {lineno}: expected YYYY-MM-DD days, got "
+                             f"{row[1]!r} and {row[2]!r}")
         table[row[0]] = (row[1], row[2])
     return table
 

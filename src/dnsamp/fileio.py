@@ -1,8 +1,9 @@
 """The file formats that stages hand each other: JSON, JSONL and CSV tables.
 
-JSON is indented by 2 with a trailing newline, and JSONL holds one compact
-object per line. CSV rows end in "\\n", and a field is quoted, per RFC 4180,
-only when it holds a comma, a quote or a line break.
+Only this module opens files. JSON is indented by 2 with a trailing newline,
+and JSONL holds one compact object per line, read by `read_lines`. CSV rows
+end in "\\n", and a field is quoted, per RFC 4180, only when it holds a
+comma, a quote or a line break.
 
 A dataclass record's JSON form is an object of its fields in declaration
 order (`to_obj`). `from_obj` reads it back, checked against the field
@@ -15,9 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import typing
-from dataclasses import MISSING, fields, is_dataclass
+from contextlib import nullcontext
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from datetime import date
 from functools import cache
 from operator import contains
+from os import PathLike
 from types import SimpleNamespace, UnionType
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -25,16 +29,19 @@ T = TypeVar("T")
 
 
 def write_json(obj: Any, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, indent=2)
-        handle.write("\n")
+    write_lines([json.dumps(obj, indent=2)], path)
+
+
+def write_lines(lines: Iterable[str], path: str) -> None:
+    """Each string as one line of a UTF-8 text file, ended by a bare "\\n"."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        for line in lines:
+            handle.write(line)
+            handle.write("\n")
 
 
 def write_jsonl(objs: Iterable[Any], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for obj in objs:
-            handle.write(json.dumps(obj, separators=(",", ":")))
-            handle.write("\n")
+    write_lines((json.dumps(obj, separators=(",", ":")) for obj in objs), path)
 
 
 def write_csv(path: str, header: Sequence[str] | None,
@@ -57,10 +64,7 @@ def write_float_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
     A float's repr needs no quoting, so a row is its reprs joined by commas,
     and each distinct value is encoded once."""
     reprs = _FloatReprs()
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        for row in rows:
-            handle.write(",".join(map(reprs.__getitem__, row)))
-            handle.write("\n")
+    write_lines((",".join(map(reprs.__getitem__, row)) for row in rows), path)
 
 
 class _FloatReprs(dict):
@@ -79,13 +83,18 @@ def read_csv(path: str, first_column: str) -> Iterator[tuple[int, list[str]]]:
 
     Line numbers count from 1 and give the line a row starts on. A first row
     whose first field equals `first_column`, in any case, is a header and is
-    skipped."""
+    skipped. A row that is not UTF-8 raises ValueError naming the file and
+    the line."""
     header = first_column.lower()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
         reader = csv.reader(handle)
         start = 1
         for row in reader:
             lineno, start = start, reader.line_num + 1
+            try:
+                "".join(row).encode("utf-8")
+            except UnicodeEncodeError:
+                raise ValueError(f"{path} line {lineno}: not UTF-8") from None
             if row and not (lineno == 1 and row[0].lower() == header):
                 yield lineno, row
 
@@ -100,23 +109,94 @@ def read_json(path: str) -> Any:
             raise ValueError(f"{path}: {exc}") from None
 
 
-def read_jsonl(path: str) -> Iterator[tuple[int, Any]]:
-    """Yield (line number, value) for each non-blank line of a JSONL file.
+@dataclass(slots=True)
+class BadLine:
+    """What `read_lines` yields for a line that is not UTF-8 or not exactly
+    one JSON value. No decoder takes it for a value."""
 
-    Line numbers count from 1. A line that is not JSON raises ValueError
-    naming the file and the line."""
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if not line.strip():
+    line: str
+
+    def error(self, where: str) -> ValueError:
+        """That the line is not UTF-8, or what json.loads reports for it."""
+        line = self.line.strip()
+        try:
+            line.encode("utf-8")
+            json.loads(line)
+        except UnicodeEncodeError:
+            return ValueError(f"{where}: not UTF-8")
+        except json.JSONDecodeError as exc:
+            indent = len(self.line) - len(self.line.lstrip())
+            return ValueError(f"{where} column {exc.colno + indent}: {exc.msg}")
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
+            return ValueError(f"{where}: {exc}")
+
+
+# One JSON value at the start of a string, and where it ends. On a stripped
+# line, reading up to the line's end is json.loads: no whitespace is left to
+# skip, and a BOM is no value.
+_scan_json = json.JSONDecoder().scan_once
+
+
+def read_lines(source: str | PathLike | Iterable[str],
+               scan: Callable[[str, int], tuple[Any, int]] = _scan_json
+               ) -> Iterator[tuple[int, Any]]:
+    """Yield (line number, value) for each non-blank line of a path or of an
+    iterable of lines, counting from 1. A file is read as UTF-8, and a byte
+    that is not UTF-8 spoils only its line. `scan(line, 0)` returns the value
+    of the stripped line, by default its JSON value, and where it ends. A
+    line that is not UTF-8, that scan cannot read or that goes on after its
+    value yields a BadLine."""
+    with open(source, "r", encoding="utf-8", errors="surrogateescape") \
+            if isinstance(source, (str, PathLike)) else nullcontext(source) as lines:
+        for lineno, raw in enumerate(lines, 1):
+            line = raw.strip()
+            if not line:
                 continue
             try:
-                value = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path} line {lineno} column {exc.colno}: {exc.msg}") from None
-            except (ValueError, RecursionError) as exc:
-                # an integer over the digit limit, or nesting too deep
-                raise ValueError(f"{path} line {lineno}: {exc}") from None
-            yield lineno, value
+                if not line.isascii():
+                    line.encode("utf-8")  # a lone surrogate is not UTF-8
+                value, end = scan(line, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = None
+            yield lineno, (value if end == len(line) else BadLine(raw))
+
+
+def decode_lines(lines: Iterable[tuple[int, Any]],
+                 decode: Callable[[Any], T]) -> tuple[list[T], int]:
+    """(decode(value) for each (line number, value) of `lines`, number of
+    lines skipped): each value decode raises ValueError for, as it does for
+    a BadLine, is skipped and counted."""
+    kept: list[T] = []
+    skipped = 0
+    for _, value in lines:
+        try:
+            kept.append(decode(value))
+        except ValueError:
+            skipped += 1
+    return kept, skipped
+
+
+def read_jsonl(path: str, scan: Callable[[str, int], tuple[Any, int]] = _scan_json
+               ) -> Iterator[tuple[int, Any]]:
+    """`read_lines` of a file, where a BadLine raises ValueError naming the
+    file, the line and, for bad JSON, the column."""
+    for lineno, value in read_lines(path, scan):
+        if type(value) is BadLine:
+            raise value.error(f"{path} line {lineno}")
+        yield lineno, value
+
+
+def read_text_lines(path: str) -> Iterator[tuple[int, str]]:
+    """`read_jsonl` of a text file whose lines are their own values."""
+    return read_jsonl(path, lambda line, start: (line, len(line)))
+
+
+def is_iso_day(value: object) -> bool:
+    """Whether value is a day written as YYYY-MM-DD."""
+    try:
+        return date.fromisoformat(value).isoformat() == value
+    except (TypeError, ValueError):
+        return False
 
 
 def to_obj(record: Any) -> dict[str, Any]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .detector import AttackEvent, decile_ranks
-from .fileio import from_obj, read_csv, read_jsonl, to_obj, write_csv, write_jsonl
+from .fileio import decode_lines, from_obj, read_csv, read_jsonl, to_obj, write_csv, write_jsonl
 
 # Inference presets: classic amplifier-honeypot thresholds.
 PRESETS: dict[str, tuple[int, float]] = {
@@ -45,25 +45,18 @@ class HoneypotEvent:
         return self.end - self.start
 
 
+def _request_from_row(row: list[str]) -> HoneypotRequest:
+    ts, sensor_id, victim_ip, qname, qtype = row  # a row of another width raises
+    request = HoneypotRequest(float(ts), sensor_id, victim_ip, qname, int(qtype))
+    if not math.isfinite(request.ts):
+        raise ValueError(f"ts {ts!r} is not finite")
+    return request
+
+
 def read_honeypot_csv(path: str) -> tuple[list[HoneypotRequest], int]:
     """ts,sensor_id,victim_ip,qname,qtype rows; malformed rows, a non-finite
     ts among them, are counted."""
-    requests: list[HoneypotRequest] = []
-    skipped = 0
-    for _, row in read_csv(path, "ts"):
-        if len(row) != 5:
-            skipped += 1
-            continue
-        try:
-            request = HoneypotRequest(ts=float(row[0]), sensor_id=row[1], victim_ip=row[2],
-                                      qname=row[3], qtype=int(row[4]))
-        except ValueError:
-            request = None
-        if request is None or not math.isfinite(request.ts):
-            skipped += 1
-        else:
-            requests.append(request)
-    return requests, skipped
+    return decode_lines(read_csv(path, "ts"), _request_from_row)
 
 
 def write_honeypot_csv(requests: Iterable[HoneypotRequest], path: str) -> None:

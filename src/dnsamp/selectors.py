@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Protocol, Sequence
 
-from .fileio import from_obj, read_json, write_csv, write_json
+from .fileio import from_obj, read_json, read_text_lines, write_csv, write_json, write_lines
 from .trace import PacketRecord, normalize_qname
 
 QTYPE_ANY = 255
@@ -199,15 +199,11 @@ def read_name_list(path: str) -> MisusedNameList:
 
 def write_plain_names(names: MisusedNameList, path: str) -> None:
     """One qname per line, sorted; the interchange form for other tools."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for qname in names.names:
-            handle.write(qname)
-            handle.write("\n")
+    write_lines(names.names, path)
 
 
 def read_plain_names(path: str) -> set[str]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return {normalize_qname(line) for line in handle if line.strip()}
+    return {normalize_qname(line) for _, line in read_text_lines(path)}
 
 
 def write_consensus_curve(names: MisusedNameList, path: str) -> None:

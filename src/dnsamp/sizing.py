@@ -10,10 +10,9 @@ double signatures inflate responses by a fixed step for a stretch of days.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date
 from typing import Iterable, Sequence
 
-from .fileio import read_jsonl
+from .fileio import from_obj, is_iso_day, read_jsonl
 from .trace import qname_is_valid, qname_wire_length, normalize_qname
 
 DNS_HEADER_LEN = 12
@@ -172,32 +171,34 @@ def detect_rollover_plateaus(series: Sequence[int], min_days: int = 7,
     return plateaus
 
 
-def _is_iso_day(value: object) -> bool:
-    """Whether value is a day written as YYYY-MM-DD."""
-    try:
-        return date.fromisoformat(value).isoformat() == value
-    except (TypeError, ValueError):
-        return False
+@dataclass(slots=True)
+class _ZoneRecordForm:
+    type: str
+    ttl: int
+    rdata_len: int
+
+
+@dataclass(slots=True)
+class _RecordSetForm:
+    """One inventory line; a date is absent, null or YYYY-MM-DD."""
+
+    owner: str
+    records: tuple[_ZoneRecordForm, ...]
+    date: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.date is not None and not is_iso_day(self.date):
+            raise ValueError(f"key 'date': expected a YYYY-MM-DD string or null, "
+                             f"got {self.date!r}")
 
 
 def read_record_sets(path: str) -> list[RecordSet]:
-    """JSONL, one {date, owner, records:[{type, ttl, rdata_len}]} per line; a
-    date is absent, null or YYYY-MM-DD."""
+    """JSONL, one {date, owner, records:[{type, ttl, rdata_len}]} per line."""
     sets = []
     for lineno, obj in read_jsonl(path):
-        try:
-            records = tuple(
-                ZoneRecord(rr_type=str(r["type"]), ttl=int(r["ttl"]),
-                           rdata_len=int(r["rdata_len"]))
-                for r in obj["records"]
-            )
-            day = obj.get("date")
-            if day is not None and not _is_iso_day(day):
-                raise ValueError(f"key 'date': expected a YYYY-MM-DD string or null, "
-                                 f"got {day!r}")
-            sets.append(RecordSet(owner=obj["owner"], records=records, day=day))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path} line {lineno}: {exc}") from None
+        form = from_obj(_RecordSetForm, obj, f"{path} line {lineno}")
+        records = tuple(ZoneRecord(r.type, r.ttl, r.rdata_len) for r in form.records)
+        sets.append(RecordSet(form.owner, records, form.date))
     return sets
 
 

@@ -10,11 +10,11 @@ the authoritative default mean the answer aged in a cache.
 from __future__ import annotations
 
 import ipaddress
-import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
-from .fileio import read_csv
+from .fileio import decode_lines, from_obj, read_csv, read_lines
 from .trace import normalize_qname
 
 RCODE_NOERROR = 0
@@ -32,10 +32,10 @@ CACHE_UNKNOWN = "unknown"
 class ProbeResponse:
     target_ip: str
     responder_ip: str
-    echoed_a_record: str | None
     qname: str
     answer_ttls: tuple[tuple[str, int], ...]
     rcode: int
+    echoed_a_record: str | None = None
     ts: float = 0.0
 
     def __post_init__(self) -> None:
@@ -140,28 +140,9 @@ def read_default_ttls(path: str) -> dict[str, int]:
 
 
 def read_probe_responses(path: str) -> tuple[list[ProbeResponse], int]:
-    """JSONL probe responses; malformed lines counted and skipped."""
-    responses: list[ProbeResponse] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                responses.append(ProbeResponse(
-                    target_ip=obj["target_ip"],
-                    responder_ip=obj["responder_ip"],
-                    echoed_a_record=obj.get("echoed_a_record"),
-                    qname=obj["qname"],
-                    answer_ttls=tuple((str(t), int(ttl)) for t, ttl in obj["answer_ttls"]),
-                    rcode=int(obj["rcode"]),
-                    ts=float(obj.get("ts", 0.0)),
-                ))
-            except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
-                skipped += 1
-    return responses, skipped
+    """JSONL probe responses; a line that is not a ProbeResponse object, as
+    `from_obj` checks it, is counted and skipped."""
+    return decode_lines(read_lines(path), partial(from_obj, ProbeResponse, where=path))
 
 
 def classification_table(responses: Sequence[ProbeResponse],

@@ -13,11 +13,11 @@ import math
 import re
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter, itemgetter
-from typing import Iterable, Iterator, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
-from .fileio import read_csv
+from .fileio import decode_lines, read_csv, read_lines, write_lines
 
 # Canonical JSONL field order. Serialization always emits these fields in this
 # order so that parse -> serialize round-trips byte-identically.
@@ -146,6 +146,7 @@ _record_values = attrgetter(*(f.name for f in fields(PacketRecord)))
 _PLAIN_RECORD_TYPES = {(*_FIELD_TYPES, src_as, dst_as)
                        for src_as in (int, type(None)) for dst_as in (int, type(None))}
 _TEN_INTS = (int,) * 10  # the range-checked integer fields
+_AS_TYPES = (int, type(None))
 
 
 class _Memo(dict):
@@ -160,19 +161,19 @@ class _Memo(dict):
         return value
 
 
-def _record_from_obj(obj: dict, normalized: _Memo, addresses: _Memo,
-                     integers: _Memo) -> PacketRecord | None:
-    """Build a record from one decoded JSONL object; None if structurally bad.
+def _record_from_obj(normalized: _Memo, addresses: _Memo, integers: _Memo,
+                     obj: Any) -> PacketRecord:
+    """A record from one line's JSON value; ValueError if structurally bad.
 
     `normalized` maps raw qnames to normalize_qname() of them; `addresses`
     and `integers` map an address and udp_len or an AS number (or None) to
     the one object that every record of the call shares for that value."""
     if not isinstance(obj, dict):
-        return None
+        raise ValueError("not a JSON object")
     try:
         values = _get_fields(obj)
     except KeyError:
-        return None
+        raise ValueError("a field is missing") from None
     (ts, src_ip, dst_ip, src_port, dst_port, ip_ttl, ip_id, udp_len, qr,
      dns_id, qname, qtype, rcode, ancount, nscount) = values
     types = list(map(type, values))
@@ -185,13 +186,13 @@ def _record_from_obj(obj: dict, normalized: _Memo, addresses: _Memo,
             try:
                 ts, types[0] = float(ts), float
             except OverflowError:  # an integer beyond the float range
-                return None
+                raise ValueError("ts is beyond the float range") from None
         if types != _FIELD_TYPES:
-            return None
+            raise ValueError("a field has the wrong type")
     src_as, dst_as = obj.get("src_as"), obj.get("dst_as")
     if (src_as is not None and type(src_as) is not int) or \
             (dst_as is not None and type(dst_as) is not int):
-        return None
+        raise ValueError("an AS number is not an integer")
     # the memos hold values of exactly one type each (None aside), so no
     # bool or float equal to an int is ever shared in its place
     return PacketRecord(ts, addresses[src_ip], addresses[dst_ip], src_port, dst_port,
@@ -205,51 +206,18 @@ def _shared() -> _Memo:
     return _Memo(lambda value: value)
 
 
-# One JSON value at the start of a string, and where it ends. A stripped line
-# is one JSON value exactly when this reads it up to the line's end; the line
-# has no whitespace left to skip, and a BOM is no value.
-_scan_once = json.JSONDecoder().scan_once
-
-
 def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord], int]:
     """Parse a JSONL trace into records.
 
     `source` is a file path, an open text handle, or an iterable of lines.
-    Returns (records, skipped_line_count); malformed lines (bad JSON, bytes
-    that are not UTF-8, missing fields, wrong types, a ts beyond the float
-    range) are counted and skipped, never raised. Semantic validity is
-    sanitize()'s job. Records of one call share each distinct address,
-    qname, udp_len and AS number as one object.
+    Returns (records, skipped_line_count); malformed lines (bad lines as
+    `fileio.read_lines` finds them, missing fields, wrong types, a ts beyond
+    the float range) are counted and skipped, never raised. Semantic
+    validity is sanitize()'s job. Records of one call share each distinct
+    address, qname, udp_len and AS number as one object.
     """
-    if isinstance(source, str):
-        # a byte that is not UTF-8 becomes a lone surrogate, and its line is
-        # skipped below
-        with open(source, "r", encoding="utf-8", errors="surrogateescape") as handle:
-            return parse_trace(handle)
-    normalized = _Memo(normalize_qname)
-    addresses, integers = _shared(), _shared()
-    records: list[PacketRecord] = []
-    skipped = 0
-    for line in source:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            if not line.isascii():
-                line.encode("utf-8")  # a lone surrogate is not UTF-8
-            obj, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            # bad UTF-8 or bad JSON, an integer over the digit limit, or
-            # nesting too deep
-            skipped += 1
-            continue
-        record = _record_from_obj(obj, normalized, addresses, integers) \
-            if end == len(line) else None
-        if record is None:
-            skipped += 1
-        else:
-            records.append(record)
-    return records, skipped
+    return decode_lines(read_lines(source), partial(_record_from_obj, _Memo(normalize_qname),
+                                                    _shared(), _shared()))
 
 
 def record_to_obj(record: PacketRecord) -> dict:
@@ -289,10 +257,7 @@ def serialize_trace(records: Iterable[PacketRecord]) -> Iterator[str]:
 
 
 def write_trace(records: Iterable[PacketRecord], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for line in serialize_trace(records):
-            handle.write(line)
-            handle.write("\n")
+    write_lines(serialize_trace(records), path)
 
 
 def _ip_or_none(text: str) -> ipaddress.IPv4Address | ipaddress.IPv6Address | None:
@@ -322,15 +287,18 @@ def _record_is_valid(record: PacketRecord, ip_valid: _Memo, name_valid: _Memo) -
     """`ip_valid` and `name_valid` map an address or a normalized qname to
     whether it is valid."""
     # only a builtin int round-trips through write_trace and parse_trace: a
-    # bool is written as true/false, and a numpy integer is not JSON at all.
-    # Exactly one endpoint is on the DNS port, consistent with the QR bit:
-    # requests travel to port 53, responses come from it. (Reading each field
-    # where it is used is faster than unpacking all 17 of them first.)
+    # bool is written as true/false, and a numpy integer is not JSON at all;
+    # likewise only a bool QR bit. Exactly one endpoint is on the DNS port,
+    # consistent with the QR bit: requests travel to port 53, responses come
+    # from it. (Reading each field where it is used is faster than unpacking
+    # all 17 of them first.)
     return (isinstance(record.ts, float) and math.isfinite(record.ts)
             and (type(record.src_port), type(record.dst_port), type(record.ip_ttl),
                  type(record.ip_id), type(record.udp_len), type(record.dns_id),
                  type(record.qtype), type(record.rcode), type(record.ancount),
                  type(record.nscount)) == _TEN_INTS
+            and type(record.is_response) is bool
+            and type(record.src_as) in _AS_TYPES and type(record.dst_as) in _AS_TYPES
             and ip_valid[record.src_ip] and ip_valid[record.dst_ip]
             and 0 <= record.src_port <= 65535 and 0 <= record.dst_port <= 65535
             and (record.src_port == DNS_PORT) != (record.dst_port == DNS_PORT)
@@ -349,9 +317,11 @@ def sanitize(records: Iterable[PacketRecord]) -> tuple[list[PacketRecord], int]:
     records get their qname normalized so hand-built input behaves like
     parsed input. Each distinct address and qname is checked once per call.
     """
-    ip_valid = _Memo(lambda text: _ipv4_int(text) is not None or _ip_or_none(text) is not None)
-    normalized = _Memo(normalize_qname)
-    name_valid = _Memo(qname_is_valid)
+    # an address or qname must be a string: ipaddress also reads an integer
+    ip_valid = _Memo(lambda ip: isinstance(ip, str) and (
+        _ipv4_int(ip) is not None or _ip_or_none(ip) is not None))
+    normalized = _Memo(lambda qname: normalize_qname(qname) if isinstance(qname, str) else qname)
+    name_valid = _Memo(lambda qname: isinstance(qname, str) and qname_is_valid(qname))
     kept: list[PacketRecord] = []
     dropped = 0
     for record in records:

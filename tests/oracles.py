@@ -201,8 +201,14 @@ def record_is_valid_reference(record) -> bool:
                 record.dns_id, record.qtype, record.rcode, record.ancount, record.nscount)
     if any(type(value) is not int for value in integers):
         return False
-    if _ip_or_none(record.src_ip) is None or _ip_or_none(record.dst_ip) is None:
+    if type(record.is_response) is not bool:
         return False
+    if any(value is not None and type(value) is not int
+           for value in (record.src_as, record.dst_as)):
+        return False
+    for address in (record.src_ip, record.dst_ip):
+        if not isinstance(address, str) or _ip_or_none(address) is None:
+            return False
     for port in (record.src_port, record.dst_port):
         if not 0 <= port <= 65535:
             return False
@@ -226,7 +232,7 @@ def record_is_valid_reference(record) -> bool:
         return False
     if record.ancount < 0 or record.nscount < 0:
         return False
-    return qname_is_valid(record.qname)
+    return isinstance(record.qname, str) and qname_is_valid(record.qname)
 
 
 def sanitize_reference(records):
@@ -234,7 +240,8 @@ def sanitize_reference(records):
     kept = []
     dropped = 0
     for record in records:
-        record.qname = normalize_qname(record.qname)
+        if isinstance(record.qname, str):
+            record.qname = normalize_qname(record.qname)
         if record_is_valid_reference(record):
             kept.append(record)
         else:

@@ -284,6 +284,15 @@ class TestInventory:
         assert joined[ip(1)].recency == "pre_discovery"
         assert joined[ip(2)].recency == "unseen"
 
+    @pytest.mark.parametrize("first_seen", ["20190601", "2019-W23-6"])
+    def test_seen_table_takes_only_iso_days(self, tmp_path, first_seen):
+        # date.fromisoformat reads both forms, which are no YYYY-MM-DD day
+        path = tmp_path / "seen.csv"
+        path.write_text(f"ip,first_seen,last_seen\n{ip(0)},2019-06-01,2019-06-02\n"
+                        f"{ip(1)},{first_seen},2019-06-02\n")
+        with pytest.raises(ValueError, match=f"^seen table line 3: .*'{first_seen}'"):
+            amp.read_seen_table(str(path))
+
     def test_roles(self, tmp_path):
         events = [event([ip(0), ip(1)])]
         inventory = amp.amplifier_inventory(events)

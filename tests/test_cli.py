@@ -221,6 +221,15 @@ class TestIngestStage:
         assert stats["skipped_lines"] == 1
         assert stats["parsed_records"] == 19
 
+    def test_prefix_table_not_utf8_is_processing_error(self, ws, tmp_path, capsys):
+        prefixes = tmp_path / "prefixes.csv"
+        prefixes.write_bytes((out(ws, "gen") / "prefixes.csv").read_bytes() + b"10.\xff/8,7\n")
+        lineno = prefixes.read_bytes().count(b"\n")
+        assert run("ingest", "--trace", str(out(ws, "gen") / "trace.jsonl"),
+                   "--prefix-table", str(prefixes), "--out-dir", str(tmp_path / "ing")) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {prefixes} line {lineno}: not UTF-8\n"
+
 
 class TestSelectStage:
     def test_consensus_finds_attack_names(self, ws):
@@ -316,6 +325,13 @@ class TestDetectStage:
         assert err.startswith(f"error: {names}: ") and err.count("\n") == 1
         assert key is None or f"key '{key}'" in err
 
+    def test_plain_name_list_not_utf8_is_processing_error(self, ws, tmp_path, capsys):
+        names = tmp_path / "names.txt"
+        names.write_bytes(b"alpha.example.\n\nbe\xffta.example.\n")
+        assert run("detect", "--trace", str(out(ws, "ing") / "annotated.jsonl"),
+                   "--names", str(names), "--out-dir", str(tmp_path / "det")) == 1
+        assert capsys.readouterr().err == f"error: {names} line 3: not UTF-8\n"
+
     def test_rerun_byte_identical(self, ws, tmp_path):
         assert run("detect", "--trace", str(out(ws, "ing") / "annotated.jsonl"),
                    "--names", str(out(ws, "sel") / "names.json"),
@@ -391,11 +407,14 @@ class TestClusterStage:
         (lambda text: "[1,2]\n", "line 1: expected a JSON object"),
         (lambda text: text.replace('"dns_ids":[', '"dns_ids":["x",', 1), "line 1: key 'dns_ids'"),
         (lambda text: text + text[:300], "line 4 column"),
-    ], ids=["not-an-object", "string-dns-id", "truncated"])
+        (lambda text: text + text[:300] + "\udcff\n", "line 4: not UTF-8"),
+    ], ids=["not-an-object", "string-dns-id", "truncated", "not-utf8"])
     def test_malformed_event_log_is_processing_error(self, ws, tmp_path, capsys,
                                                      mangle, where):
         attacks = tmp_path / "attacks.jsonl"
-        attacks.write_text(mangle((out(ws, "det") / "attacks.jsonl").read_text()))
+        # a lone surrogate is written as the byte it escapes, 0xff
+        attacks.write_bytes(mangle((out(ws, "det") / "attacks.jsonl").read_text())
+                            .encode("utf-8", "surrogateescape"))
         assert run("cluster", "--attacks", str(attacks), "--out-dir", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {attacks} {where}") and err.count("\n") == 1
@@ -486,6 +505,16 @@ class TestEstimateStage:
         assert capsys.readouterr().err.startswith(f"error: {records} line ")
         assert not (tmp_path / "estimates.csv").exists()
 
+    def test_wrong_typed_zone_record_is_processing_error(self, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text('{"date": "2019-06-01", "owner": "a.example.", "records": '
+                           '[{"type": 5, "ttl": true, "rdata_len": 1200.9}]}\n')
+        assert run("estimate", "--records", str(records), "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {records} line 1: key 'records': item 0: key 'type': "
+                       "expected a string, got 5\n")
+        assert not (tmp_path / "estimates.csv").exists()
+
     def test_missing_reference_name_errors(self, est_dir, tmp_path):
         records = tmp_path / "records.jsonl"
         records.write_text(json.dumps(
@@ -520,6 +549,25 @@ class TestSnoopStage:
         assert caches["198.18.0.1"] == "hit"
         assert caches["198.18.0.2"] == "miss"
 
+    @pytest.mark.parametrize("bad", [
+        None,  # the good line with one byte that is not UTF-8
+        b'{"rcode": "0"}', b'{"ts": "5"}', b'{"answer_ttls": [["A", "120"]]}',
+        b'{"answer_ttls": [[1, 120]]}', b'{"ttl": 120}',
+    ], ids=["not-utf8", "string-rcode", "string-ts", "string-ttl", "integer-type",
+            "unknown-key"])
+    def test_malformed_probe_line_is_counted(self, tmp_path, capsys, bad):
+        good = {"target_ip": "198.18.0.1", "responder_ip": "198.18.0.1",
+                "echoed_a_record": "93.184.216.34", "qname": "anchor.example.",
+                "answer_ttls": [["A", 100]], "rcode": 0, "ts": 1.0}
+        if bad is None:
+            bad = json.dumps(good).encode().replace(b"anchor", b"anch\xffor")
+        else:  # the good line with one key replaced or added
+            bad = json.dumps({**good, **json.loads(bad)}).encode()
+        probes = tmp_path / "probes.jsonl"
+        probes.write_bytes(json.dumps(good).encode() + b"\n" + bad + b"\n")
+        assert run("snoop", "--responses", str(probes), "--out-dir", str(tmp_path)) == 0
+        assert capsys.readouterr().out.startswith("1 responders kept (1 malformed, 0 dropped)")
+
 
 @pytest.fixture(scope="module")
 def cmp_dir(ws, tmp_path_factory):
@@ -531,6 +579,15 @@ def cmp_dir(ws, tmp_path_factory):
 
 
 class TestCompareStage:
+    def test_honeypot_row_not_utf8_is_processing_error(self, ws, tmp_path, capsys):
+        honeypot = tmp_path / "honeypot.csv"
+        lines = (out(ws, "gen") / "honeypot.csv").read_bytes().splitlines(keepends=True)
+        lines[5] = lines[5].replace(b",", b",\xff", 1)
+        honeypot.write_bytes(b"".join(lines))
+        assert run("compare", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
+                   "--honeypot", str(honeypot), "--out-dir", str(tmp_path)) == 1
+        assert capsys.readouterr().err == f"error: {honeypot} line 6: not UTF-8\n"
+
     def test_all_visible_attacks_matched(self, cmp_dir):
         overlap = json.loads((cmp_dir / "overlap.json").read_text())
         assert len(overlap["pairs"]) == 3

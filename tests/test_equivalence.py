@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import json
 import math
+import re
 from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
@@ -152,6 +153,49 @@ def test_parse_matches_json_loads_reader(edit, batch, constants):
     assert skipped == skipped_ref
     # serialized, because a nan ts never equals itself
     assert list(tr.serialize_trace(records)) == list(tr.serialize_trace(records_ref))
+
+
+def read_jsonl_reference(path):
+    """([(line number, json.dumps of the value)], line number of the first
+    line json.loads rejects or None), over the file's lines as Python's text
+    reader splits them."""
+    values = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if not line.strip():
+                continue
+            try:
+                values.append((lineno, json.dumps(json.loads(line.strip()))))
+            except (ValueError, RecursionError):
+                return values, lineno
+    return values, None
+
+
+@pytest.mark.parametrize("edit", LINE_EDITS)
+@settings(max_examples=15)
+@given(st.lists(st.one_of(records(ts=finite_ts, bools_as_ints=False), records()),
+                min_size=1, max_size=6),
+       st.lists(st.sampled_from(CONSTANT_LINES), max_size=2))
+def test_read_jsonl_matches_json_loads(tmp_path_factory, edit, batch, constants):
+    lines = [LINE_EDITS[edit](line) for line in tr.serialize_trace(batch)] + constants
+    path = tmp_path_factory.mktemp("jsonl") / "lines.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    expected, bad_line = read_jsonl_reference(path)
+    values = []
+    try:
+        # json.dumps, because a nan never equals itself; a pathlib path opens
+        # as a string path does
+        values.extend((lineno, json.dumps(value))
+                      for lineno, value in fileio.read_jsonl(path))
+        error = None
+    except ValueError as exc:
+        error = str(exc)
+    assert values == expected
+    if bad_line is None:
+        assert error is None
+    else:
+        assert error is not None and re.match(rf"{re.escape(str(path))} line {bad_line}"
+                                              rf"( column \d+)?: \S", error), error
 
 
 @pytest.mark.parametrize("address", ADDRESSES)

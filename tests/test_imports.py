@@ -1,4 +1,5 @@
-"""Import costs: no stage but synth may load numpy."""
+"""Import costs and module boundaries: no stage but synth may load numpy, and
+only fileio opens a file or decodes JSON."""
 
 import os
 import subprocess
@@ -97,3 +98,13 @@ def test_star_import():
 def test_unknown_attribute_raises():
     with pytest.raises(AttributeError):
         dnsamp.no_such_name  # noqa: B018
+
+
+def test_only_fileio_opens_files_and_decodes_json():
+    package = Path(dnsamp.__file__).resolve().parent
+    for module in sorted(package.glob("*.py")):
+        if module.name == "fileio.py":
+            continue
+        text = module.read_text(encoding="utf-8")
+        for call in ("open(", "json.load", "json.loads", "scan_once"):
+            assert call not in text, f"{module.name} holds {call}"

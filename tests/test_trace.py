@@ -23,7 +23,8 @@ def make_record(**overrides):
 
 def hand_built(**overrides):
     fields = make_record(**overrides)
-    fields["is_response"] = bool(fields.pop("qr"))
+    qr = bool(fields.pop("qr"))
+    fields.setdefault("is_response", qr)
     return tr.PacketRecord(**fields)
 
 
@@ -247,14 +248,25 @@ class TestRoundTrip:
         assert reread[0].src_as == 64512
         assert reread[0].dst_as is None
 
-    @pytest.mark.parametrize("field", ["src_port", "ip_ttl", "ip_id", "dns_id", "qtype",
-                                       "rcode", "ancount", "nscount"])
-    @pytest.mark.parametrize("wrap", [lambda value: True, np.int64])
-    def test_hand_built_records_kept_by_sanitize_survive(self, tmp_path, field, wrap):
-        # a bool passes every range check as 0 or 1 but is written as
-        # true/false, and json cannot write an np.int64; an np.float64 ts is
-        # a float and stays
-        bad = wrap(getattr(hand_built(), field))
+    # A bool passes every range check as 0 or 1 but is written as true/false,
+    # json cannot write an np.int64, ipaddress also reads an integer address,
+    # and normalize_qname needs a string. (The integer-field cases keep the
+    # ids of the bool and np.int64 wrappers they were first written with.)
+    @pytest.mark.parametrize("field, bad", [
+        *(pytest.param(field, wrap(getattr(hand_built(), field)), id=f"{name}-{field}")
+          for name, wrap in (("<lambda>", lambda value: True), ("int64", np.int64))
+          for field in ("src_port", "ip_ttl", "ip_id", "dns_id", "qtype", "rcode",
+                        "ancount", "nscount")),
+        pytest.param("src_ip", 167772161, id="int-src_ip"),
+        pytest.param("dst_ip", 3221225985, id="int-dst_ip"),
+        pytest.param("is_response", "", id="str-is_response"),
+        pytest.param("src_as", True, id="bool-src_as"),
+        pytest.param("src_as", 5.0, id="float-src_as"),
+        pytest.param("dst_as", np.int64(5), id="int64-dst_as"),
+        pytest.param("qname", 5, id="int-qname"),
+    ])
+    def test_hand_built_records_kept_by_sanitize_survive(self, tmp_path, field, bad):
+        # an np.float64 ts is a float and stays
         records = [hand_built(ts=np.float64(100.5)), hand_built(**{field: bad})]
         kept, dropped = tr.sanitize(records)
         assert (len(kept), dropped) == (1, 1)
