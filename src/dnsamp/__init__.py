@@ -15,9 +15,10 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "amplifiers": (
-        "ClusterResult", "StableSetReport", "amplifier_inventory", "amplifier_sets",
-        "churn_metrics", "classify_amplifier_role", "daily_amplifier_sets",
-        "dbscan_cluster", "jaccard_distance_matrix", "recency_join", "stable_sets",
+        "ClusterResult", "DistanceMatrix", "StableSetReport", "amplifier_inventory",
+        "amplifier_sets", "churn_metrics", "classify_amplifier_role",
+        "daily_amplifier_sets", "dbscan_cluster", "jaccard_distance_matrix",
+        "recency_join", "stable_sets",
     ),
     "detector": (
         "AttackEvent", "DetectorConfig", "aggregate_client_days", "decile_ranks",

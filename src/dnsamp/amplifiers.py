@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, deque
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import compress
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from operator import index
+from typing import AbstractSet
 
 from .detector import AttackEvent
 from .fileio import is_iso_day, read_csv, write_float_csv
@@ -27,15 +29,55 @@ def amplifier_sets(events: Sequence[AttackEvent]) -> list[frozenset[str]]:
     return [frozenset(event.amplifier_set) for event in events]
 
 
-def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> list[array]:
-    """Symmetric, zero-diagonal matrix of 1 - Jaccard(set_i, set_j), as n
-    rows of n doubles.
+class DistanceMatrix(Sequence):
+    """Read-only n-by-n distance matrix that keeps, per row, only the entries
+    below 1.0: their columns and values, or all n values where those would
+    take more bytes than n doubles. m[i] is a fresh array("d") of the row."""
+
+    __slots__ = ("_cols", "_vals")
+
+    def __init__(self, cols: list[array | None], vals: list[array]) -> None:
+        self._cols = cols  # ascending columns, or None for a row kept dense
+        self._vals = vals
+
+    def __len__(self) -> int:
+        return len(self._vals)
+
+    def __getitem__(self, i: int) -> array:
+        i = index(i)
+        cols = self._cols[i]
+        return array("d", self._vals[i]) if cols is None else \
+            _dense(cols, self._vals[i], len(self._vals))
+
+    def neighborhoods(self, eps: float) -> list[list[int]]:
+        """For each row, the columns at distance <= eps, in index order: what
+        scanning m[i] gives, read from the stored entries alone."""
+        n = len(self._vals)
+        if eps >= 1.0:  # every distance is at most 1.0
+            return [list(range(n)) for _ in range(n)]
+        return [[j for j, d in zip(range(n) if cols is None else cols, vals) if d <= eps]
+                for cols, vals in zip(self._cols, self._vals)]
+
+
+def _put(row: array, cols: Iterable[int], vals: Iterable[float]) -> array:
+    for j, value in zip(cols, vals):
+        row[j] = value
+    return row
+
+
+def _dense(cols: array, vals: array, n: int) -> array:
+    """The n-entry row holding vals at cols and 1.0 elsewhere."""
+    return _put(array("d", [1.0]) * n, cols, vals)
+
+
+def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> DistanceMatrix:
+    """Symmetric, zero-diagonal matrix of 1 - Jaccard(set_i, set_j).
 
     Two empty sets are identical (distance 0). Each set becomes one integer
     mask, one bit per distinct member, and a row's intersections with all
-    later rows are popcounts of their AND; only overlapping pairs divide.
-    Counts are exact and int / int rounds correctly, so each entry has the
-    bits of `1.0 - jaccard(a, b)`."""
+    later rows are popcounts of their AND; only overlapping pairs divide and
+    are stored. Counts are exact and int / int rounds correctly, so each
+    entry has the bits of `1.0 - jaccard(a, b)`."""
     n = len(sets)
     codes: dict = {}
     for members in sets:
@@ -44,17 +86,39 @@ def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> list[array]:
     # a set's bits are distinct, so their sum is their OR
     masks = [sum(1 << codes[member] for member in members) for members in sets]
     sizes = [len(members) for members in sets]
-    rows = [array("d", [1.0]) * n for _ in range(n)]
-    for i, (mask, size, row) in enumerate(zip(masks, sizes, rows)):
-        row[i] = 0.0
-        inters = list(map(int.bit_count, map(mask.__and__, masks[i + 1:])))
-        for j, inter in compress(zip(range(i + 1, n), inters), inters):
-            row[j] = rows[j][i] = 1.0 - inter / (size + sizes[j] - inter)
+    # a column and a value take 12 B, so beyond 2n/3 entries n doubles are smaller
+    limit = 2 * n // 3
+    cols: list[array | None] = [array("i") for _ in range(n)]
+    vals = [array("d") for _ in range(n)]
     empty = [i for i, size in enumerate(sizes) if not size]
-    for i in empty:
-        for j in empty:
-            rows[i][j] = 0.0  # two empty sets: union 0, similarity 1
-    return rows
+    for i, (mask, size) in enumerate(zip(masks, sizes)):
+        if size:
+            inters = list(map(int.bit_count, map(mask.__and__, masks[i + 1:])))
+            upper = list(compress(range(i + 1, n), inters))
+            dists = [1.0 - inter / (size + sizes[j] - inter)
+                     for j, inter in zip(upper, filter(None, inters))]
+        else:
+            upper = [j for j in empty if j > i]
+            dists = [0.0] * len(upper)  # two empty sets: union 0, similarity 1
+        # each later row gets its entry in column i now, ahead of its own turn
+        for j, value in zip(upper, dists):
+            partner = cols[j]
+            if partner is None:
+                vals[j][i] = value
+                continue
+            partner.append(i)
+            vals[j].append(value)
+            if len(partner) > limit:
+                vals[j], cols[j] = _dense(partner, vals[j], n), None
+        if cols[i] is not None and len(cols[i]) + 1 + len(upper) > limit:
+            vals[i], cols[i] = _dense(cols[i], vals[i], n), None
+        if cols[i] is None:
+            _put(vals[i], [i, *upper], [0.0, *dists])
+        else:
+            # new exact-size arrays drop the headroom that append leaves
+            cols[i] = cols[i] + array("i", [i, *upper])
+            vals[i] = vals[i] + array("d", [0.0, *dists])
+    return DistanceMatrix(cols, vals)
 
 
 @dataclass(slots=True)
@@ -76,22 +140,27 @@ class ClusterResult:
 
 def dbscan_cluster(matrix: Sequence[Sequence[float]], eps: float = 0.6,
                    min_pts: int = 5) -> ClusterResult:
-    """DBSCAN over a precomputed distance matrix, given as n rows of n.
+    """DBSCAN over a precomputed distance matrix, given as n rows of n; a
+    DistanceMatrix is read from its stored entries, without building rows.
 
     Neighborhoods are closed balls (d <= eps) including the point itself.
     Points are visited in index order and seed sets expand FIFO, so border
     points land in the first cluster (creation order) that reaches them.
     """
-    n = len(matrix)
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError(f"need a square distance matrix, but row {i} of {n} "
-                             f"has {len(row)} entries")
     if not 0.0 <= eps:
         raise ValueError(f"eps must be >= 0, got {eps}")
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
-    neighborhoods = [[j for j, d in enumerate(row) if d <= eps] for row in matrix]
+    n = len(matrix)
+    if isinstance(matrix, DistanceMatrix):
+        neighborhoods = matrix.neighborhoods(eps)
+    else:
+        neighborhoods = []
+        for i, row in enumerate(matrix):
+            if len(row) != n:
+                raise ValueError(f"need a square distance matrix, but row {i} of {n} "
+                                 f"has {len(row)} entries")
+            neighborhoods.append([j for j, d in enumerate(row) if d <= eps])
     UNVISITED = -2
     labels = [UNVISITED] * n
     cluster = 0
@@ -341,7 +410,8 @@ def qname_role_breakdown(events: Sequence[AttackEvent],
 
 
 def write_distance_matrix(matrix: Sequence[array], path: str) -> None:
-    # row by row: the whole matrix as Python floats would be 4x its size.
-    # tolist gives floats for array and ndarray rows alike; the repr of a
-    # numpy float64 is not a float's
+    # row by row: a DistanceMatrix builds each n-value row on demand, and the
+    # whole matrix as Python floats would be 4x the dense size. tolist gives
+    # floats for array and ndarray rows alike; the repr of a numpy float64
+    # is not a float's
     write_float_csv(path, (row.tolist() for row in matrix))

@@ -20,7 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .fileio import from_obj, read_json, to_obj, write_json
+from .fileio import from_obj, is_iso_day, read_json, to_obj, write_json
 from .honeypot import HoneypotEvent, HoneypotRequest
 from .trace import PacketRecord, normalize_qname, qname_wire_length
 
@@ -117,6 +117,9 @@ class ScenarioConfig:
     sensor_coverage: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
+        if not is_iso_day(self.start_day):
+            raise ValueError(f"key 'start_day': expected a YYYY-MM-DD string, "
+                             f"got {self.start_day!r}")
         if self.duration_days < 1:
             raise ValueError("duration_days must be >= 1")
         if self.sampling_denominator < 1:

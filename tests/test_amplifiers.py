@@ -78,6 +78,59 @@ class TestDistanceMatrix:
         rows_bytes = sum(len(row) * row.itemsize for row in matrix)
         assert peak < rows_bytes + 2 * 2 ** 20
 
+    @staticmethod
+    def held_bytes(sets):
+        """Memory the built matrix holds, by tracemalloc."""
+        tracemalloc.start()
+        try:
+            matrix = amp.jaccard_distance_matrix(sets)
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(matrix) == len(sets)
+        return current
+
+    def test_keeps_only_overlapping_pairs(self):
+        # the sets of test_memory_beyond_result_is_small: about a quarter of
+        # the pairs overlap, so the stored entries take well under n doubles a row
+        rng = random.Random(11)
+        pool = [ip(i) for i in range(3400)]
+        sets = [frozenset(rng.sample(pool, 30)) for _ in range(700)]
+        assert self.held_bytes(sets) <= 8 * len(sets) ** 2 / 2
+
+    def test_every_pair_overlapping_holds_no_more_than_dense(self):
+        rng = random.Random(19)
+        pool = [ip(i) for i in range(1, 500)]
+        sets = [frozenset([ip(0), *rng.sample(pool, 10)]) for _ in range(300)]
+        n = len(sets)
+        assert self.held_bytes(sets) <= 8 * n * n + 200 * n
+
+    def test_rows_index_like_a_list(self):
+        sets = [frozenset({"a", "b"}), frozenset({"b", "c"}), frozenset({"d"})]
+        matrix = amp.jaccard_distance_matrix(sets)
+        assert len(matrix) == 3
+        assert matrix[-1] == matrix[2] == array("d", [1.0, 1.0, 0.0])
+        assert [row.tolist() for row in matrix] == [
+            [0.0, 1 - 1 / 3, 1.0], [1 - 1 / 3, 0.0, 1.0], [1.0, 1.0, 0.0]]
+        for i in (3, -4):
+            with pytest.raises(IndexError):
+                matrix[i]
+        with pytest.raises(TypeError):
+            matrix[0.0]
+        # each row is a fresh array: changing one changes nothing stored
+        row = matrix[0]
+        row[1] = 5.0
+        assert matrix[0][1] == 1 - 1 / 3 and matrix[0] is not matrix[0]
+
+    def test_empty_sets_among_others_stay_at_distance_zero(self):
+        sets = [frozenset(), frozenset({"a"}), frozenset(), frozenset({"a", "b"}),
+                frozenset()]
+        matrix = np.asarray(amp.jaccard_distance_matrix(sets))
+        empty = [0, 2, 4]
+        assert np.all(matrix[np.ix_(empty, empty)] == 0.0)
+        assert np.all(matrix[np.ix_(empty, [1, 3])] == 1.0)
+        assert matrix[1, 3] == 0.5
+
 
 class TestDbscan:
     def random_matrix(self, rng, n):
@@ -129,7 +182,7 @@ class TestDbscan:
         rng = random.Random(17)
         for trial in range(40):
             rows = self.random_matrix(rng, rng.randint(0, 30))
-            eps = rng.choice([0.3, 0.6, 0.8])
+            eps = rng.choice([0.3, 0.6, 0.8, 1.0])
             assert amp.dbscan_cluster(rows, eps=eps, min_pts=3).labels == \
                 amp.dbscan_cluster(np.asarray(rows), eps=eps, min_pts=3).labels
 

@@ -2,13 +2,16 @@
 
 import csv
 import json
+import random
 from pathlib import Path
 
 import pytest
 
 from dnsamp.cli import main
 from dnsamp.detector import AttackEvent, write_events
+from dnsamp.fileio import write_csv
 from dnsamp.trace import PacketRecord, write_trace
+from oracles import jaccard_distance_matrix_reference
 
 
 def run(*argv: str) -> int:
@@ -184,6 +187,17 @@ class TestSynthStage:
             assert (tmp_path / name).read_bytes() == \
                 (out(ws, "gen") / name).read_bytes()
 
+
+    @pytest.mark.parametrize("day", ["junk", "20190601"])
+    def test_start_day_not_iso_is_processing_error(self, tmp_path, capsys, day):
+        obj = json.loads(SCENARIO_PATH.read_text())
+        obj["start_day"] = day
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj))
+        assert run("synth", "--scenario", str(scenario), "--out-dir", str(tmp_path)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {scenario}: key 'start_day': expected a YYYY-MM-DD " \
+            f"string, got {day!r}\n"
 
     def test_wrong_typed_scenario_value_is_processing_error(self, tmp_path, capsys):
         obj = json.loads(SCENARIO_PATH.read_text())
@@ -429,6 +443,32 @@ class TestClusterStage:
             rows = list(csv.reader(handle))
         assert len(rows) == 3
         assert all(len(r) == 3 for r in rows)
+
+    def test_every_pair_a_neighbour_writes_the_reference_matrix(self, tmp_path):
+        # 30 of 40 sets share a reflector, so their rows are stored dense; the
+        # others overlap a few or none, and three are empty
+        rng = random.Random(23)
+        pool = [f"198.18.0.{i}" for i in range(1, 200)]
+        sets = [frozenset(["198.18.0.0", *rng.sample(pool, 4)]) for _ in range(30)]
+        sets += [frozenset(rng.sample(pool, rng.randint(1, 3))) for _ in range(7)]
+        sets += [frozenset()] * 3
+        rng.shuffle(sets)
+        write_events([AttackEvent(
+            victim_ip=f"10.0.{i}.1", day="2019-06-01", packet_count=1,
+            misused_packet_count=1, est_original_packets=0, est_misused_packets=0,
+            share=1.0, share_excluding_root=1.0, first_ts=0.0, last_ts=1.0,
+            request_count=0, response_count=1, qname_counts={"a.example.": 1},
+            amplifier_set=tuple(sorted(members)), dns_ids=(), req_ip_ids=(),
+            req_src_ports=(), req_dns_ids=(), ingress_as_counts={})
+            for i, members in enumerate(sets)], str(tmp_path / "attacks.jsonl"))
+        assert run("cluster", "--attacks", str(tmp_path / "attacks.jsonl"),
+                   "--eps", "1.0", "--out-dir", str(tmp_path / "out")) == 0
+        write_csv(str(tmp_path / "reference.csv"), None,
+                  jaccard_distance_matrix_reference(sets).tolist())
+        assert (tmp_path / "out" / "distance_matrix.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
+        clusters = json.loads((tmp_path / "out" / "clusters.json").read_text())
+        assert {item["label"] for item in clusters["labels"]} == {0}
 
     def test_labels_cover_all_events(self, cl_dir):
         clusters = json.loads((cl_dir / "clusters.json").read_text())
