@@ -6,6 +6,9 @@ two trace-driven name selectors disagree about ordering and the consensus
 search has to find the set size at which the selector families converge.
 Everything downstream — detection, intensity ranking, clustering, honeypot
 comparison — runs from that recovered name list, never from the ground truth.
+
+Each stage returns a `StageResult`; `result["<file>"]` is the value its
+`dnsamp` subcommand would write to that file, so the stages chain in memory.
 """
 
 from dnsamp import pipeline
@@ -34,7 +37,10 @@ def main() -> None:
     settings = pipeline.Settings(min_pts=2)
 
     print("=== 1. generate a sampled two-day trace ===")
-    records, hp_requests, truth = synth.generate_scenario(cfg)
+    scenario = pipeline.synth(cfg)
+    records = scenario["trace.jsonl"]
+    hp_requests = scenario["honeypot.csv"]
+    truth = scenario["ground_truth.json"]
     print(f"{len(records)} sampled packet records "
           f"({truth.totals['attack_records']} attack, "
           f"{truth.totals['background_records']} background), "
@@ -42,14 +48,14 @@ def main() -> None:
 
     print()
     print("=== 2. merge three independent name selectors ===")
-    names, _ = pipeline.select_names(records, settings, hp_requests)
+    names = pipeline.select_names(records, settings, hp_requests)["names.json"]
     curve = ", ".join(f"k={k}:{v:.2f}" for k, v in names.curve[:5])
     print(f"agreement curve {curve}")
     print(f"consensus k* = {names.k_star}; misused names: {', '.join(names.names)}")
 
     print()
     print("=== 3. detect attack events per victim and day ===")
-    events, _, _ = pipeline.detect(records, names.name_set(), settings)
+    events = pipeline.detect(records, names.name_set(), settings)["attacks.jsonl"]
     for event in events:
         print(f"  {event.day} victim {event.victim_ip:<10} "
               f"{event.packet_count:>5} sampled -> "
@@ -59,14 +65,15 @@ def main() -> None:
 
     print()
     print("=== 4. cluster events by amplifier-set similarity ===")
-    _, clusters, *_ = pipeline.cluster(events, settings)
+    clusters = pipeline.cluster(events, settings)["clusters.json"]
     labels = [row["label"] for row in clusters["labels"]]
     print(f"{clusters['n_clusters']} cluster(s), labels {labels} "
           f"(attacks drawing from one shared reflector pool look alike)")
 
     print()
     print("=== 5. compare against the honeypot view ===")
-    hp_events, overlap, _ = pipeline.compare(events, hp_requests, settings)
+    compared = pipeline.compare(events, hp_requests, settings)
+    hp_events, overlap = compared["honeypot_events.jsonl"], compared["overlap.json"]
     print(f"honeypot saw {len(hp_events)} events; "
           f"{overlap['mutual_count']} matched trace events "
           f"({overlap['trace_matched_fraction']:.0%} of the trace side)")

@@ -2,10 +2,10 @@
 
 Subcommands map one-to-one onto analysis stages and exchange plain files
 (JSONL/CSV/JSON), so stages can be re-run, diffed, and composed per day.
-Each subcommand reads its inputs, makes one library call (its `pipeline`
-stage function, or the scenario generator for `synth`) and writes what it
-returns. Outputs are deterministic: identical inputs produce byte-identical
-files.
+Each subcommand reads its inputs and makes one library call, its `pipeline`
+stage function. `_write` writes every file of the `StageResult` it returns
+and prints its line. Outputs are deterministic: identical inputs produce
+byte-identical files.
 
 Exit codes: 0 success, 1 processing error, 2 usage error.
 """
@@ -22,16 +22,14 @@ from . import honeypot as hp
 from . import pipeline
 from . import selectors as sel
 from . import trace as tr
-from .fileio import field_types, from_obj, read_json, to_obj, write_csv, write_json, write_jsonl
-from .pipeline import Settings
+from .fileio import field_types, from_obj, read_json
+from .pipeline import Settings, StageResult
 
 
-def _load_config(path: str | None) -> Settings:
-    return Settings() if path is None else from_obj(Settings, read_json(path), path)
-
-
-def _settings(args: argparse.Namespace, config: Settings) -> Settings:
+def _settings(args: argparse.Namespace) -> Settings:
     """Flag beats preset beats config file beats default."""
+    config = Settings() if args.config is None else \
+        from_obj(Settings, read_json(args.config), args.config)
     if getattr(args, "preset", None):
         config = dataclasses.replace(
             config, **dict(zip(("min_requests", "max_gap"), hp.PRESETS[args.preset])))
@@ -46,146 +44,88 @@ def _load_names(path: str) -> set[str]:
     return sel.read_plain_names(path)
 
 
-def _prepared(args: argparse.Namespace) -> tuple[list, dict]:
+def _cmd_ingest(args: argparse.Namespace, config: Settings | None = None) -> StageResult:
     """`pipeline.prepare` of --trace, annotated when the subcommand has a
     --prefix-table and it is given."""
     table = getattr(args, "prefix_table", None)
     return pipeline.prepare(args.trace, tr.PrefixTable.from_csv(table) if table else None)
 
 
-def _cmd_ingest(args: argparse.Namespace, config: Settings, out: Path) -> None:
-    records, stats = _prepared(args)
-    tr.write_trace(records, str(out / "annotated.jsonl"))
-    write_json(stats, str(out / "ingest_stats.json"))
-    print(f"kept {stats['kept_records']} records ({stats['skipped_lines']} malformed lines, "
-          f"{stats['dropped_records']} dropped)")
+def _records(args: argparse.Namespace) -> list[tr.PacketRecord]:
+    return _cmd_ingest(args)["annotated.jsonl"]
 
 
-def _cmd_select_names(args: argparse.Namespace, config: Settings, out: Path) -> None:
-    records, _ = _prepared(args)
+def _cmd_select_names(args: argparse.Namespace, config: Settings) -> StageResult:
+    records = _records(args)
     requests = hp.read_honeypot_csv(args.honeypot)[0] if args.honeypot else None
     previous = _load_names(args.previous) if args.previous else None
-    names, delta = pipeline.select_names(records, config, requests, previous)
-    sel.write_name_list(names, str(out / "names.json"))
-    sel.write_plain_names(names, str(out / "names.txt"))
-    sel.write_consensus_curve(names, str(out / "curve.csv"))
-    if delta is not None:
-        write_json({"previous_jaccard": delta}, str(out / "delta.json"))
-        print(f"day-over-day name-list jaccard: {delta:.4f}")
-    flagged = f" (empty selectors: {', '.join(names.missing_selectors)})" \
-        if names.missing_selectors else ""
-    print(f"consensus k*={names.k_star}, {len(names)} names{flagged}")
+    return pipeline.select_names(records, config, requests, previous)
 
 
-def _cmd_detect(args: argparse.Namespace, config: Settings, out: Path) -> None:
-    records, _ = _prepared(args)
-    events, summary, client_days = pipeline.detect(records, _load_names(args.names), config)
-    det.write_events(events, str(out / "attacks.jsonl"))
-    write_csv(str(out / "victims_daily.csv"),
-              ("day", "victims", "prefixes_24", "prefixes_16", "prefixes_8", "victim_ases"),
-              (row.values() for row in summary["daily"]))
-    write_csv(str(out / "duration_percentiles.csv"), ("percentile", "seconds"),
-              summary["duration_percentiles"].items())
-    print(f"{len(events)} attack events from {client_days} suspicious client-days")
+def _cmd_detect(args: argparse.Namespace, config: Settings) -> StageResult:
+    return pipeline.detect(_records(args), _load_names(args.names), config)
 
 
-def _cmd_fingerprint(args: argparse.Namespace, config: Settings, out: Path) -> None:
+def _cmd_fingerprint(args: argparse.Namespace, config: Settings) -> StageResult:
     from . import fingerprint as fp
 
     events = det.read_events(args.attacks)
     spec = fp.read_fingerprint(args.fingerprint_spec)
     names = _load_names(args.names) if args.names else None
-    rows, timeline, attributed, share = pipeline.fingerprint(events, spec, config, names)
-    write_jsonl(rows, str(out / "attribution.jsonl"))
-    write_json(timeline, str(out / "timeline.json"))
-    print(f"attributed {attributed}/{len(events)} events (share {share:.4f})")
+    return pipeline.fingerprint(events, spec, config, names)
 
 
-def _cmd_cluster(args: argparse.Namespace, config: Settings, out: Path) -> None:
+def _cmd_cluster(args: argparse.Namespace, config: Settings) -> StageResult:
     from . import amplifiers as amp
 
     events = det.read_events(args.attacks)
     seen_table = amp.read_seen_table(args.seen_table) if args.seen_table else None
     ns_table = amp.read_ns_ip_table(args.ns_table) if args.ns_table else None
-    matrix, clusters, churn, inventory, roles, coverage = pipeline.cluster(
-        events, config, seen_table, ns_table)
-    amp.write_distance_matrix(matrix, str(out / "distance_matrix.csv"))
-    write_json(clusters, str(out / "clusters.json"))
-    write_csv(str(out / "churn.csv"), ("day", "next_day", "overlap"), churn)
-    write_csv(str(out / "amplifiers.csv"),
-              [field.name for field in dataclasses.fields(amp.AmplifierInfo)],
-              (to_obj(info).values() for info in inventory))
-    write_csv(str(out / "qname_roles.csv"), ("qname", "role", "count"), roles)
-    line = (f"{clusters['n_clusters']} clusters, outlier share {clusters['outlier_share']:.4f}, "
-            f"{len(clusters['stable_sets'])} stable sets")
-    if coverage is not None:
-        line += f", scan coverage {coverage:.4f}"
-    print(line)
+    return pipeline.cluster(events, config, seen_table, ns_table)
 
 
-def _cmd_estimate(args: argparse.Namespace, config: Settings, out: Path) -> None:
+def _cmd_estimate(args: argparse.Namespace, config: Settings) -> StageResult:
     from . import sizing
 
     record_sets = sizing.read_record_sets(args.records)
     references = sel.read_plain_names(args.reference_names) if args.reference_names else ()
-    rows, ranking, plateaus = pipeline.estimate(record_sets, config, references, args.edns)
-    write_csv(str(out / "estimates.csv"), ("day", "owner", "est_bytes", "exceeds_edns"),
-              ((day, size.owner, size.est_bytes, str(size.exceeds_edns).lower())
-               for day, size in rows))
-    write_json(ranking, str(out / "ranking.json"))
-    write_csv(str(out / "plateaus.csv"), ("owner", "start_day", "end_day", "days", "height"),
-              plateaus)
-    print(f"{len(ranking['factors'])} names sized, "
-          f"{ranking['count_above_reference']} above reference")
+    return pipeline.estimate(record_sets, config, references, args.edns)
 
 
-def _cmd_snoop(args: argparse.Namespace, config: Settings, out: Path) -> None:
+def _cmd_snoop(args: argparse.Namespace, config: Settings) -> StageResult:
     from . import snoop
 
-    responses, skipped = snoop.read_probe_responses(args.responses)
+    responses, malformed = snoop.read_probe_responses(args.responses)
     ttls = snoop.read_default_ttls(args.ttl_table) if args.ttl_table else {}
-    rows, dropped, roles, caches = pipeline.snoop(responses, ttls)
-    write_jsonl(rows, str(out / "snoop.jsonl"))
-    print(f"{len(rows)} responders kept ({skipped} malformed, {dropped} dropped); "
-          f"roles {dict(sorted(roles.items()))}; cache {dict(sorted(caches.items()))}")
+    return pipeline.snoop(responses, ttls, malformed)
 
 
-def _cmd_synth(args: argparse.Namespace, config: Settings, out: Path) -> None:
+def _cmd_synth(args: argparse.Namespace, config: Settings) -> StageResult:
     from . import synth
 
     cfg = synth.read_scenario(args.scenario)
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    records, hp_requests, truth = synth.generate_scenario(cfg)
-    tr.write_trace(records, str(out / "trace.jsonl"))
-    hp.write_honeypot_csv(hp_requests, str(out / "honeypot.csv"))
-    synth.write_truth(truth, str(out / "ground_truth.json"))
-    write_csv(str(out / "prefixes.csv"), ("prefix", "asn"), synth.synthetic_prefix_table(cfg))
-    print(f"{len(records)} trace records, {len(hp_requests)} honeypot requests, "
-          f"{len(truth.attacks)} planted attacks")
+    return pipeline.synth(cfg)
 
 
-def _cmd_compare(args: argparse.Namespace, config: Settings, out: Path) -> None:
+def _cmd_compare(args: argparse.Namespace, config: Settings) -> StageResult:
     events = det.read_events(args.attacks)
-    requests, _ = hp.read_honeypot_csv(args.honeypot)
-    hp_events, overlap, convergence = pipeline.compare(events, requests, config)
-    hp.write_honeypot_events(hp_events, str(out / "honeypot_events.jsonl"))
-    write_json(overlap, str(out / "overlap.json"))
-    write_csv(str(out / "convergence.csv"), ("sensors", "victim_fraction"), convergence)
-    print(f"{overlap['mutual_count']} mutual events "
-          f"({overlap['trace_matched_fraction']:.4f} of trace, "
-          f"{overlap['honeypot_matched_fraction']:.4f} of honeypot)")
+    return pipeline.compare(events, hp.read_honeypot_csv(args.honeypot)[0], config)
 
 
-def _cmd_report(args: argparse.Namespace, config: Settings, out: Path) -> None:
+def _cmd_report(args: argparse.Namespace, config: Settings) -> StageResult:
     events = det.read_events(args.attacks)
     names = _load_names(args.names) if args.names else None
-    records = _prepared(args)[0] if args.trace else None
-    rows, report, name_count = pipeline.report(events, names, records)
-    write_csv(str(out / "tld_summary.csv"),
-              ("tld", "names", "packets", "packet_share", "attacks", "max_response_size"), rows)
-    write_json(report, str(out / "report.json"))
-    print(f"report over {len(events)} events, {name_count} names")
+    return pipeline.report(events, names, _records(args) if args.trace else None)
+
+
+def _write(result: StageResult, out: Path) -> None:
+    """Each of the result's files into out, made if missing, then its line."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, (writer, value) in result.files.items():
+        writer(value, str(out / name))
+    print(result.line)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -273,10 +213,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _settings(args, _load_config(args.config))
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        args.func(args, config, out)
+        _write(args.func(args, _settings(args)), Path(args.out_dir))
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -331,21 +331,14 @@ def _percentile(ordered: Sequence[float], p: int) -> float:
     return a + (b - a) * t
 
 
-def event_to_obj(event: AttackEvent) -> dict:
-    return {**to_obj(event), "duration_s": event.duration_s}
-
-
-def event_from_obj(obj: dict, where: str = "event") -> AttackEvent:
-    """An event from its JSON object, less the derived duration_s."""
-    if isinstance(obj, dict):
-        obj = dict(obj)
-        obj.pop("duration_s", None)
-    return from_obj(AttackEvent, obj, where)
-
-
 def write_events(events: Iterable[AttackEvent], path: str) -> None:
-    write_jsonl(map(event_to_obj, events), path)
+    write_jsonl(({**to_obj(event), "duration_s": event.duration_s} for event in events), path)
 
 
 def read_events(path: str) -> list[AttackEvent]:
-    return [event_from_obj(obj, f"{path} line {lineno}") for lineno, obj in read_jsonl(path)]
+    events = []
+    for lineno, obj in read_jsonl(path):
+        if isinstance(obj, dict):
+            obj.pop("duration_s", None)  # derived from first_ts and last_ts
+        events.append(from_obj(AttackEvent, obj, f"{path} line {lineno}"))
+    return events

@@ -58,6 +58,11 @@ def write_csv(path: str, header: Sequence[str] | None,
         writer.writerows(rows)
 
 
+def csv_writer(header: Sequence[str]) -> Callable[[Iterable[Sequence[Any]], str], None]:
+    """A `writer(rows, path)` of CSV files that start with this header."""
+    return lambda rows, path: write_csv(path, header, rows)
+
+
 def write_float_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
     """The bytes `write_csv(path, None, rows)` writes for rows of floats.
 

@@ -154,6 +154,8 @@ def overlap(trace_events: Sequence[AttackEvent],
     (then earliest-starting), which keeps the pairing maximal on interval
     instances. Every event matches at most once.
     """
+    if slack_s < 0:
+        raise ValueError(f"slack_s must be >= 0, got {slack_s}")
     by_victim: dict[str, list[int]] = {}
     for idx, event in enumerate(honeypot_events):
         by_victim.setdefault(event.victim_ip, []).append(idx)

@@ -1,29 +1,31 @@
 """Stage functions: one call per `dnsamp` subcommand, over objects in memory.
 
 Each function takes its stage's inputs, already read, and the `Settings` it
-uses, and returns the objects its subcommand writes, so stages chain without
-files. `synth` needs no stage function: its command is one call to
-`synth.generate_scenario`. The modules only some stages use (amplifiers,
-fingerprint, sizing, snoop) are imported inside those stages, so each stage
-loads only the modules it runs.
+uses, and returns a `StageResult`: the files its subcommand writes, by name,
+each with its writer and the value written, and the line it prints. So
+stages chain without files: `detect(...)["attacks.jsonl"]` is the list of
+events. The modules only some stages use (amplifiers, fingerprint, sizing,
+snoop, synth) are imported inside those stages, so each stage loads only the
+modules it runs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
+from dataclasses import dataclass, fields
+from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Iterable, Sequence
 
 from . import detector as det
 from . import honeypot as hp
 from . import selectors as sel
 from . import trace as tr
-from .fileio import to_obj
+from .fileio import csv_writer, to_obj, write_json, write_jsonl, write_lines
 
 if TYPE_CHECKING:
     from .fingerprint import EntityFingerprint
     from .sizing import RecordSet
     from .snoop import ProbeResponse
+    from .synth import ScenarioConfig
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,19 @@ class Settings:
                 raise ValueError(f"key {key!r}: expected a number, got nan")
 
 
+@dataclass(frozen=True)
+class StageResult:
+    """A stage's outputs: file name -> (writer, value) in write order, each
+    file written by `writer(value, path)`, and the line to print. The value
+    written to a file is `result[name]`."""
+
+    files: dict[str, tuple[Callable[[Any, str], None], Any]]
+    line: str
+
+    def __getitem__(self, name: str) -> Any:
+        return self.files[name][1]
+
+
 def _honeypot_events(requests: Sequence[hp.HoneypotRequest],
                      settings: Settings) -> list[hp.HoneypotEvent]:
     return hp.infer_honeypot_attacks(requests, min_requests=settings.min_requests,
@@ -58,17 +73,17 @@ def _honeypot_events(requests: Sequence[hp.HoneypotRequest],
 
 
 def prepare(trace: str | Iterable[str],
-            prefix_table: tr.PrefixTable | None = None) -> tuple[list[tr.PacketRecord], dict]:
-    """ingest: the records of a trace (a path or its lines), parsed, sanitized
-    and annotated from the prefix table when one is given, and the counts of
-    ingest_stats.json."""
+            prefix_table: tr.PrefixTable | None = None) -> StageResult:
+    """ingest: annotated.jsonl, the records of a trace (a path or its lines),
+    parsed, sanitized and annotated from the prefix table when one is given,
+    and their counts in ingest_stats.json."""
     records, skipped = tr.parse_trace(trace)
     total_bytes = sum(r.udp_len for r in records)
     kept, dropped = tr.sanitize(records)
     kept_bytes = sum(r.udp_len for r in kept)
     if prefix_table is not None:
         tr.annotate(kept, prefix_table)
-    return kept, {
+    stats = {
         "parsed_records": len(records),
         "skipped_lines": skipped,
         "dropped_records": dropped,
@@ -76,15 +91,18 @@ def prepare(trace: str | Iterable[str],
         "dropped_packet_share": dropped / len(records) if records else 0.0,
         "dropped_byte_share": (1.0 - kept_bytes / total_bytes) if total_bytes else 0.0,
     }
+    return StageResult({"annotated.jsonl": (tr.write_trace, kept),
+                        "ingest_stats.json": (write_json, stats)},
+                       f"kept {len(kept)} records ({skipped} malformed lines, {dropped} dropped)")
 
 
 def select_names(records: Sequence[tr.PacketRecord], settings: Settings,
                  requests: Sequence[hp.HoneypotRequest] | None = None,
-                 previous: AbstractSet[str] | None = None,
-                 ) -> tuple[sel.MisusedNameList, float | None]:
+                 previous: AbstractSet[str] | None = None) -> StageResult:
     """select-names: the consensus of the three selectors, the ground-truth
-    one fed by the honeypot's requests (empty without them), and the list's
-    Jaccard index against a previous day's names (None without them)."""
+    one fed by the honeypot's requests (empty without them), as names.json,
+    its names one per line, its agreement curve, and with a previous day's
+    names the list's Jaccard index against them in delta.json."""
     rankings = [sel.selector_max_size(records), sel.selector_any_volume(records)]
     if requests is None:
         rankings.append(sel.SelectorRanking(sel.SELECTOR_GROUND_TRUTH, ()))
@@ -92,26 +110,44 @@ def select_names(records: Sequence[tr.PacketRecord], settings: Settings,
         rankings.append(sel.selector_ground_truth(
             records, _honeypot_events(requests, settings), slack_s=settings.slack))
     names = sel.consensus_merge(rankings, k_max=settings.k_max)
-    return names, None if previous is None else sel.jaccard(names.name_set(), previous)
+    files = {"names.json": (sel.write_name_list, names),
+             "names.txt": (write_lines, names.names),
+             "curve.csv": (csv_writer(("k", "mean_jaccard")), names.curve)}
+    line = f"consensus k*={names.k_star}, {len(names)} names"
+    if names.missing_selectors:
+        line += f" (empty selectors: {', '.join(names.missing_selectors)})"
+    if previous is not None:
+        delta = sel.jaccard(names.name_set(), previous)
+        files["delta.json"] = (write_json, {"previous_jaccard": delta})
+        line = f"day-over-day name-list jaccard: {delta:.4f}\n{line}"
+    return StageResult(files, line)
 
 
 def detect(records: Sequence[tr.PacketRecord], names: AbstractSet[str],
-           settings: Settings) -> tuple[list[det.AttackEvent], dict, int]:
-    """detect: the attack events with their intensity deciles, their
-    `victim_summary`, and the number of client-days with a misused name."""
+           settings: Settings) -> StageResult:
+    """detect: the attack events with their intensity deciles, and the tables
+    of their `victim_summary`."""
     config = det.DetectorConfig(share_threshold=settings.share_threshold,
                                 min_sampled_packets=settings.min_packets,
                                 sampling_denominator=settings.sampling)
     stats = det.aggregate_client_days(records, names)
     events = det.detect_attacks(stats, config)
     det.intensity_deciles(events)
-    return events, det.victim_summary(events), len(stats)
+    summary = det.victim_summary(events)
+    return StageResult({
+        "attacks.jsonl": (det.write_events, events),
+        "victims_daily.csv": (csv_writer(("day", "victims", "prefixes_24", "prefixes_16",
+                                          "prefixes_8", "victim_ases")),
+                              [tuple(row.values()) for row in summary["daily"]]),
+        "duration_percentiles.csv": (csv_writer(("percentile", "seconds")),
+                                     list(summary["duration_percentiles"].items())),
+    }, f"{len(events)} attack events from {len(stats)} suspicious client-days")
 
 
 def fingerprint(events: Sequence[det.AttackEvent], spec: EntityFingerprint, settings: Settings,
-                names: AbstractSet[str] | None = None) -> tuple[list[dict], dict, int, float]:
-    """fingerprint: one attribution row per event, the timeline.json object,
-    and the number and share of events attributed to the spec's entity."""
+                names: AbstractSet[str] | None = None) -> StageResult:
+    """fingerprint: one attribution row per event, saying whether the spec's
+    entity is behind it, and the timeline.json object."""
     from . import fingerprint as fp
 
     attributed, share, patterns = fp.attribute_entity(events, spec,
@@ -139,16 +175,18 @@ def fingerprint(events: Sequence[det.AttackEvent], spec: EntityFingerprint, sett
     timeline = fp.build_name_timeline(events, names)
     timeline_obj = {**to_obj(timeline), "intervals": dict(sorted(timeline.intervals.items())),
                     "ingress_concentration": fp.ingress_concentration(events)}
-    return rows, timeline_obj, len(attributed), share
+    return StageResult({"attribution.jsonl": (write_jsonl, rows),
+                        "timeline.json": (write_json, timeline_obj)},
+                       f"attributed {len(attributed)}/{len(events)} events (share {share:.4f})")
 
 
 def cluster(events: Sequence[det.AttackEvent], settings: Settings,
             seen_table: dict[str, tuple[str, str]] | None = None,
-            ns_table: dict[str, str] | None = None) -> tuple:
-    """cluster: (distance matrix, clusters.json object, churn overlaps,
-    reflector inventory in address order, (qname, role, count) rows, scan
-    coverage). The coverage is the share of reflectors in the seen table,
-    None without one; without an NS table every role is unknown."""
+            ns_table: dict[str, str] | None = None) -> StageResult:
+    """cluster: the distance matrix, the clusters.json object, the churn
+    overlaps, the reflector inventory in address order and (qname, role,
+    count) rows. Without an NS table every role is unknown; with a seen table
+    the line gives the share of reflectors in it."""
     from . import amplifiers as amp
 
     matrix = amp.jaccard_distance_matrix(amp.amplifier_sets(events))
@@ -166,22 +204,30 @@ def cluster(events: Sequence[det.AttackEvent], settings: Settings,
     }
     churn = amp.churn_metrics(amp.daily_amplifier_sets(events))
     inventory = amp.amplifier_inventory(events)
-    coverage = None
+    line = (f"{clusters['n_clusters']} clusters, outlier share {clusters['outlier_share']:.4f}, "
+            f"{len(clusters['stable_sets'])} stable sets")
     if seen_table is not None:
         inventory, coverage = amp.recency_join(inventory, seen_table)
+        line += f", scan coverage {coverage:.4f}"
     amp.classify_amplifier_role(inventory, ns_table)
     breakdown = amp.qname_role_breakdown(events, inventory)
     roles = [(qname, role, breakdown[qname][role])
              for qname in sorted(breakdown) for role in sorted(breakdown[qname])]
-    return (matrix, clusters, churn.overlaps, [inventory[ip] for ip in sorted(inventory)],
-            roles, coverage)
+    return StageResult({
+        "distance_matrix.csv": (amp.write_distance_matrix, matrix),
+        "clusters.json": (write_json, clusters),
+        "churn.csv": (csv_writer(("day", "next_day", "overlap")), churn.overlaps),
+        "amplifiers.csv": (csv_writer([field.name for field in fields(amp.AmplifierInfo)]),
+                           [tuple(to_obj(inventory[ip]).values()) for ip in sorted(inventory)]),
+        "qname_roles.csv": (csv_writer(("qname", "role", "count")), roles),
+    }, line)
 
 
 def estimate(record_sets: Sequence[RecordSet], settings: Settings, references: Iterable[str] = (),
-             edns: bool = False) -> tuple[list[tuple], dict, list[tuple]]:
-    """estimate: (day, SizeEstimate) rows in (day, owner) order, an undated
-    set's day "", the ranking.json object over each owner's estimate of its
-    latest day, and the key-rollover plateau rows."""
+             edns: bool = False) -> StageResult:
+    """estimate: one row per record set's estimate in (day, owner) order, an
+    undated set's day "", the ranking.json object over each owner's estimate
+    of its latest day, and the key-rollover plateau rows."""
     from . import sizing
 
     sized = [(record_set.day, sizing.estimate_any_response_size(record_set))
@@ -208,23 +254,49 @@ def estimate(record_sets: Sequence[RecordSet], settings: Settings, references: I
             [value for _, value in series], min_days=settings.min_days,
             min_step_bytes=settings.min_step)
     ]
-    return rows, ranking_obj, plateaus
+    return StageResult({
+        "estimates.csv": (csv_writer(("day", "owner", "est_bytes", "exceeds_edns")),
+                          [(day, size.owner, size.est_bytes, str(size.exceeds_edns).lower())
+                           for day, size in rows]),
+        "ranking.json": (write_json, ranking_obj),
+        "plateaus.csv": (csv_writer(("owner", "start_day", "end_day", "days", "height")),
+                         plateaus),
+    }, f"{len(ranking.factors)} names sized, {ranking.count_above_reference} above reference")
 
 
-def snoop(responses: Sequence[ProbeResponse],
-          default_ttls: dict[str, int]) -> tuple[list[dict], int, Counter, Counter]:
-    """snoop: one classified row per responder kept, the number of responses
-    dropped, and the count of each role and of each cache state."""
+def snoop(responses: Sequence[ProbeResponse], default_ttls: dict[str, int],
+          malformed: int = 0) -> StageResult:
+    """snoop: one classified row per responder kept. The line counts the
+    malformed lines the reader skipped, the responses dropped, and each role
+    and cache state."""
     from . import snoop as sn
 
     kept, dropped = sn.sanitize_probe_responses(responses, default_ttls)
     rows = sn.classification_table(kept, default_ttls)
-    return (rows, dropped, Counter(row["role"] for row in rows),
-            Counter(row["cache"] for row in rows))
+    roles = dict(sorted(Counter(row["role"] for row in rows).items()))
+    caches = dict(sorted(Counter(row["cache"] for row in rows).items()))
+    return StageResult({"snoop.jsonl": (write_jsonl, rows)},
+                       f"{len(rows)} responders kept ({malformed} malformed, {dropped} dropped); "
+                       f"roles {roles}; cache {caches}")
+
+
+def synth(cfg: ScenarioConfig) -> StageResult:
+    """synth: the scenario's sampled trace, honeypot log, ground truth and
+    prefix table."""
+    from . import synth as sy
+
+    records, requests, truth = sy.generate_scenario(cfg)
+    return StageResult({
+        "trace.jsonl": (tr.write_trace, records),
+        "honeypot.csv": (hp.write_honeypot_csv, requests),
+        "ground_truth.json": (sy.write_truth, truth),
+        "prefixes.csv": (csv_writer(("prefix", "asn")), sy.synthetic_prefix_table(cfg)),
+    }, f"{len(records)} trace records, {len(requests)} honeypot requests, "
+       f"{len(truth.attacks)} planted attacks")
 
 
 def compare(events: Sequence[det.AttackEvent], requests: Sequence[hp.HoneypotRequest],
-            settings: Settings) -> tuple[list[hp.HoneypotEvent], dict, list[tuple]]:
+            settings: Settings) -> StageResult:
     """compare: the honeypot events inferred from the requests, with their
     intensity deciles, the overlap.json object, and the sensor convergence
     curve. Trace events without deciles are scored in place."""
@@ -251,7 +323,13 @@ def compare(events: Sequence[det.AttackEvent], requests: Sequence[hp.HoneypotReq
         "intensity": to_obj(hp.intensity_comparison(events, hp_events, report))
         if report.pairs else None,
     }
-    return hp_events, overlap, hp.convergence_curve(hp_events)
+    return StageResult({
+        "honeypot_events.jsonl": (hp.write_honeypot_events, hp_events),
+        "overlap.json": (write_json, overlap),
+        "convergence.csv": (csv_writer(("sensors", "victim_fraction")),
+                            hp.convergence_curve(hp_events)),
+    }, f"{report.mutual_count} mutual events ({report.trace_matched_fraction:.4f} of trace, "
+       f"{report.honeypot_matched_fraction:.4f} of honeypot)")
 
 
 def _tld(qname: str) -> str:
@@ -260,11 +338,10 @@ def _tld(qname: str) -> str:
 
 
 def report(events: Sequence[det.AttackEvent], names: AbstractSet[str] | None = None,
-           records: Sequence[tr.PacketRecord] | None = None) -> tuple[list[tuple], dict, int]:
-    """report: the tld_summary.csv rows, the report.json object, and the
-    number of names tabulated: the given names, else every name in the
-    events. The records of the trace, when given, supply each name's largest
-    response and the nscount shares."""
+           records: Sequence[tr.PacketRecord] | None = None) -> StageResult:
+    """report: the tld_summary.csv rows over the given names, else every name
+    in the events, and the report.json object. The records of the trace,
+    when given, supply each name's largest response and the nscount shares."""
     from . import fingerprint as fp
 
     if names is None:
@@ -303,4 +380,8 @@ def report(events: Sequence[det.AttackEvent], names: AbstractSet[str] | None = N
         "nscount_le10_share": sum(n <= 10 for n in nscounts) / len(nscounts)
         if nscounts else None,
     }
-    return rows, obj, len(names)
+    return StageResult({
+        "tld_summary.csv": (csv_writer(("tld", "names", "packets", "packet_share", "attacks",
+                                        "max_response_size")), rows),
+        "report.json": (write_json, obj),
+    }, f"report over {len(events)} events, {len(names)} names")

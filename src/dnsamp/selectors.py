@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Protocol, Sequence
 
-from .fileio import from_obj, read_json, read_text_lines, write_csv, write_json, write_lines
+from .fileio import from_obj, read_json, read_text_lines, write_json
 from .trace import PacketRecord, normalize_qname
 
 QTYPE_ANY = 255
@@ -75,6 +75,8 @@ def selector_ground_truth(records: Sequence[PacketRecord],
                           slack_s: float = 300.0) -> SelectorRanking:
     """Rank names seen in trace traffic whose client address matches a known
     victim inside its (slack-widened) attack window."""
+    if slack_s < 0:
+        raise ValueError(f"slack_s must be >= 0, got {slack_s}")
     windows: dict[str, list[tuple[float, float]]] = {}
     for event in victim_windows:
         windows.setdefault(event.victim_ip, []).append(
@@ -197,14 +199,5 @@ def read_name_list(path: str) -> MisusedNameList:
     )
 
 
-def write_plain_names(names: MisusedNameList, path: str) -> None:
-    """One qname per line, sorted; the interchange form for other tools."""
-    write_lines(names.names, path)
-
-
 def read_plain_names(path: str) -> set[str]:
     return {normalize_qname(line) for _, line in read_text_lines(path)}
-
-
-def write_consensus_curve(names: MisusedNameList, path: str) -> None:
-    write_csv(path, ("k", "mean_jaccard"), names.curve)

@@ -16,7 +16,7 @@ import ipaddress
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -212,21 +212,6 @@ class GroundTruth:
             if misused / total >= share_threshold:
                 hits.append((victim, day))
         return hits
-
-
-def apply_sampling(records: Sequence[PacketRecord], denominator: int,
-                   seed: int) -> list[PacketRecord]:
-    """Keep each packet independently with probability 1/denominator.
-
-    Random sampling, not every-Nth: burst structure cannot alias. The kept
-    count over n packets is Binomial(n, 1/denominator)."""
-    if denominator < 1:
-        raise ValueError("denominator must be >= 1")
-    if denominator == 1:
-        return list(records)
-    rng = _rng(seed, "apply_sampling")
-    mask = rng.random(len(records)) < 1.0 / denominator
-    return [record for record, keep in zip(records, mask) if keep]
 
 
 def _day_slices(cfg: ScenarioConfig, start: float, end: float) -> list[tuple[int, float, float]]:

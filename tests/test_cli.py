@@ -167,6 +167,79 @@ class TestOutDir:
         assert any(target.iterdir())
 
 
+class TestPrintedLines:
+    # each subcommand on the ws fixture: its arguments, with {ws}, {data} and
+    # {tmp} filled in, the exact stdout, and the files it writes
+    CASES = {
+        "synth": ("synth --scenario {data}/scenario_small.json",
+                  "5834 trace records, 90 honeypot requests, 3 planted attacks\n",
+                  "ground_truth.json honeypot.csv prefixes.csv trace.jsonl"),
+        "ingest": ("ingest --trace {ws}/gen/trace.jsonl --prefix-table {ws}/gen/prefixes.csv",
+                   "kept 5834 records (0 malformed lines, 0 dropped)\n",
+                   "annotated.jsonl ingest_stats.json"),
+        "select-names": ("select-names --trace {ws}/ing/annotated.jsonl "
+                         "--honeypot {ws}/gen/honeypot.csv",
+                         "consensus k*=3, 3 names\n", "curve.csv names.json names.txt"),
+        "select-names-previous": ("select-names --trace {ws}/ing/annotated.jsonl "
+                                  "--honeypot {ws}/gen/honeypot.csv "
+                                  "--previous {ws}/sel/names.json",
+                                  "day-over-day name-list jaccard: 1.0000\n"
+                                  "consensus k*=3, 3 names\n",
+                                  "curve.csv delta.json names.json names.txt"),
+        "select-names-no-honeypot": ("select-names --trace {ws}/ing/annotated.jsonl",
+                                     "consensus k*=3, 3 names (empty selectors: ground_truth)\n",
+                                     "curve.csv names.json names.txt"),
+        "detect": ("detect --trace {ws}/ing/annotated.jsonl --names {ws}/sel/names.json",
+                   "3 attack events from 3 suspicious client-days\n",
+                   "attacks.jsonl duration_percentiles.csv victims_daily.csv"),
+        "fingerprint": ("fingerprint --attacks {ws}/det/attacks.jsonl "
+                        "--fingerprint-spec {tmp}/entity.json",
+                        "attributed 1/3 events (share 0.3333)\n",
+                        "attribution.jsonl timeline.json"),
+        "cluster": ("cluster --attacks {ws}/det/attacks.jsonl",
+                    "0 clusters, outlier share 1.0000, 0 stable sets\n",
+                    "amplifiers.csv churn.csv clusters.json distance_matrix.csv qname_roles.csv"),
+        "cluster-seen-table": ("cluster --attacks {ws}/det/attacks.jsonl "
+                               "--seen-table {tmp}/seen.csv",
+                               "0 clusters, outlier share 1.0000, 0 stable sets, "
+                               "scan coverage 0.5000\n",
+                               "amplifiers.csv churn.csv clusters.json distance_matrix.csv "
+                               "qname_roles.csv"),
+        "estimate": ("estimate --records {data}/record_sets_small.jsonl "
+                     "--reference-names {data}/reference_names.txt",
+                     "2 names sized, 1 above reference\n",
+                     "estimates.csv plateaus.csv ranking.json"),
+        "snoop": ("snoop --responses {data}/probes_small.jsonl "
+                  "--ttl-table {data}/default_ttls.csv",
+                  "3 responders kept (0 malformed, 0 dropped); roles {'forwarder': 3}; "
+                  "cache {'hit': 1, 'miss': 1, 'unknown': 1}\n",
+                  "snoop.jsonl"),
+        "compare": ("compare --attacks {ws}/det/attacks.jsonl --honeypot {ws}/gen/honeypot.csv",
+                    "3 mutual events (1.0000 of trace, 1.0000 of honeypot)\n",
+                    "convergence.csv honeypot_events.jsonl overlap.json"),
+        "report": ("report --attacks {ws}/det/attacks.jsonl --names {ws}/sel/names.json "
+                   "--trace {ws}/ing/annotated.jsonl",
+                   "report over 3 events, 3 names\n", "report.json tld_summary.csv"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stdout_and_files(self, ws, tmp_path, capsys, case):
+        template, stdout, files = self.CASES[case]
+        (tmp_path / "entity.json").write_text(json.dumps(
+            {"name_suffixes": ["alpha.example."], "id_patterns": ["pure", "phased"]}))
+        # every other reflector of the detected events was seen by a scan
+        reflectors = sorted({ip for line in (out(ws, "det") / "attacks.jsonl").open()
+                             for ip in json.loads(line)["amplifier_set"]})
+        (tmp_path / "seen.csv").write_text("ip,first_seen,last_seen\n" + "".join(
+            f"{ip},2019-05-01,2019-05-30\n" for ip in reflectors[::2]))
+        capsys.readouterr()
+        argv = [token.format(ws=ws, data=SCENARIO_PATH.parent, tmp=tmp_path)
+                for token in template.split()]
+        assert run(*argv, "--out-dir", str(tmp_path / "out")) == 0
+        assert capsys.readouterr().out == stdout
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == files.split()
+
+
 class TestSynthStage:
     def test_outputs_exist(self, ws):
         gen = out(ws, "gen")
@@ -276,6 +349,13 @@ class TestSelectStage:
                    "--out-dir", str(tmp_path)) == 0
         delta = json.loads((tmp_path / "delta.json").read_text())
         assert delta["previous_jaccard"] == 1.0
+
+    def test_negative_slack_is_processing_error(self, ws, tmp_path, capsys):
+        assert run("select-names", "--trace", str(out(ws, "ing") / "annotated.jsonl"),
+                   "--honeypot", str(out(ws, "gen") / "honeypot.csv"),
+                   "--slack", "-100000", "--out-dir", str(tmp_path / "sel")) == 1
+        assert capsys.readouterr().err == "error: slack_s must be >= 0, got -100000.0\n"
+        assert not (tmp_path / "sel").exists()
 
     def test_rerun_byte_identical(self, ws, tmp_path):
         assert run("select-names", "--trace", str(out(ws, "ing") / "annotated.jsonl"),
@@ -432,6 +512,12 @@ class TestClusterStage:
         assert run("cluster", "--attacks", str(attacks), "--out-dir", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {attacks} {where}") and err.count("\n") == 1
+
+    def test_bad_eps_writes_nothing(self, ws, tmp_path, capsys):
+        assert run("cluster", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
+                   "--eps", "-1", "--out-dir", str(tmp_path / "cl")) == 1
+        assert capsys.readouterr().err == "error: eps must be >= 0, got -1.0\n"
+        assert not (tmp_path / "cl").exists()
 
     def test_outputs_exist(self, cl_dir):
         for name in ("distance_matrix.csv", "clusters.json", "churn.csv",
@@ -627,6 +713,13 @@ class TestCompareStage:
         assert run("compare", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
                    "--honeypot", str(honeypot), "--out-dir", str(tmp_path)) == 1
         assert capsys.readouterr().err == f"error: {honeypot} line 6: not UTF-8\n"
+
+    def test_negative_slack_is_processing_error(self, ws, tmp_path, capsys):
+        assert run("compare", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
+                   "--honeypot", str(out(ws, "gen") / "honeypot.csv"),
+                   "--slack", "-100000", "--out-dir", str(tmp_path / "cmp")) == 1
+        assert capsys.readouterr().err == "error: slack_s must be >= 0, got -100000.0\n"
+        assert not (tmp_path / "cmp").exists()
 
     def test_all_visible_attacks_matched(self, cmp_dir):
         overlap = json.loads((cmp_dir / "overlap.json").read_text())

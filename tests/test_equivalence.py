@@ -443,9 +443,9 @@ def test_wrong_field_table_covers_every_field():
 @given(events, wrong_fields)
 def test_wrong_typed_field_names_its_key(tmp_path_factory, event, wrong):
     key, value = wrong
-    obj = {**det.event_to_obj(event), key: value}
+    obj = {**event_to_obj_reference(event), key: value}
     path = tmp_path_factory.mktemp("events") / "attacks.jsonl"
-    path.write_text(json.dumps(det.event_to_obj(event)) + "\n\n" + json.dumps(obj) + "\n")
+    path.write_text(json.dumps(event_to_obj_reference(event)) + "\n\n" + json.dumps(obj) + "\n")
     with pytest.raises(ValueError, match=f"attacks.jsonl line 3: key '{key}': "):
         det.read_events(str(path))
 

@@ -1,6 +1,7 @@
-"""Import costs and module boundaries: no stage but synth may load numpy, and
-only fileio opens a file or decodes JSON."""
+"""Import costs and module boundaries: no stage but synth may load numpy, only
+fileio opens a file or decodes JSON, and the CLI writes only through `_write`."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -108,3 +109,18 @@ def test_only_fileio_opens_files_and_decodes_json():
         text = module.read_text(encoding="utf-8")
         for call in ("open(", "json.load", "json.loads", "scan_once"):
             assert call not in text, f"{module.name} holds {call}"
+
+
+def test_cli_writes_files_only_in_write():
+    tree = ast.parse(Path(dnsamp.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    write = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "_write")
+    inside = {id(node) for node in ast.walk(write)}
+    names = [node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))
+             and id(node) not in inside]
+    names += [alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names]
+    assert [name for name in names if name.startswith("write")] == []
+    assert any(isinstance(node, ast.Call) and getattr(node.func, "id", None) == "writer"
+               for node in ast.walk(write))

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+from dnsamp import pipeline
 from dnsamp import selectors as sel
 from dnsamp import trace as tr
+from dnsamp.fileio import write_lines
 
 
 def packet(qname, qr=0, udp_len=100, qtype=255, ts=10.0, client="10.0.0.1",
@@ -186,16 +188,18 @@ class TestSerialization:
     def test_plain_text_round_trip(self, tmp_path):
         merged = self.build()
         path = tmp_path / "names.txt"
-        sel.write_plain_names(merged, str(path))
+        write_lines(merged.names, str(path))
         assert sel.read_plain_names(str(path)) == merged.name_set()
 
     def test_curve_csv(self, tmp_path):
-        merged = self.build()
-        path = tmp_path / "curve.csv"
-        sel.write_consensus_curve(merged, str(path))
-        lines = path.read_text().splitlines()
+        records = [packet("big.example.", qr=1, udp_len=3000),
+                   packet("mid.example.", qr=1, udp_len=1000), packet("mid.example.")]
+        result = pipeline.select_names(records, pipeline.Settings(k_max=4))
+        writer, curve = result.files["curve.csv"]
+        writer(curve, str(tmp_path / "curve.csv"))
+        lines = (tmp_path / "curve.csv").read_text().splitlines()
         assert lines[0] == "k,mean_jaccard"
-        assert len(lines) == 1 + len(merged.curve)
+        assert len(lines) == 1 + len(result["names.json"].curve) > 1
 
     def test_membership_helpers(self):
         merged = self.build()

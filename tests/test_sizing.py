@@ -190,9 +190,9 @@ class TestPlateaus:
                            day=f"2019-06-{d:02d}") for d in range(1, 15)]
         sets += [record_set("a.example.", [("TXT", 60, 5000)]),
                  record_set("b.example.", [("A", 300, 4)], day="2019-06-01")]
-        rows, _, plateaus = pipeline.estimate(sets, pipeline.Settings())
-        assert len(calls) == len(sets) == len(rows)
-        assert plateaus == [("a.example.", "2019-06-03", "2019-06-10", 8, 300)]
+        result = pipeline.estimate(sets, pipeline.Settings())
+        assert len(calls) == len(sets) == len(result["estimates.csv"])
+        assert result["plateaus.csv"] == [("a.example.", "2019-06-03", "2019-06-10", 8, 300)]
 
 
 class TestRecordSetIO:

@@ -146,19 +146,6 @@ class TestSampling:
         sigma = math.sqrt(mean * (1 - 1 / 16000))
         assert abs(n - mean) < 3.5 * sigma
 
-    def test_apply_sampling_thins_independently(self):
-        base = [tr.PacketRecord(
-            ts=float(i), src_ip="10.0.0.1", dst_ip="192.0.2.1",
-            src_port=1024, dst_port=53, ip_ttl=60, ip_id=i % 65536,
-            udp_len=100, dns_id=i % 65536, qname="x.example.", qtype=255,
-            rcode=0, ancount=0, nscount=0, is_response=False)
-            for i in range(200000)]
-        kept = synth.apply_sampling(base, 1000, seed=3)
-        mean, sigma = 200.0, math.sqrt(200.0 * (1 - 1 / 1000))
-        assert abs(len(kept) - mean) < 4 * sigma
-        again = synth.apply_sampling(base, 1000, seed=3)
-        assert kept == again
-
     def test_request_fraction_split(self):
         attacks = [synth.AttackSpec(victim_ip="10.1.0.1",
                                     qname="alpha.example.", qps=20000.0,
