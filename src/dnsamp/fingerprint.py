@@ -71,6 +71,11 @@ class DnsIdPattern:
         return self.kind in (PATTERN_PURE_ODD, PATTERN_PURE_EVEN)
 
 
+def _check_min_segment(min_segment: int) -> None:
+    if min_segment < 1:
+        raise ValueError(f"min_segment must be >= 1, got {min_segment}")
+
+
 def classify_dnsid_pattern(ids: AttackEvent | Sequence[int],
                            min_segment: int = 3) -> DnsIdPattern:
     """Classify a time-ordered DNS-ID sequence by parity structure.
@@ -79,6 +84,7 @@ def classify_dnsid_pattern(ids: AttackEvent | Sequence[int],
     switch with both segments at least min_segment long (change_point is the
     index where the second segment starts). Anything else is mixed.
     """
+    _check_min_segment(min_segment)
     if isinstance(ids, AttackEvent):
         ids = list(ids.dns_ids)
     if len(ids) < 2:
@@ -274,6 +280,7 @@ def attribute_entity(events: Sequence[AttackEvent],
     its DNS-ID pattern class is allowed. Events with fewer than two IDs are
     unclassifiable and never match.
     """
+    _check_min_segment(min_segment)
     allowed = fingerprint.allowed_kinds()
     attributed = []
     patterns: list[DnsIdPattern | None] = []

@@ -16,6 +16,7 @@ import ipaddress
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from operator import attrgetter
 from typing import Sequence
 
 import numpy as np
@@ -37,6 +38,7 @@ _AMPLIFIER_POOL_BASE = "198.18.0.1"
 _GROUP_SET_BASE = "100.64.0.1"
 _BACKGROUND_CLIENT_BASE = "172.16.0.1"
 _BACKGROUND_SERVER_BASE = "192.0.2.1"
+_BACKGROUND_SERVERS = 250
 
 
 def derive_seed(base_seed: int, tag: str) -> int:
@@ -53,7 +55,10 @@ def _ip_range(base: str):
     start = int(ipaddress.IPv4Address(base))
 
     def at(index: int) -> str:
-        return str(ipaddress.IPv4Address(start + index))
+        value = start + index
+        if not 0 <= value <= 0xFFFFFFFF:
+            raise ValueError(f"{value} is not permitted as an IPv4 address")
+        return f"{value >> 24}.{value >> 16 & 255}.{value >> 8 & 255}.{value & 255}"
 
     return at
 
@@ -130,6 +135,7 @@ class ScenarioConfig:
             raise ValueError("amplifier_pool_size must be >= 1")
         if self.sensor_count < 1:
             raise ValueError("sensor_count must be >= 1")
+        self._check_background_ranges()
         total = self.duration_days * DAY_S
         for spec in self.attacks:
             if spec.start_s < 0 or spec.start_s + spec.duration_s > total:
@@ -140,6 +146,26 @@ class ScenarioConfig:
                 raise ValueError(
                     f"attack on {spec.victim_ip} draws more amplifiers than the pool holds")
         self._check_honeypot_spacing()
+
+    def _check_background_ranges(self) -> None:
+        # The numbers handed to numpy's draws; a daily rate is rounded to the
+        # int64 count of a binomial draw.
+        low, high = self.background_daily_rate
+        checks = (
+            ("background_clients", "an integer >= 0", self.background_clients,
+             self.background_clients >= 0),
+            ("background_daily_rate", "[low, high] with 0 <= low <= high < 2**63",
+             list(self.background_daily_rate), 0 <= low <= high < 2 ** 63),
+            ("background_any_fraction", "a number in [0, 1]", self.background_any_fraction,
+             0 <= self.background_any_fraction <= 1),
+            ("sensor_coverage", "two numbers in [0, 1]", list(self.sensor_coverage),
+             all(0 <= value <= 1 for value in self.sensor_coverage)),
+            ("honeypot_requests_per_sensor", "an integer >= 1",
+             self.honeypot_requests_per_sensor, self.honeypot_requests_per_sensor >= 1),
+        )
+        for key, expected, value, ok in checks:
+            if not ok:
+                raise ValueError(f"key {key!r}: expected {expected}, got {value!r}")
 
     def _check_honeypot_spacing(self) -> None:
         # Visible same-victim attacks must not blur into one honeypot event.
@@ -338,72 +364,84 @@ def _attack_records(cfg: ScenarioConfig, spec: AttackSpec, attack_id: str,
     records: list[PacketRecord] = []
     req_wire = 12 + qname_wire_length(spec.qname) + 4 + 11  # EDNS OPT assumed
     day_indices = ((stamps - cfg.start_ts) // DAY_S).astype(int) if sampled else np.array([], dtype=int)
-    for day in sorted(set(int(d) for d in day_indices)):
+    for day in sorted(set(day_indices.tolist())):
         mask = day_indices == day
-        day_stamps = stamps[mask]
-        k = int(day_stamps.size)
+        day_stamps = stamps[mask].tolist()
+        k = len(day_stamps)
         day_key = cfg.day_str(day)
         amp_set = plan.event_set(spec, attack_id, day)
         truth.daily_amplifiers[day_key] = tuple(sorted(amp_set))
         truth.daily_packets[day_key] = k
         event_rng = _rng(cfg.seed, f"attack-fields/{attack_id}/{day}")
-        perm = event_rng.permutation(len(amp_set))
-        is_request = event_rng.random(k) < spec.request_fraction
-        ids = _dns_ids(cfg, spec, attack_id, day, k)
-        src_ports = event_rng.integers(1024, 65536, size=k)
-        dst_ports = event_rng.integers(1024, 65536, size=k)
-        ip_ids = event_rng.integers(0, 65536, size=k)
-        ip_ttls = (np.full(k, spec.ip_ttl, dtype=int) if spec.ip_ttl is not None
-                   else event_rng.integers(32, 256, size=k))
-        ancounts = event_rng.integers(5, 26, size=k)
-        nscounts = event_rng.integers(0, 3, size=k)
+        servers = [amp_set[i] for i in event_rng.permutation(len(amp_set)).tolist()]
+        is_request = (event_rng.random(k) < spec.request_fraction).tolist()
+        ids = _dns_ids(cfg, spec, attack_id, day, k).tolist()
+        src_ports = event_rng.integers(1024, 65536, size=k).tolist()
+        dst_ports = event_rng.integers(1024, 65536, size=k).tolist()
+        ip_ids = event_rng.integers(0, 65536, size=k).tolist()
+        ip_ttls = ([int(spec.ip_ttl)] * k if spec.ip_ttl is not None
+                   else event_rng.integers(32, 256, size=k).tolist())
+        ancounts = event_rng.integers(5, 26, size=k).tolist()
+        nscounts = event_rng.integers(0, 3, size=k).tolist()
         for j in range(k):
-            request = bool(is_request[j])
+            request = is_request[j]
             records.append(_packet(
-                float(day_stamps[j]), spec.victim_ip, amp_set[perm[j % len(amp_set)]],
-                int(src_ports[j] if request else dst_ports[j]), not request,
-                int(ip_ttls[j]), int(ip_ids[j]),
-                8 + (req_wire if request else spec.response_size), int(ids[j]),
-                spec.qname, QTYPE_ANY, int(ancounts[j]), int(nscounts[j])))
-        requests = int(np.count_nonzero(is_request))
+                day_stamps[j], spec.victim_ip, servers[j % len(servers)],
+                src_ports[j] if request else dst_ports[j], not request,
+                ip_ttls[j], ip_ids[j],
+                8 + (req_wire if request else spec.response_size), ids[j],
+                spec.qname, QTYPE_ANY, ancounts[j], nscounts[j]))
+        requests = sum(is_request)
         truth.sampled_requests += requests
         truth.sampled_responses += k - requests
     truth.sampled_packets = len(records)
     return records
 
 
+class _BenignTables:
+    """Per-scenario lookups for benign traffic: each name with the UDP length
+    of its request, and the background servers' addresses."""
+
+    def __init__(self, names: Sequence[str]):
+        self.names = [(name, 8 + 12 + qname_wire_length(name) + 4) for name in names]
+        server_at = _ip_range(_BACKGROUND_SERVER_BASE)
+        self.servers = [server_at(i) for i in range(_BACKGROUND_SERVERS)]
+
+
+# Bounds of the six integer fields of a benign packet, drawn in one call:
+# response size, source port, DNS ID, IP ID, IP TTL and answer count.
+_BENIGN_LOW = np.array([[80], [1024], [0], [0], [32], [1]])
+_BENIGN_HIGH = np.array([[1200], [65536], [65536], [65536], [256], [5]])
+
+
 def _benign_client_records(cfg: ScenarioConfig, client_ip: str, tag: str,
                            count: int, window: tuple[float, float],
-                           names: Sequence[str],
-                           server_at) -> list[PacketRecord]:
+                           tables: _BenignTables) -> list[PacketRecord]:
+    # numpy fills bounded integers and doubles element by element in C order,
+    # so each stacked call below draws the same values as one call per row.
     if count <= 0:
         return []
     rng = _rng(cfg.seed, tag)
-    stamps = np.sort(rng.uniform(window[0], window[1], size=count))
-    name_picks = rng.integers(0, len(names), size=count)
-    server_picks = rng.integers(0, 250, size=count)
-    is_request = rng.random(count) < 0.6
-    any_roll = rng.random(count)
-    type_roll = rng.random(count)
-    sizes = rng.integers(80, 1200, size=count)
-    src_ports = rng.integers(1024, 65536, size=count)
-    ids = rng.integers(0, 65536, size=count)
-    ip_ids = rng.integers(0, 65536, size=count)
-    ip_ttls = rng.integers(32, 256, size=count)
-    ancounts = rng.integers(1, 5, size=count)
+    stamps = np.sort(rng.uniform(window[0], window[1], size=count)).tolist()
+    name_picks, server_picks = rng.integers(
+        0, [[len(tables.names)], [_BACKGROUND_SERVERS]], size=(2, count)).tolist()
+    request_roll, any_roll, type_roll = rng.random((3, count)).tolist()
+    sizes, src_ports, ids, ip_ids, ip_ttls, ancounts = rng.integers(
+        _BENIGN_LOW, _BENIGN_HIGH, size=(6, count)).tolist()
+    any_fraction = cfg.background_any_fraction
     records = []
     for j in range(count):
-        qname = names[int(name_picks[j])]
-        if any_roll[j] < cfg.background_any_fraction:
+        qname, request_len = tables.names[name_picks[j]]
+        if any_roll[j] < any_fraction:
             qtype = QTYPE_ANY
         else:
             qtype = QTYPE_A if type_roll[j] < 0.75 else QTYPE_AAAA
-        request = bool(is_request[j])
+        request = request_roll[j] < 0.6
         records.append(_packet(
-            float(stamps[j]), client_ip, server_at(int(server_picks[j])), int(src_ports[j]),
-            not request, int(ip_ttls[j]), int(ip_ids[j]),
-            8 + (12 + qname_wire_length(qname) + 4 if request else int(sizes[j])),
-            int(ids[j]), qname, qtype, int(ancounts[j]), 0))
+            stamps[j], client_ip, tables.servers[server_picks[j]], src_ports[j],
+            not request, ip_ttls[j], ip_ids[j],
+            request_len if request else 8 + sizes[j],
+            ids[j], qname, qtype, ancounts[j], 0))
     return records
 
 
@@ -429,14 +467,14 @@ def _honeypot_requests(cfg: ScenarioConfig, spec: AttackSpec,
         offsets = np.arange(count) * gap
         if jitter > 0:
             offsets = offsets + rng.uniform(-jitter, jitter, size=count)
-        stamps = np.sort(np.clip(start + offsets, start, start + duration))
+        stamps = np.sort(np.clip(start + offsets, start, start + duration)).tolist()
         seen_sensors.append(sensor_id)
         for ts in stamps:
             requests.append(HoneypotRequest(
-                ts=float(ts), sensor_id=sensor_id, victim_ip=spec.victim_ip,
+                ts=ts, sensor_id=sensor_id, victim_ip=spec.victim_ip,
                 qname=spec.qname, qtype=QTYPE_ANY))
-        first_ts = min(first_ts, float(stamps[0]))
-        last_ts = max(last_ts, float(stamps[-1]))
+        first_ts = min(first_ts, stamps[0])
+        last_ts = max(last_ts, stamps[-1])
         total += count
     if not seen_sensors:
         return [], None
@@ -452,8 +490,8 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[PacketRecord],
     """Materialize the sampled trace, the honeypot log, and ground truth."""
     plan = _AmplifierPlan(cfg)
     background_client = _ip_range(_BACKGROUND_CLIENT_BASE)
-    background_server = _ip_range(_BACKGROUND_SERVER_BASE)
-    benign_names = [f"bg{i:03d}.example." for i in range(max(cfg.background_names, 1))]
+    tables = _BenignTables([f"bg{i:03d}.example." for i in range(max(cfg.background_names, 1))])
+    base = cfg.start_ts
 
     records: list[PacketRecord] = []
     hp_requests: list[HoneypotRequest] = []
@@ -464,7 +502,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[PacketRecord],
 
     for index, spec in enumerate(cfg.attacks):
         attack_id = f"a{index:03d}"
-        start = cfg.start_ts + spec.start_s
+        start = base + spec.start_s
         truth = AttackTruth(
             attack_id=attack_id, victim_ip=spec.victim_ip, qname=spec.qname,
             start_ts=start, end_ts=start + spec.duration_s, qps=spec.qps,
@@ -482,8 +520,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[PacketRecord],
             for day, lo, hi in _day_slices(cfg, start, start + spec.duration_s):
                 benign = _benign_client_records(
                     cfg, spec.victim_ip, f"victim-benign/{attack_id}/{day}",
-                    spec.benign_packets_per_day, (lo, hi), benign_names,
-                    background_server)
+                    spec.benign_packets_per_day, (lo, hi), tables)
                 counts["benign_victim_records"] += len(benign)
                 records.extend(benign)
         if spec.honeypot_visible:
@@ -496,20 +533,18 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[PacketRecord],
     rates = rate_rng.uniform(cfg.background_daily_rate[0],
                              cfg.background_daily_rate[1],
                              size=cfg.background_clients)
-    for client_index in range(cfg.background_clients):
+    for client_index, rate in enumerate(rates.tolist()):
         client_ip = background_client(client_index)
         for day in range(cfg.duration_days):
             day_rng = _rng(cfg.seed, f"background-count/{client_index}/{day}")
-            sampled = int(day_rng.binomial(
-                int(round(rates[client_index])), 1.0 / cfg.sampling_denominator))
-            window = (cfg.start_ts + day * DAY_S, cfg.start_ts + (day + 1) * DAY_S)
+            sampled = int(day_rng.binomial(round(rate), 1.0 / cfg.sampling_denominator))
+            window = (base + day * DAY_S, base + (day + 1) * DAY_S)
             benign = _benign_client_records(
-                cfg, client_ip, f"background/{client_index}/{day}", sampled,
-                window, benign_names, background_server)
+                cfg, client_ip, f"background/{client_index}/{day}", sampled, window, tables)
             counts["background_records"] += len(benign)
             records.extend(benign)
 
-    records.sort(key=lambda r: (r.ts, r.src_ip, r.dst_ip, r.src_port, r.dst_port, r.dns_id))
+    records.sort(key=attrgetter("ts", "src_ip", "dst_ip", "src_port", "dst_port", "dns_id"))
     hp_requests.sort(key=lambda r: (r.ts, r.sensor_id, r.victim_ip))
     hp_events.sort(key=lambda e: (e.start, e.victim_ip))
 

@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from dnsamp.detector import AttackEvent
+from dnsamp.synth import derive_seed
 from dnsamp.trace import TRACE_FIELDS, PacketRecord, normalize_qname, qname_is_valid
 
 QCLASS_IN = 1
@@ -399,3 +400,46 @@ def parity_alternation_period_reference(daily_parity, max_lag=None):
         if value < best_value:
             best_lag, best_value = lag, value
     return best_lag
+
+
+def benign_client_records_reference(seed: int, client_ip: str, tag: str, count: int,
+                                    window: tuple[float, float], names, any_fraction: float):
+    """synth's benign records of one client as they were written with one
+    draw per field: each numpy scalar converted on its own and each server
+    address formatted by ipaddress."""
+    if count <= 0:
+        return []
+    rng = np.random.Generator(np.random.PCG64(derive_seed(seed, tag)))
+    stamps = np.sort(rng.uniform(window[0], window[1], size=count))
+    name_picks = rng.integers(0, len(names), size=count)
+    server_picks = rng.integers(0, 250, size=count)
+    is_request = rng.random(count) < 0.6
+    any_roll = rng.random(count)
+    type_roll = rng.random(count)
+    sizes = rng.integers(80, 1200, size=count)
+    src_ports = rng.integers(1024, 65536, size=count)
+    ids = rng.integers(0, 65536, size=count)
+    ip_ids = rng.integers(0, 65536, size=count)
+    ip_ttls = rng.integers(32, 256, size=count)
+    ancounts = rng.integers(1, 5, size=count)
+    server_base = int(ipaddress.IPv4Address("192.0.2.1"))
+    records = []
+    for j in range(count):
+        qname = names[int(name_picks[j])]
+        if any_roll[j] < any_fraction:
+            qtype = 255
+        else:
+            qtype = 1 if type_roll[j] < 0.75 else 28
+        server = str(ipaddress.IPv4Address(server_base + int(server_picks[j])))
+        ts, port = float(stamps[j]), int(src_ports[j])
+        common = (int(ip_ttls[j]), int(ip_ids[j]))
+        if is_request[j]:
+            records.append(PacketRecord(
+                ts, client_ip, server, port, 53, *common,
+                8 + 12 + len(wire_name(qname)) + 4, False, int(ids[j]), qname, qtype,
+                0, 0, 0))
+        else:
+            records.append(PacketRecord(
+                ts, server, client_ip, 53, port, *common, 8 + int(sizes[j]), True,
+                int(ids[j]), qname, qtype, 0, int(ancounts[j]), 0))
+    return records

@@ -272,6 +272,28 @@ class TestSynthStage:
         assert err == f"error: {scenario}: key 'start_day': expected a YYYY-MM-DD " \
             f"string, got {day!r}\n"
 
+    @pytest.mark.parametrize("key, value, expected", [
+        ("background_clients", -1, "an integer >= 0"),
+        ("background_daily_rate", [-10, -5], "[low, high] with 0 <= low <= high < 2**63"),
+        ("background_daily_rate", [400000, 200000],
+         "[low, high] with 0 <= low <= high < 2**63"),
+        ("background_daily_rate", [0, 1e30], "[low, high] with 0 <= low <= high < 2**63"),
+        ("background_any_fraction", 2.0, "a number in [0, 1]"),
+        ("sensor_coverage", [2.0, 1.0], "two numbers in [0, 1]"),
+        ("sensor_coverage", [1.0, -0.5], "two numbers in [0, 1]"),
+        ("honeypot_requests_per_sensor", -3, "an integer >= 1"),
+    ])
+    def test_out_of_range_scenario_value_is_processing_error(self, tmp_path, capsys,
+                                                              key, value, expected):
+        obj = json.loads(SCENARIO_PATH.read_text())
+        obj[key] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj))
+        assert run("synth", "--scenario", str(scenario), "--out-dir", str(tmp_path / "gen")) == 1
+        assert capsys.readouterr().err == \
+            f"error: {scenario}: key {key!r}: expected {expected}, got {value!r}\n"
+        assert not (tmp_path / "gen").exists()
+
     def test_wrong_typed_scenario_value_is_processing_error(self, tmp_path, capsys):
         obj = json.loads(SCENARIO_PATH.read_text())
         obj["background_clients"] = "x"
@@ -458,6 +480,17 @@ class TestFingerprintStage:
         for row in rows:
             assert set(row) >= {"dns_id_ratio", "dns_id_low_entropy",
                                 "src_port_ratio", "ip_id_ratio"}
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_min_segment_below_one_is_processing_error(self, ws, tmp_path, capsys, value):
+        spec = tmp_path / "entity.json"
+        spec.write_text(json.dumps({"name_suffixes": ["alpha.example."],
+                                    "id_patterns": ["pure", "phased"]}))
+        assert run("fingerprint", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
+                   "--fingerprint-spec", str(spec), "--min-segment", value,
+                   "--out-dir", str(tmp_path / "fp")) == 1
+        assert capsys.readouterr().err == f"error: min_segment must be >= 1, got {value}\n"
+        assert not (tmp_path / "fp").exists()
 
     def test_each_pattern_classified_once(self, ws, fp_dir, tmp_path, monkeypatch):
         from dnsamp import fingerprint as fp

@@ -21,7 +21,8 @@ from dnsamp import fingerprint as fp
 from dnsamp import honeypot as hp
 from dnsamp import synth
 from dnsamp import trace as tr
-from oracles import (csv_table_reference, event_from_obj_reference, event_to_obj_reference,
+from oracles import (benign_client_records_reference, csv_table_reference,
+                     event_from_obj_reference, event_to_obj_reference,
                      jaccard_distance_matrix_reference, lpm_reference,
                      parity_alternation_period_reference, parse_trace_reference,
                      sanitize_reference, trace_line_reference)
@@ -389,11 +390,16 @@ attack_specs = st.builds(
     dns_id_mode=st.sampled_from(synth.DNS_ID_MODES), request_fraction=st.floats(0, 1),
     entity=st.one_of(st.none(), texts), dns_id_pool=st.one_of(st.none(), st.integers(1, 9)))
 
+# each number within the range ScenarioConfig accepts for its field
+rates = st.one_of(st.floats(0, 1e18), st.integers(0, 2 ** 62))
+fractions = st.one_of(st.floats(0, 1), st.integers(0, 1))
 scenarios = st.builds(
     synth.ScenarioConfig, seed=st.integers(0, 2 ** 64), duration_days=st.integers(1, 3),
     attacks=st.lists(attack_specs, max_size=3).map(tuple),
-    background_daily_rate=st.tuples(numbers, numbers),
-    background_any_fraction=numbers, sensor_coverage=st.tuples(numbers, numbers))
+    background_clients=st.integers(0, 10 ** 6),
+    background_daily_rate=st.tuples(rates, rates).map(sorted).map(tuple),
+    background_any_fraction=fractions, sensor_coverage=st.tuples(fractions, fractions),
+    honeypot_requests_per_sensor=st.integers(1, 10 ** 6))
 
 
 @given(st.one_of(honeypot_events, attack_truths))
@@ -408,6 +414,45 @@ def test_from_obj_inverts_to_obj(record):
 def test_scenario_from_obj_inverts_asdict(scenario):
     obj = json.loads(json.dumps(dataclasses.asdict(scenario)))
     assert synth.scenario_from_obj(obj) == scenario
+
+
+labels = st.text("abcdefghij-0123456789", min_size=1, max_size=12)
+qnames = st.lists(labels, min_size=1, max_size=3).map(lambda parts: ".".join(parts) + ".")
+windows = st.tuples(st.floats(1.5e9, 1.6e9), st.floats(1e-3, 2 * 86400.0)).map(
+    lambda span: (span[0], span[0] + span[1]))
+
+
+@given(st.integers(0, 2 ** 64 - 1), texts, st.integers(0, 40), windows,
+       st.lists(qnames, min_size=1, max_size=300), st.floats(0, 1))
+@example(7, "background/0/0", 1, (1.5e9, 1.5e9 + 86400.0), ["bg000.example."], 0.02)
+def test_benign_client_records_match_reference(seed, tag, count, window, names, any_fraction):
+    cfg = synth.ScenarioConfig(seed=seed, duration_days=1, background_any_fraction=any_fraction)
+    got = synth._benign_client_records(cfg, "172.16.0.9", tag, count, window,
+                                       synth._BenignTables(names))
+    want = benign_client_records_reference(seed, "172.16.0.9", tag, count, window, names,
+                                           any_fraction)
+    assert got == want
+    # builtin values, so the records serialize as the reference's do
+    assert [[type(value) for value in dataclasses.astuple(r)] for r in got] == \
+        [[type(value) for value in dataclasses.astuple(r)] for r in want]
+
+
+# synth draws several rows of one distribution in one call; that holds only
+# while numpy fills bounded integers and doubles element by element
+@given(st.integers(0, 2 ** 64 - 1),
+       st.lists(st.tuples(st.integers(-2 ** 31, 2 ** 31), st.integers(1, 2 ** 32)),
+                min_size=1, max_size=6),
+       st.integers(1, 20))
+def test_stacked_draws_match_one_draw_per_row(seed, bounds, count):
+    lows = np.array([[low] for low, _ in bounds])
+    highs = np.array([[low + width] for low, width in bounds])
+    stacked, per_row = (np.random.Generator(np.random.PCG64(seed)) for _ in range(2))
+    integers = stacked.integers(lows, highs, size=(len(bounds), count)).tolist()
+    doubles = stacked.random((len(bounds), count)).tolist()
+    assert integers == [per_row.integers(low, high, size=count).tolist()
+                        for (low,), (high,) in zip(lows.tolist(), highs.tolist())]
+    assert doubles == [per_row.random(count).tolist() for _ in bounds]
+    assert stacked.integers(0, 65536) == per_row.integers(0, 65536)
 
 
 # wrong-typed JSON values for each kind of AttackEvent field

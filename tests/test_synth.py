@@ -1,17 +1,23 @@
 """Deterministic scenario generation and its ground truth."""
 
 import dataclasses
+import hashlib
+import ipaddress
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dnsamp import detector as det
 from dnsamp import honeypot as hp
+from dnsamp import pipeline
 from dnsamp import selectors as sel
 from dnsamp import synth
 from dnsamp import trace as tr
+
+SCENARIO_PATH = Path(__file__).parent / "data" / "scenario_small.json"
 
 
 def scenario(seed=5, retention=1.0, attacks=None, **overrides):
@@ -61,6 +67,71 @@ class TestDeterminism:
         for ext in (".jsonl", ".csv", ".json"):
             assert (tmp_path / f"a{ext}").read_bytes() == \
                 (tmp_path / f"b{ext}").read_bytes()
+
+    # SHA-256 of each file pipeline.synth writes, recorded when every field
+    # was drawn by its own numpy call; the batched draws must keep every byte.
+    PINNED = {
+        "small": {
+            "trace.jsonl": "a1ee60fb26e935fff60ce7732bfae8d78f7aed607b003852101817d55df6e0cc",
+            "honeypot.csv": "7da3eaf28c6f656aaad3205c4ef9d634b77fd72054f6b88c9c75bedd786c621f",
+            "ground_truth.json":
+                "3d43be2b3a2549e56ae6c785288867fea0b60663d67b912424f2673f27d7f134",
+            "prefixes.csv": "159a231cbcdca8403a2769dd406882e93fc49f1218579a1b3c3df561d56561f8",
+        },
+        "mixed": {
+            "trace.jsonl": "9f2c1a06c4a06d73b2eddacbf7525fe0907b0ba1b772d7a80e1e4c42d16b571e",
+            "honeypot.csv": "79b1c5d301e2cc7621b018e60fcf7021fd313166317de9b51b59cd7783c1567b",
+            "ground_truth.json":
+                "1d52708dce32919c45084313e897add8e4048ed4d17b000b8dd2c17af3fb1bf5",
+            "prefixes.csv": "5d9621f09aaea2925a5bb0037d501b992c3d6ff6531153ab9361e7daf8d4ed28",
+        },
+    }
+
+    @staticmethod
+    def mixed_scenario():
+        """Many background client-days of 1-3 sampled packets, benign victim
+        packets, every DNS-ID mode (with and without an ID pool), every
+        amplifier mode, a fixed TTL and partial churn and sensor coverage."""
+        spec = synth.AttackSpec
+        attacks = (
+            spec(victim_ip="10.1.0.1", qname="alpha.example.", qps=3000.0, start_s=3600.0,
+                 duration_s=7200.0, honeypot_visible=True, benign_packets_per_day=3,
+                 dns_id_pool=40),
+            spec(victim_ip="10.2.0.1", qname="beta.example.", qps=2000.0, start_s=80000.0,
+                 duration_s=14400.0, dns_id_mode="pure_parity", benign_packets_per_day=2,
+                 amplifier_mode="static", amplifier_group="g1", amplifiers_per_attack=12,
+                 ip_ttl=52, entity="booter"),
+            spec(victim_ip="10.3.0.1", qname="gamma.example.", qps=2500.0, start_s=100000.0,
+                 duration_s=5400.0, dns_id_mode="phased", honeypot_visible=True,
+                 amplifier_mode="drift", amplifier_group="g2", amplifiers_per_attack=10,
+                 drift_per_event=2, honeypot_requests_per_sensor=9, entity="booter"),
+            spec(victim_ip="10.3.0.1", qname="gamma.example.", qps=2500.0, start_s=120000.0,
+                 duration_s=3600.0, dns_id_mode="phased", dns_id_pool=6,
+                 amplifier_mode="drift", amplifier_group="g2", amplifiers_per_attack=10,
+                 drift_per_event=2),
+            spec(victim_ip="10.4.0.1", qname="delta.example.", qps=1500.0, start_s=150000.0,
+                 duration_s=36000.0, dns_id_mode="alternating_48h", request_fraction=0.2,
+                 honeypot_visible=True, amplifier_mode="static", amplifier_group="g1",
+                 amplifiers_per_attack=12),
+            spec(victim_ip="10.5.0.1", qname="epsilon.example.", qps=800.0, start_s=40000.0,
+                 duration_s=600.0, dns_id_mode="pure_parity", dns_id_pool=3),
+        )
+        return synth.ScenarioConfig(
+            seed=2024, duration_days=3, attacks=attacks, background_clients=400,
+            background_daily_rate=(16000.0, 48000.0), background_names=30,
+            background_any_fraction=0.3, amplifier_pool_size=90, churn_retention=0.8,
+            sensor_count=5, honeypot_requests_per_sensor=7, sensor_coverage=(0.9, 0.8))
+
+    @pytest.mark.parametrize("name", ["small", "mixed"])
+    def test_written_files_match_pinned_digests(self, tmp_path, name):
+        cfg = (synth.read_scenario(str(SCENARIO_PATH)) if name == "small"
+               else self.mixed_scenario())
+        result = pipeline.synth(cfg)
+        digests = {}
+        for file_name, (writer, value) in result.files.items():
+            writer(value, str(tmp_path / file_name))
+            digests[file_name] = hashlib.sha256((tmp_path / file_name).read_bytes()).hexdigest()
+        assert digests == self.PINNED[name]
 
 
 class TestGroundTruth:
@@ -382,6 +453,18 @@ class TestPrefixTable:
     def test_victims_get_distinct_ases(self):
         table = dict(synth.synthetic_prefix_table(scenario()))
         assert table["10.1.0.0/16"] != table["10.2.0.0/16"]
+
+
+class TestAddressRange:
+    @pytest.mark.parametrize("base", ["0.0.0.0", "172.16.0.1", "255.255.255.255"])
+    def test_matches_ipaddress_to_the_ends_and_raises_past_them(self, base):
+        at = synth._ip_range(base)
+        start = int(ipaddress.IPv4Address(base))
+        for value in (0, 1, 255, 256, 65535, 0x01020304, 0xFF00FF00, start, 2 ** 32 - 1):
+            assert at(value - start) == str(ipaddress.IPv4Address(value))
+        for index in (-start - 1, 2 ** 32 - start):
+            with pytest.raises(ValueError):
+                at(index)
 
 
 class TestSeedDerivation:
