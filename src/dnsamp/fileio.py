@@ -36,8 +36,7 @@ def write_lines(lines: Iterable[str], path: str) -> None:
     """Each string as one line of a UTF-8 text file, ended by a bare "\\n"."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         for line in lines:
-            handle.write(line)
-            handle.write("\n")
+            handle.write(line + "\n")
 
 
 def write_jsonl(objs: Iterable[Any], path: str) -> None:
@@ -68,11 +67,11 @@ def write_float_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
 
     A float's repr needs no quoting, so a row is its reprs joined by commas,
     and each distinct value is encoded once."""
-    reprs = _FloatReprs()
+    reprs = FloatReprs()
     write_lines((",".join(map(reprs.__getitem__, row)) for row in rows), path)
 
 
-class _FloatReprs(dict):
+class FloatReprs(dict):
     """repr of a float, memoized. Zeros stay out of the memo, where -0.0
     would find 0.0, and so does nan, which never finds itself."""
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Iterable, Sequence
 
 from . import detector as det
@@ -213,12 +214,13 @@ def cluster(events: Sequence[det.AttackEvent], settings: Settings,
     breakdown = amp.qname_role_breakdown(events, inventory)
     roles = [(qname, role, breakdown[qname][role])
              for qname in sorted(breakdown) for role in sorted(breakdown[qname])]
+    columns = [field.name for field in fields(amp.AmplifierInfo)]
+    reflectors = map(inventory.__getitem__, sorted(inventory))
     return StageResult({
         "distance_matrix.csv": (amp.write_distance_matrix, matrix),
         "clusters.json": (write_json, clusters),
         "churn.csv": (csv_writer(("day", "next_day", "overlap")), churn.overlaps),
-        "amplifiers.csv": (csv_writer([field.name for field in fields(amp.AmplifierInfo)]),
-                           [tuple(to_obj(inventory[ip]).values()) for ip in sorted(inventory)]),
+        "amplifiers.csv": (csv_writer(columns), list(map(attrgetter(*columns), reflectors))),
         "qname_roles.csv": (csv_writer(("qname", "role", "count")), roles),
     }, line)
 

@@ -102,6 +102,21 @@ class AttackSpec:
             raise ValueError("request_fraction must be within [0, 1]")
         if self.amplifiers_per_attack < 1:
             raise ValueError("amplifiers_per_attack must be >= 1")
+        # the DNS IDs of the parity modes keep one bit fixed: 32768 to draw from
+        ids = 65536 if self.dns_id_mode == "random" else 32768
+        checks = (
+            ("response_size", "an integer >= 0", self.response_size, self.response_size >= 0),
+            ("benign_packets_per_day", "an integer >= 0", self.benign_packets_per_day,
+             self.benign_packets_per_day >= 0),
+            ("dns_id_pool", f"null or an integer in [1, {ids}] for dns_id_mode "
+             f"{self.dns_id_mode!r}", self.dns_id_pool,
+             self.dns_id_pool is None or 1 <= self.dns_id_pool <= ids),
+            ("ip_ttl", "null or an integer in [0, 255]", self.ip_ttl,
+             self.ip_ttl is None or 0 <= self.ip_ttl <= 255),
+        )
+        for key, expected, value, ok in checks:
+            if not ok:
+                raise ValueError(f"key {key!r}: expected {expected}, got {value!r}")
 
 
 @dataclass(slots=True)
@@ -154,6 +169,8 @@ class ScenarioConfig:
         checks = (
             ("background_clients", "an integer >= 0", self.background_clients,
              self.background_clients >= 0),
+            ("background_names", "an integer >= 1", self.background_names,
+             self.background_names >= 1),
             ("background_daily_rate", "[low, high] with 0 <= low <= high < 2**63",
              list(self.background_daily_rate), 0 <= low <= high < 2 ** 63),
             ("background_any_fraction", "a number in [0, 1]", self.background_any_fraction,
@@ -490,7 +507,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[PacketRecord],
     """Materialize the sampled trace, the honeypot log, and ground truth."""
     plan = _AmplifierPlan(cfg)
     background_client = _ip_range(_BACKGROUND_CLIENT_BASE)
-    tables = _BenignTables([f"bg{i:03d}.example." for i in range(max(cfg.background_names, 1))])
+    tables = _BenignTables([f"bg{i:03d}.example." for i in range(cfg.background_names)])
     base = cfg.start_ts
 
     records: list[PacketRecord] = []
@@ -516,7 +533,7 @@ def generate_scenario(cfg: ScenarioConfig) -> tuple[list[PacketRecord],
         truths.append(truth)
         if spec.entity:
             entities.setdefault(spec.entity, []).append(attack_id)
-        if spec.benign_packets_per_day > 0:
+        if spec.benign_packets_per_day:
             for day, lo, hi in _day_slices(cfg, start, start + spec.duration_s):
                 benign = _benign_client_records(
                     cfg, spec.victim_ip, f"victim-benign/{attack_id}/{day}",

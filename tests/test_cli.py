@@ -1,8 +1,10 @@
 """End-to-end checks of the command-line pipeline."""
 
 import csv
+import hashlib
 import json
 import random
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -27,6 +29,15 @@ def run(*argv: str) -> int:
 SCENARIO_PATH = Path(__file__).parent / "data" / "scenario_small.json"
 
 ATTACK_NAMES = {"alpha.example.", "beta.example.", "gamma.example."}
+
+# what `cluster` writes for TestClusterStage's fixed event log
+PINNED_CLUSTER_DIGESTS = {
+    "distance_matrix.csv": "4fb4125ef180b21c244fa8c1252a1fd228bc041c6cdb3b8074b4f5fe6fd37f61",
+    "clusters.json": "f2a22c1283039b136d8367c97b70b3a616280d714aa1dc29535459e068885ee9",
+    "churn.csv": "a64357320816cc374013c877bf166c12d092474b70b67d26d473ac9c896bde52",
+    "amplifiers.csv": "f6484f611eea6858ef49e4d15ce22f528cb1907d1584f6c531306605d4692860",
+    "qname_roles.csv": "b7b165201a4de71fadf952627e0f1c9c9cde056ac82fb77a7b8dfc79ec75f592",
+}
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +66,20 @@ def ws(tmp_path_factory):
                "--prefix-table", str(gen / "prefixes.csv"),
                "--out-dir", str(det)) == 0
     return root
+
+
+def reflection_event(i: int, members, day: str = "2019-06-01",
+                     qname: str = "a.example.") -> AttackEvent:
+    """Event i of a hand-made event log: its own victim, a minute after
+    event i - 1, and one packet for `qname` per reflector in `members`."""
+    start = datetime.fromisoformat(day).replace(tzinfo=timezone.utc).timestamp() + 60.0 * i
+    return AttackEvent(
+        victim_ip=f"10.0.{i}.1", day=day, packet_count=len(members) or 1,
+        misused_packet_count=len(members) or 1, est_original_packets=0,
+        est_misused_packets=0, share=1.0, share_excluding_root=1.0, first_ts=start,
+        last_ts=start + 1.0, request_count=0, response_count=len(members) or 1,
+        qname_counts={qname: len(members) or 1}, amplifier_set=tuple(sorted(members)),
+        dns_ids=(), req_ip_ids=(), req_src_ports=(), req_dns_ids=(), ingress_as_counts={})
 
 
 def out(ws, stage: str):
@@ -282,6 +307,8 @@ class TestSynthStage:
         ("sensor_coverage", [2.0, 1.0], "two numbers in [0, 1]"),
         ("sensor_coverage", [1.0, -0.5], "two numbers in [0, 1]"),
         ("honeypot_requests_per_sensor", -3, "an integer >= 1"),
+        ("background_names", 0, "an integer >= 1"),
+        ("background_names", -5, "an integer >= 1"),
     ])
     def test_out_of_range_scenario_value_is_processing_error(self, tmp_path, capsys,
                                                               key, value, expected):
@@ -293,6 +320,38 @@ class TestSynthStage:
         assert capsys.readouterr().err == \
             f"error: {scenario}: key {key!r}: expected {expected}, got {value!r}\n"
         assert not (tmp_path / "gen").exists()
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("ip_ttl", 300, "null or an integer in [0, 255]"),
+        ("ip_ttl", -1, "null or an integer in [0, 255]"),
+        ("dns_id_pool", 70000, "null or an integer in [1, 65536] for dns_id_mode 'random'"),
+        ("dns_id_pool", 0, "null or an integer in [1, 65536] for dns_id_mode 'random'"),
+        ("response_size", -1, "an integer >= 0"),
+        ("benign_packets_per_day", -3, "an integer >= 0"),
+    ])
+    def test_out_of_range_attack_value_is_processing_error(self, tmp_path, capsys,
+                                                           key, value, expected):
+        obj = json.loads(SCENARIO_PATH.read_text())
+        obj["attacks"][1][key] = value
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj))
+        assert run("synth", "--scenario", str(scenario), "--out-dir", str(tmp_path / "gen")) == 1
+        assert capsys.readouterr().err == (f"error: {scenario}: key 'attacks': item 1: "
+                                           f"key {key!r}: expected {expected}, got {value!r}\n")
+        assert not (tmp_path / "gen").exists()
+
+    def test_parity_mode_dns_id_pool_is_half_the_ids(self, tmp_path, capsys):
+        obj = json.loads(SCENARIO_PATH.read_text())
+        obj["attacks"][0]["dns_id_pool"] = 32769  # attack 0 is pure_parity
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj))
+        assert run("synth", "--scenario", str(scenario), "--out-dir", str(tmp_path / "gen")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scenario}: key 'attacks': item 0: key 'dns_id_pool': expected null or "
+            f"an integer in [1, 32768] for dns_id_mode 'pure_parity', got 32769\n")
+        obj["attacks"][0]["dns_id_pool"] = 32768
+        scenario.write_text(json.dumps(obj))
+        assert run("synth", "--scenario", str(scenario), "--out-dir", str(tmp_path / "gen")) == 0
 
     def test_wrong_typed_scenario_value_is_processing_error(self, tmp_path, capsys):
         obj = json.loads(SCENARIO_PATH.read_text())
@@ -572,14 +631,8 @@ class TestClusterStage:
         sets += [frozenset(rng.sample(pool, rng.randint(1, 3))) for _ in range(7)]
         sets += [frozenset()] * 3
         rng.shuffle(sets)
-        write_events([AttackEvent(
-            victim_ip=f"10.0.{i}.1", day="2019-06-01", packet_count=1,
-            misused_packet_count=1, est_original_packets=0, est_misused_packets=0,
-            share=1.0, share_excluding_root=1.0, first_ts=0.0, last_ts=1.0,
-            request_count=0, response_count=1, qname_counts={"a.example.": 1},
-            amplifier_set=tuple(sorted(members)), dns_ids=(), req_ip_ids=(),
-            req_src_ports=(), req_dns_ids=(), ingress_as_counts={})
-            for i, members in enumerate(sets)], str(tmp_path / "attacks.jsonl"))
+        write_events([reflection_event(i, members) for i, members in enumerate(sets)],
+                     str(tmp_path / "attacks.jsonl"))
         assert run("cluster", "--attacks", str(tmp_path / "attacks.jsonl"),
                    "--eps", "1.0", "--out-dir", str(tmp_path / "out")) == 0
         write_csv(str(tmp_path / "reference.csv"), None,
@@ -588,6 +641,28 @@ class TestClusterStage:
             (tmp_path / "reference.csv").read_bytes()
         clusters = json.loads((tmp_path / "out" / "clusters.json").read_text())
         assert {item["label"] for item in clusters["labels"]} == {0}
+
+    def test_outputs_pinned_on_a_fixed_event_log(self, tmp_path):
+        # 120 events over 6 days: 40 draw 10 of one 12-reflector pool, so
+        # most of their rows count overlaps on bitsets; 72 draw from 2,048
+        # addresses, so theirs count on posting lists; 8 are empty. The
+        # digests are those of the bitset-only matrix, written row by row.
+        rng = random.Random(14)
+        pool = [f"198.18.1.{i}" for i in range(12)]
+        sets = [frozenset(rng.sample(pool, 10)) for _ in range(40)]
+        sets += [frozenset(f"203.0.{rng.randrange(8)}.{rng.randrange(256)}"
+                           for _ in range(rng.randint(1, 30))) for _ in range(72)]
+        sets += [frozenset()] * 8
+        rng.shuffle(sets)
+        write_events([reflection_event(i, members, day=f"2019-06-0{1 + i % 6}",
+                                       qname=f"{'abc'[i % 3]}.example.")
+                      for i, members in enumerate(sets)], str(tmp_path / "attacks.jsonl"))
+        assert run("cluster", "--attacks", str(tmp_path / "attacks.jsonl"),
+                   "--out-dir", str(tmp_path / "out")) == 0
+        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+                   for name in ("distance_matrix.csv", "clusters.json", "churn.csv",
+                                "amplifiers.csv", "qname_roles.csv")}
+        assert digests == PINNED_CLUSTER_DIGESTS
 
     def test_labels_cover_all_events(self, cl_dir):
         clusters = json.loads((cl_dir / "clusters.json").read_text())

@@ -290,17 +290,37 @@ def set_families(draw):
     return sets + [sets[i] for i in repeats if sets]
 
 
+# Inputs the strategy rarely draws. A row counts its overlaps from posting
+# lists while its members' later postings number at most the later rows, and
+# takes bitsets otherwise; the last three flip between the two in one matrix.
+SET_FAMILY_EXAMPLES = [
+    [frozenset(range(20))] * 300,
+    [frozenset(), frozenset({1, 2}), frozenset(), frozenset(), frozenset({2, 3}),
+     frozenset(), frozenset({1, 2})],
+    [frozenset(range(i, i + 40)) for i in range(30)],  # every pair overlaps
+    [],
+    [frozenset({"a"})],
+    [frozenset()],
+    # the codes of the second and third sets all lie beyond the first 64 bits
+    [frozenset(range(100)), frozenset(range(70, 90)), frozenset(range(80, 130))],
+    # a dense block on bitsets, then a sparse tail on posting lists
+    [frozenset(range(10))] * 8 + [frozenset({100 + i, 101 + i}) for i in range(8)],
+    # empty sets between rows on either path
+    [frozenset(range(5)), frozenset(), frozenset(range(5)), frozenset(), frozenset(range(3)),
+     frozenset(), frozenset({1, 9}), frozenset()],
+    # row 0 has 4 later postings for 3 later rows, row 1 has 2 for 2
+    [frozenset({1, 2, 3}), frozenset({1, 2}), frozenset({1}), frozenset({2})],
+]
+
+
+def set_family_examples(test):
+    for sets in reversed(SET_FAMILY_EXAMPLES):
+        test = example(sets)(test)
+    return test
+
+
 @given(set_families())
-# inputs the strategy rarely draws
-@example([frozenset(range(20))] * 300)
-@example([frozenset(), frozenset({1, 2}), frozenset(), frozenset(), frozenset({2, 3}),
-          frozenset(), frozenset({1, 2})])
-@example([frozenset(range(i, i + 40)) for i in range(30)])  # every pair overlaps
-@example([])
-@example([frozenset({"a"})])
-@example([frozenset()])
-# the codes of the second and third sets all lie beyond the first 64 bits
-@example([frozenset(range(100)), frozenset(range(70, 90)), frozenset(range(80, 130))])
+@set_family_examples
 def test_jaccard_distance_matrix_matches_reference(sets):
     rows = amp.jaccard_distance_matrix(sets)
     # n rows of n: the reshape fails on any other row length, also for n = 0
@@ -308,6 +328,18 @@ def test_jaccard_distance_matrix_matches_reference(sets):
     reference = jaccard_distance_matrix_reference(sets)
     assert matrix.shape == reference.shape == (len(sets), len(sets))
     assert np.array_equal(matrix.view(np.uint64), reference.view(np.uint64))
+
+
+@given(set_families())
+@set_family_examples
+def test_write_stored_distance_matrix_matches_write_csv(tmp_path_factory, sets):
+    # a DistanceMatrix is written from its stored entries, not row by row
+    directory = tmp_path_factory.mktemp("matrix")
+    amp.write_distance_matrix(amp.jaccard_distance_matrix(sets), str(directory / "matrix.csv"))
+    fileio.write_csv(str(directory / "reference.csv"), None,
+                     jaccard_distance_matrix_reference(sets).tolist())
+    assert (directory / "matrix.csv").read_bytes() == \
+        (directory / "reference.csv").read_bytes()
 
 
 special_floats = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
