@@ -1,8 +1,8 @@
 """Amplifier-set analysis: clustering, stability, churn, and roles.
 
 Events reusing the same reflector pool betray shared infrastructure. Sets are
-compared with exact Jaccard distance, counted from posting lists or bitsets,
-and grouped by a deterministic DBSCAN (points visited in index order, border
+compared with exact Jaccard distance, counted from posting lists, and
+grouped by a deterministic DBSCAN (points visited in index order, border
 ties to the first core cluster), so identical inputs always yield identical
 labels.
 """
@@ -14,12 +14,12 @@ from collections import Counter, deque
 from collections.abc import Iterable, Iterator, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import accumulate, chain, compress
+from itertools import accumulate, chain
 from operator import index
 from typing import AbstractSet
 
 from .detector import AttackEvent
-from .fileio import FloatReprs, is_iso_day, read_csv, write_float_csv, write_lines
+from .fileio import is_iso_day, read_csv, write_float_csv
 from .selectors import jaccard
 
 NOISE = -1
@@ -59,15 +59,11 @@ class DistanceMatrix(Sequence):
         return [[j for j, d in zip(range(n) if cols is None else cols, vals) if d <= eps]
                 for cols, vals in zip(self._cols, self._vals)]
 
-    def csv_lines(self) -> Iterator[str]:
-        """Each row as the line `fileio.write_float_csv` writes for it, read
-        from the stored entries: a sparse row is a copy of the all-"1.0" line
-        with the reprs of its stored values put in."""
-        reprs = FloatReprs()
-        ones = [repr(1.0)] * len(self._vals)
+    def float_rows(self) -> Iterator[list[float]]:
+        """m[i].tolist() for each row, built from the stored entries."""
+        n = len(self._vals)
         for cols, vals in zip(self._cols, self._vals):
-            texts = map(reprs.__getitem__, vals)
-            yield ",".join(texts if cols is None else _put(ones.copy(), cols, texts))
+            yield vals.tolist() if cols is None else _put([1.0] * n, cols, vals)
 
 
 def _put(row: MutableSequence, cols: Iterable[int], vals: Iterable) -> MutableSequence:
@@ -85,13 +81,11 @@ def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> DistanceMatrix:
     """Symmetric, zero-diagonal matrix of 1 - Jaccard(set_i, set_j).
 
     Two empty sets are identical (distance 0). Each distinct member gets a
-    code and a posting list, the ascending rows that hold it. A row's
+    code and a posting list, the ascending rows that hold it, and a row's
     intersections with later rows are counted from its members' later
-    postings while those number at most the later rows; a row with more
-    (dense overlap, one pool reused) takes popcounts of integer masks, one
-    bit per code, ANDed with every later row's. Only overlapping pairs divide
-    and are stored. Counts are exact and int / int rounds correctly, so each
-    entry has the bits of `1.0 - jaccard(a, b)`."""
+    postings. Only overlapping pairs divide and are stored. Counts are exact
+    and int / int rounds correctly, so each entry has the bits of
+    `1.0 - jaccard(a, b)`."""
     n = len(sets)
     codes: dict = {}
     for members in sets:
@@ -102,7 +96,7 @@ def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> DistanceMatrix:
     del codes
     sizes = [len(members) for members in sets]
     bounds = list(accumulate(sizes, initial=0))
-    # the postings of all codes, back to back in one flat array: code c's end
+    # the postings of all codes, back to back in one flat list: code c's end
     # at ends[c]. cursor[c] starts at c's first entry and steps once at the
     # turn of each row that holds c, so after row i's steps the entries from
     # cursor[c] to ends[c] are the later rows holding c
@@ -110,12 +104,11 @@ def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> DistanceMatrix:
     cursor = list(accumulate(map(tally.__getitem__, range(len(tally) - 1)), initial=0))
     del tally
     ends = cursor.copy()
-    postings = array("i", bytes(member_codes.itemsize * len(member_codes)))
+    postings = [0] * len(member_codes)
     for i in range(n):
         for code in member_codes[bounds[i]:bounds[i + 1]]:
             postings[ends[code]] = i
             ends[code] += 1
-    masks: list[int] | None = None
     # a column and a value take 12 B, so beyond 2n/3 entries n doubles are smaller
     limit = 2 * n // 3
     cols: list[array | None] = [array("i") for _ in range(n)]
@@ -124,25 +117,13 @@ def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> DistanceMatrix:
     for i, size in enumerate(sizes):
         if size:
             row = member_codes[bounds[i]:bounds[i + 1]]
-            later = 0
             for code in row:
                 cursor[code] += 1
-                later += ends[code] - cursor[code]
-            if later <= n - i - 1:
-                counts = Counter(chain.from_iterable(
-                    postings[cursor[code]:ends[code]] for code in row))
-                upper = sorted(counts)
-                inters = map(counts.__getitem__, upper)
-            else:
-                if masks is None:
-                    # a set's bits are distinct, so their sum is their OR
-                    masks = [sum(1 << code for code in member_codes[start:end])
-                             for start, end in zip(bounds, bounds[1:])]
-                pops = list(map(int.bit_count, map(masks[i].__and__, masks[i + 1:])))
-                upper = list(compress(range(i + 1, n), pops))
-                inters = filter(None, pops)
+            counts = Counter(chain.from_iterable(
+                postings[cursor[code]:ends[code]] for code in row))
+            upper = sorted(counts)
             dists = [1.0 - inter / (size + sizes[j] - inter)
-                     for j, inter in zip(upper, inters)]
+                     for j, inter in zip(upper, map(counts.__getitem__, upper))]
         else:
             upper = [j for j in empty if j > i]
             dists = [0.0] * len(upper)  # two empty sets: union 0, similarity 1
@@ -459,10 +440,8 @@ def write_distance_matrix(matrix: Sequence[array], path: str) -> None:
     """The bytes `fileio.write_csv(path, None, rows)` writes for the matrix's
     rows as lists of floats; a DistanceMatrix is written from its stored
     entries."""
-    if isinstance(matrix, DistanceMatrix):
-        write_lines(matrix.csv_lines(), path)
-    else:
-        # row by row: the whole matrix as Python floats would be 4x the dense
-        # size. tolist gives floats for array and ndarray rows alike; the repr
-        # of a numpy float64 is not a float's
-        write_float_csv(path, (row.tolist() for row in matrix))
+    # row by row: the whole matrix as Python floats would be 4x the dense
+    # size. tolist gives floats for array and ndarray rows alike; the repr of
+    # a numpy float64 is not a float's
+    write_float_csv(path, matrix.float_rows() if isinstance(matrix, DistanceMatrix)
+                    else (row.tolist() for row in matrix))

@@ -67,11 +67,11 @@ def write_float_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
 
     A float's repr needs no quoting, so a row is its reprs joined by commas,
     and each distinct value is encoded once."""
-    reprs = FloatReprs()
+    reprs = _FloatReprs()
     write_lines((",".join(map(reprs.__getitem__, row)) for row in rows), path)
 
 
-class FloatReprs(dict):
+class _FloatReprs(dict):
     """repr of a float, memoized. Zeros stay out of the memo, where -0.0
     would find 0.0, and so does nan, which never finds itself."""
 

@@ -644,9 +644,9 @@ class TestClusterStage:
 
     def test_outputs_pinned_on_a_fixed_event_log(self, tmp_path):
         # 120 events over 6 days: 40 draw 10 of one 12-reflector pool, so
-        # most of their rows count overlaps on bitsets; 72 draw from 2,048
-        # addresses, so theirs count on posting lists; 8 are empty. The
-        # digests are those of the bitset-only matrix, written row by row.
+        # they overlap densely; 72 draw from 2,048 addresses, so they overlap
+        # sparsely; 8 are empty. The digests were recorded with the matrix
+        # counted from bitsets and written row by row.
         rng = random.Random(14)
         pool = [f"198.18.1.{i}" for i in range(12)]
         sets = [frozenset(rng.sample(pool, 10)) for _ in range(40)]

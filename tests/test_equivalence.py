@@ -280,9 +280,8 @@ members = st.one_of(st.integers(0, 150), st.integers(0, 40).map(lambda i: f"198.
 
 @st.composite
 def set_families(draw):
-    """Up to 16 sets, some empty, some repeating an earlier one. A large
-    leading set, when drawn, takes the first codes, so that the sets after
-    it meet in later words."""
+    """Up to 16 sets, some empty, some repeating an earlier one, after a
+    large leading set when one is drawn."""
     sets = draw(st.lists(st.frozensets(st.integers(0, 150), min_size=64, max_size=120),
                          max_size=1))
     sets += draw(st.lists(st.frozensets(members, max_size=40), max_size=12))
@@ -290,9 +289,7 @@ def set_families(draw):
     return sets + [sets[i] for i in repeats if sets]
 
 
-# Inputs the strategy rarely draws. A row counts its overlaps from posting
-# lists while its members' later postings number at most the later rows, and
-# takes bitsets otherwise; the last three flip between the two in one matrix.
+# Inputs the strategy rarely draws.
 SET_FAMILY_EXAMPLES = [
     [frozenset(range(20))] * 300,
     [frozenset(), frozenset({1, 2}), frozenset(), frozenset(), frozenset({2, 3}),
@@ -301,15 +298,8 @@ SET_FAMILY_EXAMPLES = [
     [],
     [frozenset({"a"})],
     [frozenset()],
-    # the codes of the second and third sets all lie beyond the first 64 bits
+    # the second and third sets overlap each other and the first
     [frozenset(range(100)), frozenset(range(70, 90)), frozenset(range(80, 130))],
-    # a dense block on bitsets, then a sparse tail on posting lists
-    [frozenset(range(10))] * 8 + [frozenset({100 + i, 101 + i}) for i in range(8)],
-    # empty sets between rows on either path
-    [frozenset(range(5)), frozenset(), frozenset(range(5)), frozenset(), frozenset(range(3)),
-     frozenset(), frozenset({1, 9}), frozenset()],
-    # row 0 has 4 later postings for 3 later rows, row 1 has 2 for 2
-    [frozenset({1, 2, 3}), frozenset({1, 2}), frozenset({1}), frozenset({2})],
 ]
 
 
