@@ -32,13 +32,13 @@ def amplifier_sets(events: Sequence[AttackEvent]) -> list[frozenset[str]]:
 
 class DistanceMatrix(Sequence):
     """Read-only n-by-n distance matrix that keeps, per row, only the entries
-    below 1.0: their columns and values, or all n values where those would
-    take more bytes than n doubles. m[i] is a fresh array("d") of the row."""
+    below 1.0: their ascending columns and their values. m[i] is a fresh
+    array("d") of the row."""
 
     __slots__ = ("_cols", "_vals")
 
-    def __init__(self, cols: list[array | None], vals: list[array]) -> None:
-        self._cols = cols  # ascending columns, or None for a row kept dense
+    def __init__(self, cols: list[array], vals: list[array]) -> None:
+        self._cols = cols
         self._vals = vals
 
     def __len__(self) -> int:
@@ -46,9 +46,7 @@ class DistanceMatrix(Sequence):
 
     def __getitem__(self, i: int) -> array:
         i = index(i)
-        cols = self._cols[i]
-        return array("d", self._vals[i]) if cols is None else \
-            _dense(cols, self._vals[i], len(self._vals))
+        return _put(array("d", [1.0]) * len(self._vals), self._cols[i], self._vals[i])
 
     def neighborhoods(self, eps: float) -> list[list[int]]:
         """For each row, the columns at distance <= eps, in index order: what
@@ -56,25 +54,20 @@ class DistanceMatrix(Sequence):
         n = len(self._vals)
         if eps >= 1.0:  # every distance is at most 1.0
             return [list(range(n)) for _ in range(n)]
-        return [[j for j, d in zip(range(n) if cols is None else cols, vals) if d <= eps]
+        return [[j for j, d in zip(cols, vals) if d <= eps]
                 for cols, vals in zip(self._cols, self._vals)]
 
     def float_rows(self) -> Iterator[list[float]]:
         """m[i].tolist() for each row, built from the stored entries."""
         n = len(self._vals)
         for cols, vals in zip(self._cols, self._vals):
-            yield vals.tolist() if cols is None else _put([1.0] * n, cols, vals)
+            yield _put([1.0] * n, cols, vals)
 
 
 def _put(row: MutableSequence, cols: Iterable[int], vals: Iterable) -> MutableSequence:
     for j, value in zip(cols, vals):
         row[j] = value
     return row
-
-
-def _dense(cols: array, vals: array, n: int) -> array:
-    """The n-entry row holding vals at cols and 1.0 elsewhere."""
-    return _put(array("d", [1.0]) * n, cols, vals)
 
 
 def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> DistanceMatrix:
@@ -109,9 +102,7 @@ def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> DistanceMatrix:
         for code in member_codes[bounds[i]:bounds[i + 1]]:
             postings[ends[code]] = i
             ends[code] += 1
-    # a column and a value take 12 B, so beyond 2n/3 entries n doubles are smaller
-    limit = 2 * n // 3
-    cols: list[array | None] = [array("i") for _ in range(n)]
+    cols = [array("i") for _ in range(n)]
     vals = [array("d") for _ in range(n)]
     empty = [i for i, size in enumerate(sizes) if not size]
     for i, size in enumerate(sizes):
@@ -129,22 +120,11 @@ def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> DistanceMatrix:
             dists = [0.0] * len(upper)  # two empty sets: union 0, similarity 1
         # each later row gets its entry in column i now, ahead of its own turn
         for j, value in zip(upper, dists):
-            partner = cols[j]
-            if partner is None:
-                vals[j][i] = value
-                continue
-            partner.append(i)
+            cols[j].append(i)
             vals[j].append(value)
-            if len(partner) > limit:
-                vals[j], cols[j] = _dense(partner, vals[j], n), None
-        if cols[i] is not None and len(cols[i]) + 1 + len(upper) > limit:
-            vals[i], cols[i] = _dense(cols[i], vals[i], n), None
-        if cols[i] is None:
-            _put(vals[i], [i, *upper], [0.0, *dists])
-        else:
-            # new exact-size arrays drop the headroom that append leaves
-            cols[i] = cols[i] + array("i", [i, *upper])
-            vals[i] = vals[i] + array("d", [0.0, *dists])
+        # new exact-size arrays drop the headroom that append leaves
+        cols[i] = cols[i] + array("i", [i, *upper])
+        vals[i] = vals[i] + array("d", [0.0, *dists])
     return DistanceMatrix(cols, vals)
 
 
@@ -436,12 +416,7 @@ def qname_role_breakdown(events: Sequence[AttackEvent],
     return breakdown
 
 
-def write_distance_matrix(matrix: Sequence[array], path: str) -> None:
+def write_distance_matrix(matrix: DistanceMatrix, path: str) -> None:
     """The bytes `fileio.write_csv(path, None, rows)` writes for the matrix's
-    rows as lists of floats; a DistanceMatrix is written from its stored
-    entries."""
-    # row by row: the whole matrix as Python floats would be 4x the dense
-    # size. tolist gives floats for array and ndarray rows alike; the repr of
-    # a numpy float64 is not a float's
-    write_float_csv(path, matrix.float_rows() if isinstance(matrix, DistanceMatrix)
-                    else (row.tolist() for row in matrix))
+    rows as lists of floats, built row by row from the stored entries."""
+    write_float_csv(path, matrix.float_rows())

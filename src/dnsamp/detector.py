@@ -13,10 +13,9 @@ import ipaddress
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .fileio import from_obj, read_jsonl, to_obj, write_jsonl
-from .selectors import MisusedNameList
 from .trace import PacketRecord
 
 ROOT_NAME = "."
@@ -72,7 +71,7 @@ class ClientDayStats:
 
 
 def aggregate_client_days(records: Iterable[PacketRecord],
-                          names: MisusedNameList | set[str]) -> list[ClientDayStats]:
+                          names: AbstractSet[str]) -> list[ClientDayStats]:
     """Group sampled packets by (client_ip, UTC day).
 
     total_pkts counts every DNS packet of the client that day; the misused
@@ -80,13 +79,12 @@ def aggregate_client_days(records: Iterable[PacketRecord],
     Client-days without misused packets are dropped. Root-name packets count
     as misused only if "." itself is on the list.
     """
-    name_set = names.name_set() if isinstance(names, MisusedNameList) else set(names)
     totals: Counter[tuple[str, str]] = Counter()
     details: dict[tuple[str, str], ClientDayStats] = {}
     for record in records:
         key = (record.client_ip, record.day)
         totals[key] += 1
-        if record.qname not in name_set:
+        if record.qname not in names:
             continue
         stats = details.get(key)
         if stats is None:

@@ -11,11 +11,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from typing import AbstractSet, Iterable, Sequence
 
 from .detector import AttackEvent
 from .fileio import from_obj, read_json
-from .selectors import MisusedNameList
 from .trace import normalize_qname
 
 PATTERN_PURE_ODD = "pure_odd"
@@ -156,7 +155,7 @@ def parity_alternation_period(daily_parity: Sequence[tuple[str, int]],
 
 
 def build_name_timeline(events: Sequence[AttackEvent],
-                        names: MisusedNameList | set[str] | None = None) -> NameTimeline:
+                        names: AbstractSet[str] | None = None) -> NameTimeline:
     """Per-name activity intervals and the day-to-day dominance schedule.
 
     A name is active on a day when it is the dominant name of at least one
@@ -166,20 +165,16 @@ def build_name_timeline(events: Sequence[AttackEvent],
     order. The parity period comes from the daily majority parity of all
     DNS IDs.
     """
-    name_filter = None
-    if names is not None:
-        name_filter = names.name_set() if isinstance(names, MisusedNameList) else set(names)
-
     active_days: dict[str, set[str]] = {}
     day_counts: dict[str, Counter] = {}
     day_parity: dict[str, list[int]] = {}
     for event in events:
         dominant = event.dominant_qname()
-        if dominant and (name_filter is None or dominant in name_filter):
+        if dominant and (names is None or dominant in names):
             active_days.setdefault(dominant, set()).add(event.day)
         counts = day_counts.setdefault(event.day, Counter())
         for qname, count in event.qname_counts.items():
-            if name_filter is None or qname in name_filter:
+            if names is None or qname in names:
                 counts[qname] += count
         parity = day_parity.setdefault(event.day, [0, 0])
         for dns_id in event.dns_ids:

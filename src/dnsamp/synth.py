@@ -113,6 +113,12 @@ class AttackSpec:
              self.dns_id_pool is None or 1 <= self.dns_id_pool <= ids),
             ("ip_ttl", "null or an integer in [0, 255]", self.ip_ttl,
              self.ip_ttl is None or 0 <= self.ip_ttl <= 255),
+            ("drift_per_event", "an integer >= 0", self.drift_per_event,
+             self.drift_per_event >= 0),
+            # honeypot inference drops a sensor's segment of fewer than 5 requests
+            ("honeypot_requests_per_sensor", "null or an integer >= 5",
+             self.honeypot_requests_per_sensor, self.honeypot_requests_per_sensor is None
+             or self.honeypot_requests_per_sensor >= 5),
         )
         for key, expected, value, ok in checks:
             if not ok:
@@ -177,8 +183,9 @@ class ScenarioConfig:
              0 <= self.background_any_fraction <= 1),
             ("sensor_coverage", "two numbers in [0, 1]", list(self.sensor_coverage),
              all(0 <= value <= 1 for value in self.sensor_coverage)),
-            ("honeypot_requests_per_sensor", "an integer >= 1",
-             self.honeypot_requests_per_sensor, self.honeypot_requests_per_sensor >= 1),
+            # honeypot inference drops a sensor's segment of fewer than 5 requests
+            ("honeypot_requests_per_sensor", "an integer >= 5",
+             self.honeypot_requests_per_sensor, self.honeypot_requests_per_sensor >= 5),
         )
         for key, expected, value, ok in checks:
             if not ok:
@@ -292,7 +299,6 @@ class _AmplifierPlan:
         self._group_ip = _ip_range(_GROUP_SET_BASE)
         self._group_index = 0
         self._group_sets: dict[str, list[str]] = {}
-        self._group_counts: dict[str, int] = {}
 
     def event_set(self, spec: AttackSpec, attack_id: str, day: int) -> list[str]:
         if spec.amplifier_mode == "pool":
@@ -305,12 +311,10 @@ class _AmplifierPlan:
         if members is None:
             members = [self._next_group_ip() for _ in range(spec.amplifiers_per_attack)]
             self._group_sets[group] = members
-            self._group_counts[group] = 0
-        elif spec.amplifier_mode == "drift" and self._group_counts[group] > 0:
+        elif spec.amplifier_mode == "drift":
             for _ in range(min(spec.drift_per_event, len(members))):
                 members.pop(0)
                 members.append(self._next_group_ip())
-        self._group_counts[group] += 1
         return list(members)
 
     def _next_group_ip(self) -> str:
@@ -465,8 +469,9 @@ def _benign_client_records(cfg: ScenarioConfig, client_ip: str, tag: str,
 def _honeypot_requests(cfg: ScenarioConfig, spec: AttackSpec,
                        attack_id: str) -> tuple[list[HoneypotRequest], HoneypotEvent | None]:
     p0, decay = cfg.sensor_coverage
-    base_count = spec.honeypot_requests_per_sensor or cfg.honeypot_requests_per_sensor
-    count = max(5, base_count)
+    count = spec.honeypot_requests_per_sensor
+    if count is None:
+        count = cfg.honeypot_requests_per_sensor
     start = cfg.start_ts + spec.start_s
     duration = spec.duration_s
     if duration > 850.0 * (count - 1):

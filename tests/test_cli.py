@@ -306,7 +306,8 @@ class TestSynthStage:
         ("background_any_fraction", 2.0, "a number in [0, 1]"),
         ("sensor_coverage", [2.0, 1.0], "two numbers in [0, 1]"),
         ("sensor_coverage", [1.0, -0.5], "two numbers in [0, 1]"),
-        ("honeypot_requests_per_sensor", -3, "an integer >= 1"),
+        ("honeypot_requests_per_sensor", -3, "an integer >= 5"),
+        ("honeypot_requests_per_sensor", 2, "an integer >= 5"),
         ("background_names", 0, "an integer >= 1"),
         ("background_names", -5, "an integer >= 1"),
     ])
@@ -328,6 +329,10 @@ class TestSynthStage:
         ("dns_id_pool", 0, "null or an integer in [1, 65536] for dns_id_mode 'random'"),
         ("response_size", -1, "an integer >= 0"),
         ("benign_packets_per_day", -3, "an integer >= 0"),
+        ("drift_per_event", -3, "an integer >= 0"),
+        ("honeypot_requests_per_sensor", 0, "null or an integer >= 5"),
+        ("honeypot_requests_per_sensor", -3, "null or an integer >= 5"),
+        ("honeypot_requests_per_sensor", 2, "null or an integer >= 5"),
     ])
     def test_out_of_range_attack_value_is_processing_error(self, tmp_path, capsys,
                                                            key, value, expected):
