@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, deque
-from collections.abc import Iterable, Iterator, Mapping, MutableSequence, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import accumulate, chain
@@ -25,9 +25,16 @@ from .selectors import jaccard
 NOISE = -1
 
 
-def amplifier_sets(events: Sequence[AttackEvent]) -> list[frozenset[str]]:
-    """Per-event reflector sets, aligned with the event order."""
-    return [frozenset(event.amplifier_set) for event in events]
+def amplifier_sets(events: Sequence[AttackEvent]) -> list[tuple[str, ...]]:
+    """Per-event reflectors, aligned with the event order: each event's
+    amplifier_set tuple itself, or, where an address repeats in it, a tuple
+    without the repeats in first-seen order."""
+    return [_distinct(tuple(event.amplifier_set)) for event in events]
+
+
+def _distinct(members: tuple[str, ...]) -> tuple[str, ...]:
+    unique = dict.fromkeys(members)
+    return members if len(unique) == len(members) else tuple(unique)
 
 
 class DistanceMatrix(Sequence):
@@ -70,8 +77,9 @@ def _put(row: MutableSequence, cols: Iterable[int], vals: Iterable) -> MutableSe
     return row
 
 
-def jaccard_distance_matrix(sets: Sequence[frozenset[str]]) -> DistanceMatrix:
-    """Symmetric, zero-diagonal matrix of 1 - Jaccard(set_i, set_j).
+def jaccard_distance_matrix(sets: Sequence[Collection[str]]) -> DistanceMatrix:
+    """Symmetric, zero-diagonal matrix of 1 - Jaccard(set_i, set_j), for
+    collections whose members are distinct.
 
     Two empty sets are identical (distance 0). Each distinct member gets a
     code and a posting list, the ascending rows that hold it, and a row's

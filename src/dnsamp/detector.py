@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Sequence
 
-from .fileio import from_obj, read_jsonl, to_obj, write_jsonl
+from .fileio import from_obj, read_jsonl, shared, to_obj, write_jsonl
 from .trace import PacketRecord
 
 ROOT_NAME = "."
@@ -334,9 +334,17 @@ def write_events(events: Iterable[AttackEvent], path: str) -> None:
 
 
 def read_events(path: str) -> list[AttackEvent]:
+    """The events of an event log. Events of one call share each distinct
+    victim, day, reflector address and qname as one string."""
+    strings = shared()
     events = []
     for lineno, obj in read_jsonl(path):
         if isinstance(obj, dict):
             obj.pop("duration_s", None)  # derived from first_ts and last_ts
-        events.append(from_obj(AttackEvent, obj, f"{path} line {lineno}"))
+        event = from_obj(AttackEvent, obj, f"{path} line {lineno}")
+        event.victim_ip = strings[event.victim_ip]
+        event.day = strings[event.day]
+        event.qname_counts = {strings[q]: n for q, n in event.qname_counts.items()}
+        event.amplifier_set = tuple(map(strings.__getitem__, event.amplifier_set))
+        events.append(event)
     return events

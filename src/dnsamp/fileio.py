@@ -28,6 +28,26 @@ from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 T = TypeVar("T")
 
 
+class Memo(dict):
+    """Per-call cache of function(key): one call per distinct key."""
+
+    def __init__(self, function):
+        super().__init__()
+        self.function = function
+
+    def __missing__(self, key):
+        value = self[key] = self.function(key)
+        return value
+
+
+def shared() -> Memo:
+    """A memo of values to themselves: the first object seen for a value
+    stands for every later equal one. Give one memo values of one type
+    (None aside): a bool or float equal to an int would be shared in its
+    place."""
+    return Memo(lambda value: value)
+
+
 def write_json(obj: Any, path: str) -> None:
     write_lines([json.dumps(obj, indent=2)], path)
 

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Sequence
 
 from .detector import AttackEvent, decile_ranks
-from .fileio import decode_lines, from_obj, read_csv, read_jsonl, to_obj, write_csv, write_jsonl
+from .fileio import (Memo, decode_lines, from_obj, read_csv, read_jsonl, shared, to_obj,
+                     write_csv, write_jsonl)
 
 # Inference presets: classic amplifier-honeypot thresholds.
 PRESETS: dict[str, tuple[int, float]] = {
@@ -45,9 +47,12 @@ class HoneypotEvent:
         return self.end - self.start
 
 
-def _request_from_row(row: list[str]) -> HoneypotRequest:
+def _request_from_row(strings: Memo, row: list[str]) -> HoneypotRequest:
+    """`strings` maps a sensor, victim or qname to the one string that every
+    request of the call shares for it."""
     ts, sensor_id, victim_ip, qname, qtype = row  # a row of another width raises
-    request = HoneypotRequest(float(ts), sensor_id, victim_ip, qname, int(qtype))
+    request = HoneypotRequest(float(ts), strings[sensor_id], strings[victim_ip],
+                              strings[qname], int(qtype))
     if not math.isfinite(request.ts):
         raise ValueError(f"ts {ts!r} is not finite")
     return request
@@ -55,8 +60,9 @@ def _request_from_row(row: list[str]) -> HoneypotRequest:
 
 def read_honeypot_csv(path: str) -> tuple[list[HoneypotRequest], int]:
     """ts,sensor_id,victim_ip,qname,qtype rows; malformed rows, a non-finite
-    ts among them, are counted."""
-    return decode_lines(read_csv(path, "ts"), _request_from_row)
+    ts among them, are counted. Requests of one call share each distinct
+    sensor, victim and qname as one string."""
+    return decode_lines(read_csv(path, "ts"), partial(_request_from_row, shared()))
 
 
 def write_honeypot_csv(requests: Iterable[HoneypotRequest], path: str) -> None:

@@ -158,14 +158,24 @@ class ScenarioConfig:
             raise ValueError("sensor_count must be >= 1")
         self._check_background_ranges()
         total = self.duration_days * DAY_S
-        for spec in self.attacks:
+        # a static or drift group is one reflector set, of one size
+        group_sizes: dict[str, tuple[int, int]] = {}
+        for index, spec in enumerate(self.attacks):
             if spec.start_s < 0 or spec.start_s + spec.duration_s > total:
                 raise ValueError(
                     f"attack on {spec.victim_ip} ({spec.qname}) leaves the scenario window")
-            if spec.amplifier_mode == "pool" and \
-                    spec.amplifiers_per_attack > self.amplifier_pool_size:
+            if spec.amplifier_mode == "pool":
+                if spec.amplifiers_per_attack > self.amplifier_pool_size:
+                    raise ValueError(
+                        f"attack on {spec.victim_ip} draws more amplifiers than the pool holds")
+                continue
+            size, first = group_sizes.setdefault(spec.amplifier_group,
+                                                 (spec.amplifiers_per_attack, index))
+            if spec.amplifiers_per_attack != size:
                 raise ValueError(
-                    f"attack on {spec.victim_ip} draws more amplifiers than the pool holds")
+                    f"key 'attacks': item {index}: key 'amplifiers_per_attack': expected "
+                    f"{size} as in item {first} of amplifier_group {spec.amplifier_group!r}, "
+                    f"got {spec.amplifiers_per_attack}")
         self._check_honeypot_spacing()
 
     def _check_background_ranges(self) -> None:

@@ -17,7 +17,7 @@ from functools import lru_cache, partial
 from operator import attrgetter, itemgetter
 from typing import Any, Iterable, Iterator, TextIO
 
-from .fileio import decode_lines, read_csv, read_lines, write_lines
+from .fileio import Memo, decode_lines, read_csv, read_lines, shared, write_lines
 
 # Canonical JSONL field order. Serialization always emits these fields in this
 # order so that parse -> serialize round-trips byte-identically.
@@ -149,19 +149,7 @@ _TEN_INTS = (int,) * 10  # the range-checked integer fields
 _AS_TYPES = (int, type(None))
 
 
-class _Memo(dict):
-    """Per-call cache of function(key): one call per distinct key."""
-
-    def __init__(self, function):
-        super().__init__()
-        self.function = function
-
-    def __missing__(self, key):
-        value = self[key] = self.function(key)
-        return value
-
-
-def _record_from_obj(normalized: _Memo, addresses: _Memo, integers: _Memo,
+def _record_from_obj(normalized: Memo, addresses: Memo, integers: Memo,
                      obj: Any) -> PacketRecord:
     """A record from one line's JSON value; ValueError if structurally bad.
 
@@ -200,12 +188,6 @@ def _record_from_obj(normalized: _Memo, addresses: _Memo, integers: _Memo,
                         qtype, rcode, ancount, nscount, integers[src_as], integers[dst_as])
 
 
-def _shared() -> _Memo:
-    """A memo of values to themselves: the first object seen for a value
-    stands for every later equal one."""
-    return _Memo(lambda value: value)
-
-
 def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord], int]:
     """Parse a JSONL trace into records.
 
@@ -216,8 +198,8 @@ def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord
     validity is sanitize()'s job. Records of one call share each distinct
     address, qname, udp_len and AS number as one object.
     """
-    return decode_lines(read_lines(source), partial(_record_from_obj, _Memo(normalize_qname),
-                                                    _shared(), _shared()))
+    return decode_lines(read_lines(source), partial(_record_from_obj, Memo(normalize_qname),
+                                                    shared(), shared()))
 
 
 def record_to_obj(record: PacketRecord) -> dict:
@@ -236,7 +218,7 @@ def serialize_trace(records: Iterable[PacketRecord]) -> Iterator[str]:
     Records whose fields are all exactly builtin types, with a finite ts, are
     written from a template with each distinct string encoded once; any other
     record goes through json.dumps."""
-    quoted = _Memo(json.dumps)
+    quoted = Memo(json.dumps)
     for record in records:
         values = _record_values(record)
         if tuple(map(type, values)) not in _PLAIN_RECORD_TYPES or not math.isfinite(values[0]):
@@ -283,7 +265,7 @@ def _ipv4_int(text: str) -> int | None:
     return a << 24 | b << 16 | c << 8 | d
 
 
-def _record_is_valid(record: PacketRecord, ip_valid: _Memo, name_valid: _Memo) -> bool:
+def _record_is_valid(record: PacketRecord, ip_valid: Memo, name_valid: Memo) -> bool:
     """`ip_valid` and `name_valid` map an address or a normalized qname to
     whether it is valid."""
     # only a builtin int round-trips through write_trace and parse_trace: a
@@ -318,10 +300,10 @@ def sanitize(records: Iterable[PacketRecord]) -> tuple[list[PacketRecord], int]:
     parsed input. Each distinct address and qname is checked once per call.
     """
     # an address or qname must be a string: ipaddress also reads an integer
-    ip_valid = _Memo(lambda ip: isinstance(ip, str) and (
+    ip_valid = Memo(lambda ip: isinstance(ip, str) and (
         _ipv4_int(ip) is not None or _ip_or_none(ip) is not None))
-    normalized = _Memo(lambda qname: normalize_qname(qname) if isinstance(qname, str) else qname)
-    name_valid = _Memo(lambda qname: isinstance(qname, str) and qname_is_valid(qname))
+    normalized = Memo(lambda qname: normalize_qname(qname) if isinstance(qname, str) else qname)
+    name_valid = Memo(lambda qname: isinstance(qname, str) and qname_is_valid(qname))
     kept: list[PacketRecord] = []
     dropped = 0
     for record in records:

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import random
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -345,6 +346,24 @@ class TestSynthStage:
                                            f"key {key!r}: expected {expected}, got {value!r}\n")
         assert not (tmp_path / "gen").exists()
 
+    def test_group_of_two_sizes_is_processing_error(self, tmp_path, capsys):
+        # a group's attacks share one reflector set, so they must ask for one size;
+        # static and drift attacks of one size may share a group
+        obj = json.loads(SCENARIO_PATH.read_text())
+        for attack, mode, size in zip(obj["attacks"], ("static", "drift", "static"),
+                                      (10, 10, 40)):
+            attack.update(amplifier_mode=mode, amplifier_group="g", amplifiers_per_attack=size)
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(obj))
+        assert run("synth", "--scenario", str(scenario), "--out-dir", str(tmp_path / "gen")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {scenario}: key 'attacks': item 2: key 'amplifiers_per_attack': "
+            f"expected 10 as in item 0 of amplifier_group 'g', got 40\n")
+        assert not (tmp_path / "gen").exists()
+        obj["attacks"][2]["amplifiers_per_attack"] = 10
+        scenario.write_text(json.dumps(obj))
+        assert run("synth", "--scenario", str(scenario), "--out-dir", str(tmp_path / "gen")) == 0
+
     def test_parity_mode_dns_id_pool_is_half_the_ids(self, tmp_path, capsys):
         obj = json.loads(SCENARIO_PATH.read_text())
         obj["attacks"][0]["dns_id_pool"] = 32769  # attack 0 is pure_parity
@@ -659,15 +678,28 @@ class TestClusterStage:
                            for _ in range(rng.randint(1, 30))) for _ in range(72)]
         sets += [frozenset()] * 8
         rng.shuffle(sets)
-        write_events([reflection_event(i, members, day=f"2019-06-0{1 + i % 6}",
-                                       qname=f"{'abc'[i % 3]}.example.")
-                      for i, members in enumerate(sets)], str(tmp_path / "attacks.jsonl"))
-        assert run("cluster", "--attacks", str(tmp_path / "attacks.jsonl"),
-                   "--out-dir", str(tmp_path / "out")) == 0
-        digests = {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
-                   for name in ("distance_matrix.csv", "clusters.json", "churn.csv",
-                                "amplifiers.csv", "qname_roles.csv")}
-        assert digests == PINNED_CLUSTER_DIGESTS
+        events = [reflection_event(i, members, day=f"2019-06-0{1 + i % 6}",
+                                   qname=f"{'abc'[i % 3]}.example.")
+                  for i, members in enumerate(sets)]
+
+        def cluster_digests(events, directory):
+            write_events(events, str(directory / "attacks.jsonl"))
+            assert run("cluster", "--attacks", str(directory / "attacks.jsonl"),
+                       "--out-dir", str(directory / "out")) == 0
+            return {name: hashlib.sha256((directory / "out" / name).read_bytes()).hexdigest()
+                    for name in ("distance_matrix.csv", "clusters.json", "churn.csv",
+                                 "amplifiers.csv", "qname_roles.csv")}
+
+        assert cluster_digests(events, tmp_path) == PINNED_CLUSTER_DIGESTS
+        # each of the first 20 events lists its first reflector once more, and
+        # the distances, clusters and churn count it once
+        repeated = [replace(e, amplifier_set=(*e.amplifier_set, *e.amplifier_set[:1]))
+                    for e in events[:20]] + events[20:]
+        assert sum(len(set(e.amplifier_set)) < len(e.amplifier_set) for e in repeated) > 10
+        (tmp_path / "repeated").mkdir()
+        digests = cluster_digests(repeated, tmp_path / "repeated")
+        for name in ("distance_matrix.csv", "clusters.json", "churn.csv"):
+            assert digests[name] == PINNED_CLUSTER_DIGESTS[name]
 
     def test_labels_cover_all_events(self, cl_dir):
         clusters = json.loads((cl_dir / "clusters.json").read_text())

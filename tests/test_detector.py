@@ -283,6 +283,20 @@ class TestEventSerialization:
         det.write_events(reread, str(second))
         assert path.read_bytes() == second.read_bytes()
 
+    def test_read_events_shares_repeated_strings(self, tmp_path):
+        # two victims on one day, both reflected by 192.0.2.1
+        records = burst(12, 0) + burst(12, 0, client="10.0.0.2")
+        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED))
+        path = tmp_path / "attacks.jsonl"
+        det.write_events(events, str(path))
+        first, second = det.read_events(str(path))
+        assert first.victim_ip != second.victim_ip
+        assert first.day is second.day
+        assert first.amplifier_set == second.amplifier_set == ("192.0.2.1",)
+        assert first.amplifier_set[0] is second.amplifier_set[0]
+        (qname_a,), (qname_b,) = first.qname_counts, second.qname_counts
+        assert qname_a is qname_b
+
     def test_dominant_qname_breaks_ties_lexicographically(self):
         records = [packet(qname="evil.example.", ts=1.0),
                    packet(qname="bad.example.", ts=2.0)]

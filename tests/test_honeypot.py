@@ -276,6 +276,17 @@ class TestIO:
         reread, malformed = hp.read_honeypot_csv(str(path))
         assert len(reread) == 1 and malformed == 4
 
+    def test_csv_reader_shares_repeated_strings(self, tmp_path):
+        path = tmp_path / "honeypot.csv"
+        path.write_text("ts,sensor_id,victim_ip,qname,qtype\n"
+                        "1.0,sensor-1,10.0.0.1,evil.example.,255\n"
+                        "2.0,sensor-1,10.0.0.1,evil.example.,255\n")
+        (first, second), malformed = hp.read_honeypot_csv(str(path))
+        assert malformed == 0
+        assert first.sensor_id is second.sensor_id
+        assert first.victim_ip is second.victim_ip
+        assert first.qname is second.qname
+
     def test_event_jsonl_round_trip(self, tmp_path):
         events = hp.infer_honeypot_attacks([req(float(i)) for i in range(5)])
         hp.score_honeypot_deciles(events)

@@ -8,6 +8,7 @@ import pytest
 
 from dnsamp import pipeline
 from dnsamp import selectors as sel
+from dnsamp import synth
 from dnsamp import trace as tr
 from dnsamp.fileio import write_lines
 
@@ -127,6 +128,30 @@ class TestConsensus:
         merged = sel.consensus_merge(rankings, k_max=8)
         assert merged.k_star == 1
         assert merged.names == ("a.",)
+
+    def test_selectors_agreeing_on_their_top_name_keep_only_it(self):
+        # The degenerate case of the smallest-k rule, pinned as it stands: the
+        # name with the largest responses also has the most ANY queries and the
+        # most traffic toward honeypot-seen victims, so all three selectors
+        # agree at k = 1 and the other two misused names are dropped.
+        attacks = tuple(synth.AttackSpec(
+            victim_ip=f"10.{i}.0.1", qname=qname, qps=qps, start_s=3600.0 * (1 + 3 * i),
+            duration_s=7200.0, honeypot_visible=True, response_size=size)
+            for i, (qname, qps, size) in enumerate((("alpha.example.", 6000.0, 4000),
+                                                    ("beta.example.", 4000.0, 3000),
+                                                    ("gamma.example.", 2500.0, 2000))))
+        cfg = synth.ScenarioConfig(seed=11, duration_days=1, attacks=attacks,
+                                   background_clients=6, amplifier_pool_size=60,
+                                   sensor_count=3)
+        records, requests, truth = synth.generate_scenario(cfg)
+        assert set(truth.misused_names) == {"alpha.example.", "beta.example.",
+                                            "gamma.example."}
+        names = pipeline.select_names(records, pipeline.Settings(), requests)["names.json"]
+        assert names.missing_selectors == ()
+        assert names.k_star == 1
+        assert names.names == ("alpha.example.",)
+        assert names.provenance == {"alpha.example.": ("any_volume", "ground_truth",
+                                                       "max_size")}
 
     def test_union_with_provenance(self):
         r1 = ranking_of(["a.", "b."], "one")
