@@ -12,7 +12,7 @@ import ipaddress
 import json
 import math
 import struct
-from datetime import date
+from datetime import date, datetime, timezone
 from fractions import Fraction
 
 import numpy as np
@@ -443,3 +443,126 @@ def benign_client_records_reference(seed: int, client_ip: str, tag: str, count: 
                 ts, server, client_ip, 53, port, *common, 8 + int(sizes[j]), True,
                 int(ids[j]), qname, qtype, 0, int(ancounts[j]), 0))
     return records
+
+
+# --- the detection chain, from the README's detection rule -----------------
+
+def utc_day_reference(ts) -> str:
+    return datetime.fromtimestamp(ts, tz=timezone.utc).date().isoformat()
+
+
+def _ranked_names(scores: dict) -> list:
+    """Names by score, highest first, ties in name order."""
+    return [name for name, _ in sorted(scores.items(), key=lambda item: (-item[1], item[0]))]
+
+
+def selector_rankings_reference(records, victim_windows, slack_s: float) -> list:
+    """[(selector, names ranked)] of the three selectors: the largest response
+    payload seen for a name, the number of ANY requests for it, and the
+    packets of a known victim inside its window widened by slack_s on each
+    side. A victim window is anything with victim_ip, start and end."""
+    largest: dict = {}
+    any_requests: dict = {}
+    at_victims: dict = {}
+    for record in records:
+        if record.is_response:
+            payload = record.udp_len - 8
+            if record.qname not in largest or payload > largest[record.qname]:
+                largest[record.qname] = payload
+        elif record.qtype == 255:
+            any_requests[record.qname] = any_requests.get(record.qname, 0) + 1
+        client = record.dst_ip if record.is_response else record.src_ip
+        for window in victim_windows:
+            if window.victim_ip == client and \
+                    window.start - slack_s <= record.ts <= window.end + slack_s:
+                at_victims[record.qname] = at_victims.get(record.qname, 0) + 1
+                break
+    return [("max_size", _ranked_names(largest)), ("any_volume", _ranked_names(any_requests)),
+            ("ground_truth", _ranked_names(at_victims))]
+
+
+def consensus_reference(rankings, k_max: int):
+    """(names, k*, curve) of the rankings' consensus, or None when every
+    ranking is empty. k* is the smallest k whose top-k sets have the largest
+    mean pairwise Jaccard index; the names are the union of the top-k* sets."""
+    active = [names for _, names in rankings if names]
+    if not active:
+        return None
+    curve = []
+    if len(active) == 1:
+        k_star = min(k_max, len(active[0]))
+    else:
+        k_star, best = None, None
+        for k in range(1, k_max + 1):
+            tops = [set(names[:k]) for names in active]
+            total, pairs = 0.0, 0
+            for i in range(len(tops)):
+                for j in range(i + 1, len(tops)):
+                    total += len(tops[i] & tops[j]) / len(tops[i] | tops[j])
+                    pairs += 1
+            mean = total / pairs
+            curve.append((k, mean))
+            if best is None or mean > best:
+                k_star, best = k, mean
+    names = sorted({name for ranked in active for name in ranked[:k_star]})
+    return names, k_star, curve
+
+
+def detection_reference(records, names, share_threshold: float, min_packets: int,
+                        sampling: int) -> list[str]:
+    """The attacks.jsonl lines of the records: one event per (client, UTC
+    day) with at least min_packets packets of which at least share_threshold
+    carry a listed name, sorted by day and victim."""
+    groups: dict = {}
+    for record in records:
+        client = record.dst_ip if record.is_response else record.src_ip
+        groups.setdefault((client, utc_day_reference(record.ts)), []).append(record)
+    events = []
+    for (client, day), group in groups.items():
+        misused = [r for r in group if r.qname in names]
+        total = len(group)
+        if not misused or total < min_packets or len(misused) / total < share_threshold:
+            continue
+        in_time = sorted(misused, key=lambda r: r.ts)  # stable: equal times keep trace order
+        requests = [r for r in in_time if not r.is_response]
+        qnames: dict = {}
+        ingress: dict = {}
+        victim_ases: dict = {}
+        first, last = math.inf, -math.inf
+        for r in misused:
+            qnames[r.qname] = qnames.get(r.qname, 0) + 1
+            if r.src_as is not None:
+                ingress[r.src_as] = ingress.get(r.src_as, 0) + 1
+            client_as = r.dst_as if r.is_response else r.src_as
+            if client_as is not None:
+                victim_ases[client_as] = victim_ases.get(client_as, 0) + 1
+            first, last = min(first, r.ts), max(last, r.ts)
+        top = max(victim_ases.values(), default=None)
+        events.append({
+            "victim_ip": client, "day": day,
+            "packet_count": total, "misused_packet_count": len(misused),
+            "est_original_packets": total * sampling,
+            "est_misused_packets": len(misused) * sampling,
+            "share": len(misused) / total,
+            "share_excluding_root": sum(r.qname != "." for r in misused) / total,
+            "first_ts": first, "last_ts": last,
+            "request_count": len(requests), "response_count": len(misused) - len(requests),
+            "qname_counts": {q: qnames[q] for q in sorted(qnames)},
+            "amplifier_set": sorted({r.src_ip if r.is_response else r.dst_ip
+                                     for r in misused}),
+            "dns_ids": [r.dns_id for r in in_time],
+            "req_ip_ids": [r.ip_id for r in requests],
+            "req_src_ports": [r.src_port for r in requests],
+            "req_dns_ids": [r.dns_id for r in requests],
+            "ingress_as_counts": {str(a): ingress[a] for a in sorted(ingress)},
+            "victim_as": None if top is None else min(a for a, n in victim_ases.items()
+                                                      if n == top),
+        })
+    events.sort(key=lambda event: (event["day"], event["victim_ip"]))
+    deciles = decile_reference([event["packet_count"] for event in events])
+    lines = []
+    for event, decile in zip(events, deciles):
+        event["intensity_decile"] = decile
+        event["duration_s"] = event["last_ts"] - event["first_ts"]
+        lines.append(json.dumps(event, separators=(",", ":")))
+    return lines

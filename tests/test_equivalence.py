@@ -1,6 +1,7 @@
 """Property tests: the cached and templated trace paths, the CSV table format,
-the record codec and the amplifier distance matrix against the
-straightforward implementations in oracles.py, plus invariants of detection."""
+the record codec, the amplifier distance matrix and the whole detection chain
+against the straightforward implementations in oracles.py, plus invariants of
+detection."""
 
 import copy
 import dataclasses
@@ -21,11 +22,13 @@ from dnsamp import fingerprint as fp
 from dnsamp import honeypot as hp
 from dnsamp import synth
 from dnsamp import trace as tr
-from oracles import (benign_client_records_reference, csv_table_reference,
-                     event_from_obj_reference, event_to_obj_reference,
-                     jaccard_distance_matrix_reference, lpm_reference,
-                     parity_alternation_period_reference, parse_trace_reference,
-                     sanitize_reference, trace_line_reference)
+from dnsamp import pipeline
+from oracles import (benign_client_records_reference, consensus_reference,
+                     csv_table_reference, detection_reference, event_from_obj_reference,
+                     event_to_obj_reference, jaccard_distance_matrix_reference,
+                     lpm_reference, parity_alternation_period_reference,
+                     parse_trace_reference, sanitize_reference,
+                     selector_rankings_reference, trace_line_reference)
 
 # Small pools so that keys repeat within one trace, as they do in real ones.
 ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1",
@@ -539,3 +542,54 @@ def test_events_shrink_as_thresholds_rise(stats, share_a, share_b, packets_a, pa
     for stricter in (detected(high_share, low_packets), detected(low_share, high_packets)):
         assert len(stricter) <= len(base)
         assert set(stricter) <= set(base)
+
+
+# --- the whole detection chain --------------------------------------------
+
+# A drawn scenario with its sizes cut down to a few thousand sampled records;
+# every other key as `scenarios` draws it.
+small_scenarios = st.builds(
+    lambda scenario, clients, rate, requests: dataclasses.replace(
+        scenario, background_clients=clients, background_daily_rate=rate,
+        honeypot_requests_per_sensor=requests),
+    scenarios, st.integers(0, 30),
+    st.tuples(st.floats(0, 4e5), st.floats(0, 4e5)).map(sorted).map(tuple),
+    st.integers(5, 12))
+# A share threshold that attacked client-days, which tend to be all misused,
+# often meet exactly.
+chain_settings = st.builds(
+    pipeline.Settings,
+    share_threshold=st.one_of(st.just(1.0), st.sampled_from([0.5, 0.9]), st.floats(0.01, 1.0)),
+    k_max=st.integers(1, 12), slack=st.sampled_from([0.0, 300.0]),
+    min_requests=st.integers(1, 6))
+
+
+@given(small_scenarios, chain_settings, st.data())
+def test_detection_chain_matches_reference(tmp_path_factory, scenario, config, data):
+    records, requests, _ = synth.generate_scenario(scenario)
+    lines = list(tr.serialize_trace(records))
+    kept = pipeline.prepare(lines)["annotated.jsonl"]
+    reference_kept, _ = sanitize_reference(parse_trace_reference(lines)[0])
+    windows = hp.infer_honeypot_attacks(requests, min_requests=config.min_requests,
+                                        max_gap_s=config.max_gap)
+    expected = consensus_reference(
+        selector_rankings_reference(reference_kept, windows, config.slack), config.k_max)
+    if expected is None:
+        with pytest.raises(ValueError, match="all selector rankings are empty"):
+            pipeline.select_names(kept, config, requests)
+        return
+    names = pipeline.select_names(kept, config, requests)["names.json"]
+    assert (list(names.names), names.k_star, list(names.curve)) == expected
+
+    def reference_lines(min_packets):
+        return detection_reference(reference_kept, set(expected[0]), config.share_threshold,
+                                   min_packets, config.sampling)
+
+    # the packet floor at the size of a client-day that meets it exactly
+    sizes = [json.loads(line)["packet_count"] for line in reference_lines(1)]
+    config = dataclasses.replace(config, min_packets=data.draw(
+        st.sampled_from(sizes) if sizes else st.integers(1, 30)))
+    writer, events = pipeline.detect(kept, names.name_set(), config).files["attacks.jsonl"]
+    path = tmp_path_factory.mktemp("chain") / "attacks.jsonl"
+    writer(events, str(path))
+    assert path.read_text(encoding="utf-8").splitlines() == reference_lines(config.min_packets)
