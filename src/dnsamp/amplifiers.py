@@ -328,7 +328,7 @@ def amplifier_inventory(events: Iterable[AttackEvent]) -> dict[str, AmplifierInf
     equals the sum of event set sizes (each membership counted once)."""
     inventory: dict[str, AmplifierInfo] = {}
     for event in events:
-        for ip in event.amplifier_set:
+        for ip in _distinct(tuple(event.amplifier_set)):
             info = inventory.get(ip)
             if info is None:
                 inventory[ip] = AmplifierInfo(
@@ -345,7 +345,7 @@ def involvement_distributions(events: Sequence[AttackEvent]) -> tuple[Counter, C
     """(attacks-per-amplifier, amplifiers-per-attack) histograms."""
     inventory = amplifier_inventory(events)
     per_amplifier = Counter(info.attack_count for info in inventory.values())
-    per_attack = Counter(len(event.amplifier_set) for event in events)
+    per_attack = Counter(len(members) for members in amplifier_sets(events))
     return per_amplifier, per_attack
 
 
@@ -418,7 +418,7 @@ def qname_role_breakdown(events: Sequence[AttackEvent],
     for event in events:
         qname = event.dominant_qname()
         counts = breakdown.setdefault(qname, Counter())
-        for ip in event.amplifier_set:
+        for ip in _distinct(tuple(event.amplifier_set)):
             info = inventory.get(ip)
             counts[info.role if info else ROLE_UNKNOWN] += 1
     return breakdown

@@ -379,6 +379,17 @@ class TestInventory:
                                               "resolver_or_forwarder": 1}
 
 
+    def test_reflector_listed_twice_counts_once(self):
+        # a hand-edited event log can list a reflector twice in one event
+        events = [event([ip(0), ip(1), ip(0)]), event([ip(1)], day="2019-06-02")]
+        inventory = amp.amplifier_inventory(events)
+        assert (inventory[ip(0)].attack_count, inventory[ip(1)].attack_count) == (1, 2)
+        assert amp.involvement_distributions(events) == ({1: 1, 2: 1}, {2: 1, 1: 1})
+        amp.classify_amplifier_role(inventory, {ip(0): "ns1.example."})
+        assert amp.qname_role_breakdown(events, inventory)["evil.example."] == {
+            "authoritative": 1, "resolver_or_forwarder": 2}
+
+
 class TestMatrixSerialization:
     def test_round_trip_text(self, tmp_path):
         sets = [frozenset({"a", "b"}), frozenset({"b"}), frozenset({"c"})]
