@@ -51,7 +51,7 @@ def _cmd_ingest(args: argparse.Namespace, config: Settings | None = None) -> Sta
     return pipeline.prepare(args.trace, tr.PrefixTable.from_csv(table) if table else None)
 
 
-def _records(args: argparse.Namespace) -> list[tr.PacketRecord]:
+def _records(args: argparse.Namespace) -> tr.Trace:
     return _cmd_ingest(args)["annotated.jsonl"]
 
 

@@ -11,12 +11,15 @@ from __future__ import annotations
 
 import ipaddress
 import math
+from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import not_
 from typing import AbstractSet, Iterable, Sequence
 
 from .fileio import from_obj, read_jsonl, shared, to_obj, write_jsonl
-from .trace import PacketRecord
+from .records import PacketRecord, as_trace, day_index, utc_day
 
 ROOT_NAME = "."
 
@@ -79,37 +82,48 @@ def aggregate_client_days(records: Iterable[PacketRecord],
     Client-days without misused packets are dropped. Root-name packets count
     as misused only if "." itself is on the list.
     """
-    totals: Counter[tuple[str, str]] = Counter()
-    details: dict[tuple[str, str], ClientDayStats] = {}
-    for record in records:
-        key = (record.client_ip, record.day)
-        totals[key] += 1
-        if record.qname not in names:
-            continue
+    trace = as_trace(records)
+    values = trace.values
+    (ts, is_response, src_ip, dst_ip, qname, dns_id, ip_id, src_port, src_as,
+     dst_as) = map(trace.column, ("ts", "is_response", "src_ip", "dst_ip", "qname", "dns_id",
+                                  "ip_id", "src_port", "src_as", "dst_as"))
+    days = array("q", map(day_index, ts))
+    day_names = {day: utc_day(day) for day in set(days)}
+    # keyed by (client, day) indices: requests count for their source,
+    # responses for their destination
+    totals = Counter(compress(zip(src_ip, days), map(not_, is_response)))
+    totals.update(compress(zip(dst_ip, days), is_response))
+    listed = {index for index in set(qname) if values[index] in names}
+    details: dict[tuple[int, int], ClientDayStats] = {}
+    for (stamp, qr, src, dst, name, dns, ip, port, ingress, dst_asn,
+         day) in compress(zip(ts, is_response, src_ip, dst_ip, qname, dns_id, ip_id, src_port,
+                              src_as, dst_as, days), map(listed.__contains__, qname)):
+        client, server, client_as = (dst, src, dst_asn) if qr else (src, dst, ingress)
+        key = (client, day)
         stats = details.get(key)
         if stats is None:
-            stats = details[key] = ClientDayStats(client_ip=key[0], day=key[1])
+            stats = details[key] = ClientDayStats(client_ip=values[client], day=day_names[day])
         stats.misused_pkts += 1
-        if record.qname != ROOT_NAME:
+        qname_value = values[name]
+        if qname_value != ROOT_NAME:
             stats.misused_nonroot_pkts += 1
-        stats.first_ts = min(stats.first_ts, record.ts)
-        stats.last_ts = max(stats.last_ts, record.ts)
-        stats.qname_counts[record.qname] += 1
-        stats.amplifiers.add(record.server_ip)
-        stats.dns_id_seq.append((record.ts, record.dns_id))
-        if record.is_response:
+        stats.first_ts = min(stats.first_ts, stamp)
+        stats.last_ts = max(stats.last_ts, stamp)
+        stats.qname_counts[qname_value] += 1
+        stats.amplifiers.add(values[server])
+        stats.dns_id_seq.append((stamp, dns))
+        if qr:
             stats.response_count += 1
         else:
             stats.request_count += 1
-            stats.req_field_seq.append(
-                (record.ts, record.ip_id, record.src_port, record.dns_id))
-        if record.ingress_as is not None:
-            stats.ingress_as_counts[record.ingress_as] += 1
-        if record.client_as is not None:
-            stats.client_as_counts[record.client_as] += 1
+            stats.req_field_seq.append((stamp, ip, port, dns))
+        if values[ingress] is not None:
+            stats.ingress_as_counts[values[ingress]] += 1
+        if values[client_as] is not None:
+            stats.client_as_counts[values[client_as]] += 1
     out = []
-    for key in sorted(details):
-        stats = details[key]
+    for key, stats in sorted(details.items(), key=lambda item: (item[1].client_ip,
+                                                                item[1].day)):
         stats.total_pkts = totals[key]
         stats.dns_id_seq.sort(key=lambda pair: pair[0])
         stats.req_field_seq.sort(key=lambda row: row[0])

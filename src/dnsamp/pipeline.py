@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, fields
+from itertools import compress
 from operator import attrgetter
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Iterable, Sequence
 
@@ -79,9 +80,9 @@ def prepare(trace: str | Iterable[str],
     parsed, sanitized and annotated from the prefix table when one is given,
     and their counts in ingest_stats.json."""
     records, skipped = tr.parse_trace(trace)
-    total_bytes = sum(r.udp_len for r in records)
     kept, dropped = tr.sanitize(records)
-    kept_bytes = sum(r.udp_len for r in kept)
+    kept_bytes = sum(map(kept.values.__getitem__, kept.udp_len))
+    total_bytes = kept_bytes + sum(record.udp_len for record in records.odd.values())
     if prefix_table is not None:
         tr.annotate(kept, prefix_table)
     stats = {
@@ -369,7 +370,13 @@ def report(events: Sequence[det.AttackEvent], names: AbstractSet[str] | None = N
     rows = [(label, len(group), packets[label], packets[label] / total if total else 0.0,
              attacks[label], max(sizes.get(qname, 0) for qname in group))
             for label, group in sorted(per_tld.items())]
-    nscounts = [r.nscount for r in records if r.is_response] if records is not None else []
+    nscounts: Counter[int] = Counter()
+    if records is not None:
+        trace = tr.as_trace(records)
+        for index, count in Counter(compress(trace.column("nscount"),
+                                             trace.column("is_response"))).items():
+            nscounts[trace.values[index]] += count
+    nscount_total = sum(nscounts.values())
     obj = {
         "events": len(events),
         "victims": len(victims),
@@ -377,10 +384,10 @@ def report(events: Sequence[det.AttackEvent], names: AbstractSet[str] | None = N
         "response_count": responses,
         "request_share": requests / (requests + responses) if requests + responses else 0.0,
         "ingress_concentration": fp.ingress_concentration(events),
-        "nscount_le1_share": sum(n <= 1 for n in nscounts) / len(nscounts)
-        if nscounts else None,
-        "nscount_le10_share": sum(n <= 10 for n in nscounts) / len(nscounts)
-        if nscounts else None,
+        "nscount_le1_share": sum(c for n, c in nscounts.items() if n <= 1) / nscount_total
+        if nscount_total else None,
+        "nscount_le10_share": sum(c for n, c in nscounts.items() if n <= 10) / nscount_total
+        if nscount_total else None,
     }
     return StageResult({
         "tld_summary.csv": (csv_writer(("tld", "names", "packets", "packet_share", "attacks",

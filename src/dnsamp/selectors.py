@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import compress
+from operator import not_
 from typing import Iterable, Protocol, Sequence
 
 from .fileio import from_obj, read_json, read_text_lines, write_json
-from .trace import PacketRecord, normalize_qname
+from .records import UDP_HEADER_LEN, PacketRecord, as_trace, normalize_qname
 
 QTYPE_ANY = 255
 
@@ -51,26 +53,31 @@ def _rank(selector_id: str, scores: dict[str, float | int]) -> SelectorRanking:
 
 def selector_max_size(records: Iterable[PacketRecord]) -> SelectorRanking:
     """Rank names by the largest response payload observed for them."""
+    trace = as_trace(records)
+    values, responses = trace.values, trace.column("is_response")
     best: dict[str, int] = {}
-    for record in records:
-        if not record.is_response:
-            continue
-        size = record.dns_payload_len
-        if size > best.get(record.qname, -1):
-            best[record.qname] = size
+    # each distinct (qname, udp_len) of a response once, in trace order
+    for qname, udp_len in dict.fromkeys(zip(compress(trace.column("qname"), responses),
+                                            compress(trace.column("udp_len"), responses))):
+        size = values[udp_len] - UDP_HEADER_LEN
+        if size > best.get(values[qname], -1):
+            best[values[qname]] = size
     return _rank(SELECTOR_MAX_SIZE, best)
 
 
 def selector_any_volume(records: Iterable[PacketRecord]) -> SelectorRanking:
     """Rank names by the number of sampled ANY queries carrying them."""
+    trace = as_trace(records)
     counts: Counter[str] = Counter()
-    for record in records:
-        if not record.is_response and record.qtype == QTYPE_ANY:
-            counts[record.qname] += 1
+    requests = bytes(map(not_, trace.column("is_response")))
+    for (qtype, qname), count in Counter(zip(compress(trace.column("qtype"), requests),
+                                             compress(trace.column("qname"), requests))).items():
+        if qtype == QTYPE_ANY:
+            counts[trace.values[qname]] += count
     return _rank(SELECTOR_ANY_VOLUME, counts)
 
 
-def selector_ground_truth(records: Sequence[PacketRecord],
+def selector_ground_truth(records: Iterable[PacketRecord],
                           victim_windows: Iterable[VictimWindow],
                           slack_s: float = 300.0) -> SelectorRanking:
     """Rank names seen in trace traffic whose client address matches a known
@@ -81,13 +88,16 @@ def selector_ground_truth(records: Sequence[PacketRecord],
     for event in victim_windows:
         windows.setdefault(event.victim_ip, []).append(
             (event.start - slack_s, event.end + slack_s))
+    trace = as_trace(records)
+    values = trace.values
     counts: Counter[str] = Counter()
-    for record in records:
-        spans = windows.get(record.client_ip)
+    for qr, src_ip, dst_ip, ts, qname in zip(*map(trace.column, (
+            "is_response", "src_ip", "dst_ip", "ts", "qname"))):
+        spans = windows.get(values[dst_ip if qr else src_ip])
         if not spans:
             continue
-        if any(lo <= record.ts <= hi for lo, hi in spans):
-            counts[record.qname] += 1
+        if any(lo <= ts <= hi for lo, hi in spans):
+            counts[values[qname]] += 1
     return _rank(SELECTOR_GROUND_TRUTH, counts)
 
 

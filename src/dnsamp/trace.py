@@ -1,8 +1,11 @@
-"""Sampled DNS trace model: JSONL parsing, sanitization, AS annotation.
+"""Sampled DNS trace I/O: JSONL parsing into a Trace, sanitization,
+serialization and AS annotation.
 
 Traces come from packet-sampled, truncated captures, so records carry only
 header-level fields. The client side of a flow is the source of requests and
 the destination of responses; everything downstream keys on that convention.
+The record model, `PacketRecord` and the columnar `Trace`, lives in
+`records` and is importable from here.
 """
 
 from __future__ import annotations
@@ -10,14 +13,17 @@ from __future__ import annotations
 import ipaddress
 import json
 import math
-import re
-from dataclasses import dataclass, fields
-from datetime import datetime, timezone
-from functools import lru_cache, partial
-from operator import attrgetter, itemgetter
+from array import array
+from functools import partial
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, TextIO
 
-from .fileio import Memo, decode_lines, read_csv, read_lines, shared, write_lines
+from .fileio import Memo, read_csv, read_lines, write_lines
+from .records import (COLUMNS, DAY_S, DNS_PORT, FIELD_TYPES, INTERNED,  # noqa: F401
+                      MAX_LABEL_LEN, MAX_NAME_WIRE_LEN, PLAIN_RECORD_TYPES, UDP_HEADER_LEN,
+                      PacketRecord, Trace, as_trace, day_index, ip_or_none, ipv4_int,
+                      normalize_qname, qname_is_valid, qname_labels, qname_wire_length,
+                      record_values, row_filler, utc_day)
 
 # Canonical JSONL field order. Serialization always emits these fields in this
 # order so that parse -> serialize round-trips byte-identically.
@@ -26,136 +32,17 @@ TRACE_FIELDS = (
     "udp_len", "qr", "dns_id", "qname", "qtype", "rcode", "ancount", "nscount",
 )
 
-DNS_PORT = 53
-UDP_HEADER_LEN = 8
-MAX_NAME_WIRE_LEN = 255
-MAX_LABEL_LEN = 63
-DAY_S = 86400
-
-
-def normalize_qname(qname: str) -> str:
-    """Lowercase and append the trailing dot; the root name is ".".
-
-    Idempotent: normalize_qname(normalize_qname(x)) == normalize_qname(x).
-    """
-    name = qname.strip().lower()
-    if name in ("", "."):
-        return "."
-    if not name.endswith("."):
-        name += "."
-    return name
-
-
-def qname_labels(qname: str) -> list[str]:
-    """Labels of a normalized name, without the empty root label."""
-    name = normalize_qname(qname)
-    if name == ".":
-        return []
-    return name[:-1].split(".")
-
-
-def qname_wire_length(qname: str) -> int:
-    """Uncompressed wire length of a name: one length byte per label plus
-    the label bytes, terminated by the single zero byte of the root label."""
-    labels = qname_labels(qname)
-    return sum(len(label) + 1 for label in labels) + 1
-
-
-def qname_is_valid(qname: str) -> bool:
-    """Grammar check after normalization: labels 1..63 bytes, wire length
-    capped at 255 bytes, no empty interior labels."""
-    name = normalize_qname(qname)
-    if name == ".":
-        return True
-    labels = name[:-1].split(".")
-    if any(not 1 <= len(label) <= MAX_LABEL_LEN for label in labels):
-        return False
-    return qname_wire_length(name) <= MAX_NAME_WIRE_LEN
-
-
-@dataclass(slots=True)
-class PacketRecord:
-    """One sampled DNS packet, truncated to header-level fields."""
-
-    ts: float
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    ip_ttl: int
-    ip_id: int
-    udp_len: int
-    is_response: bool
-    dns_id: int
-    qname: str
-    qtype: int
-    rcode: int
-    ancount: int
-    nscount: int
-    src_as: int | None = None
-    dst_as: int | None = None
-
-    @property
-    def client_ip(self) -> str:
-        """Source of requests, destination of responses."""
-        return self.dst_ip if self.is_response else self.src_ip
-
-    @property
-    def server_ip(self) -> str:
-        return self.src_ip if self.is_response else self.dst_ip
-
-    @property
-    def client_as(self) -> int | None:
-        return self.dst_as if self.is_response else self.src_as
-
-    @property
-    def ingress_as(self) -> int | None:
-        """Origin-side AS of the packet as it arrived (source AS)."""
-        return self.src_as
-
-    @property
-    def dns_payload_len(self) -> int:
-        return self.udp_len - UDP_HEADER_LEN
-
-    @property
-    def day(self) -> str:
-        """UTC calendar day of the packet, ISO formatted."""
-        ts = self.ts
-        second = math.floor(ts)
-        # fromtimestamp rounds to the microsecond, which can carry the last
-        # microsecond of a day into the next one
-        if ts - second < 0.999999:
-            return _utc_day(second // DAY_S)
-        return datetime.fromtimestamp(ts, tz=timezone.utc).date().isoformat()
-
-
-@lru_cache(maxsize=4096)
-def _utc_day(day_index: int) -> str:
-    return datetime.fromtimestamp(day_index * DAY_S, tz=timezone.utc).date().isoformat()
-
-
-# Exact builtin types of the canonical fields, in TRACE_FIELDS order (the QR
-# bit as a bool). Decoded objects and records of exactly these types take the
-# fast paths below. A list, to compare with a list of a line's types: a tuple
-# built from an iterator starts at another size and is resized, so each one
-# freed would grow the interpreter's free list of 15-tuples (up to 2000 kept)
-# rather than reuse it.
-_FIELD_TYPES = [float, str, str, int, int, int, int, int, bool, int, str, int, int, int, int]
+# A list, to compare with a list of a line's types: a tuple built from an
+# iterator starts at another size and is resized, so each one freed would
+# grow the interpreter's free list of 15-tuples (up to 2000 kept) rather than
+# reuse it.
+_FIELD_TYPES = list(FIELD_TYPES)
 _get_fields = itemgetter(*TRACE_FIELDS)
-_record_values = attrgetter(*(f.name for f in fields(PacketRecord)))
-_PLAIN_RECORD_TYPES = {(*_FIELD_TYPES, src_as, dst_as)
-                       for src_as in (int, type(None)) for dst_as in (int, type(None))}
-_TEN_INTS = (int,) * 10  # the range-checked integer fields
-_AS_TYPES = (int, type(None))
 
 
-def _record_from_obj(normalized: Memo, addresses: Memo, integers: Memo,
-                     obj: Any) -> PacketRecord:
-    """A record from one line's JSON value; ValueError if structurally bad.
-
-    `normalized` maps raw qnames to normalize_qname() of them; `addresses`
-    and `integers` map an address and udp_len or an AS number (or None) to
-    the one object that every record of the call shares for that value."""
+def _values_from_obj(normalized: Memo, obj: Any) -> tuple:
+    """PacketRecord's 17 values from one line's JSON value, the qname as
+    `normalized` maps it; ValueError if structurally bad."""
     if not isinstance(obj, dict):
         raise ValueError("not a JSON object")
     try:
@@ -181,30 +68,37 @@ def _record_from_obj(normalized: Memo, addresses: Memo, integers: Memo,
     if (src_as is not None and type(src_as) is not int) or \
             (dst_as is not None and type(dst_as) is not int):
         raise ValueError("an AS number is not an integer")
-    # the memos hold values of exactly one type each (None aside), so no
-    # bool or float equal to an int is ever shared in its place
-    return PacketRecord(ts, addresses[src_ip], addresses[dst_ip], src_port, dst_port,
-                        ip_ttl, ip_id, integers[udp_len], qr, dns_id, normalized[qname],
-                        qtype, rcode, ancount, nscount, integers[src_as], integers[dst_as])
+    return (ts, src_ip, dst_ip, src_port, dst_port, ip_ttl, ip_id, udp_len, qr, dns_id,
+            normalized[qname], qtype, rcode, ancount, nscount, src_as, dst_as)
 
 
-def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[list[PacketRecord], int]:
-    """Parse a JSONL trace into records.
+def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[Trace, int]:
+    """Parse a JSONL trace into a Trace.
 
     `source` is a file path, an open text handle, or an iterable of lines.
-    Returns (records, skipped_line_count); malformed lines (bad lines as
+    Returns (trace, skipped_line_count); malformed lines (bad lines as
     `fileio.read_lines` finds them, missing fields, wrong types, a ts beyond
-    the float range) are counted and skipped, never raised. Semantic
-    validity is sanitize()'s job. Records of one call share each distinct
-    address, qname, udp_len and AS number as one object.
+    the float range) are counted and skipped, never raised. A sound line that
+    sanitize() drops stays in the trace, as an odd record.
     """
-    return decode_lines(read_lines(source), partial(_record_from_obj, Memo(normalize_qname),
-                                                    shared(), shared()))
+    trace = Trace()
+    add, _, flush = row_filler(trace)
+    values_from_obj = partial(_values_from_obj, Memo(normalize_qname))
+    skipped = 0
+    for _, obj in read_lines(source):
+        try:
+            values = values_from_obj(obj)
+        except ValueError:
+            skipped += 1
+        else:
+            add(values)
+    flush()
+    return trace, skipped
 
 
 def record_to_obj(record: PacketRecord) -> dict:
     """Canonical-order dict for one record; AS fields only when annotated."""
-    obj = dict(zip(TRACE_FIELDS, _record_values(record)))
+    obj = dict(zip(TRACE_FIELDS, record_values(record)))
     if record.src_as is not None or record.dst_as is not None:
         obj["src_as"] = record.src_as
         obj["dst_as"] = record.dst_as
@@ -215,104 +109,66 @@ def serialize_trace(records: Iterable[PacketRecord]) -> Iterator[str]:
     """Yield canonical JSONL lines (no trailing newline per line).
 
     Each line equals json.dumps(record_to_obj(r), separators=(",", ":")).
-    Records whose fields are all exactly builtin types, with a finite ts, are
-    written from a template with each distinct string encoded once; any other
-    record goes through json.dumps."""
-    quoted = Memo(json.dumps)
-    for record in records:
-        values = _record_values(record)
-        if tuple(map(type, values)) not in _PLAIN_RECORD_TYPES or not math.isfinite(values[0]):
-            yield json.dumps(record_to_obj(record), separators=(",", ":"))
+    The rows of a Trace's columns, and records whose fields are all exactly
+    builtin types with a finite ts, are written from a template with each
+    distinct value encoded once; any other record goes through json.dumps."""
+    if isinstance(records, Trace):
+        values = records.values
+        texts = Memo(lambda index: json.dumps(values[index]))
+        rows = records.rows()
+    else:
+        texts = Memo(json.dumps)
+        rows = map(_template_row, records)
+    for row in rows:
+        if type(row) is not tuple:
+            yield json.dumps(record_to_obj(row), separators=(",", ":"))
             continue
-        (ts, src_ip, dst_ip, src_port, dst_port, ip_ttl, ip_id, udp_len, qr,
-         dns_id, qname, qtype, rcode, ancount, nscount, src_as, dst_as) = values
-        line = (f'{{"ts":{ts!r},"src_ip":{quoted[src_ip]},"dst_ip":{quoted[dst_ip]},'
+        (ts, src_ip, dst_ip, src_port, dst_port, ip_ttl, ip_id, udp_len, qr, dns_id, qname,
+         qtype, rcode, ancount, nscount, src_as, dst_as) = row
+        line = (f'{{"ts":{ts!r},"src_ip":{texts[src_ip]},"dst_ip":{texts[dst_ip]},'
                 f'"src_port":{src_port},"dst_port":{dst_port},"ip_ttl":{ip_ttl},'
-                f'"ip_id":{ip_id},"udp_len":{udp_len},"qr":{"true" if qr else "false"},'
-                f'"dns_id":{dns_id},"qname":{quoted[qname]},"qtype":{qtype},'
-                f'"rcode":{rcode},"ancount":{ancount},"nscount":{nscount}')
-        if src_as is None and dst_as is None:
+                f'"ip_id":{ip_id},"udp_len":{texts[udp_len]},'
+                f'"qr":{"true" if qr else "false"},"dns_id":{dns_id},'
+                f'"qname":{texts[qname]},"qtype":{qtype},"rcode":{rcode},'
+                f'"ancount":{texts[ancount]},"nscount":{texts[nscount]}')
+        src_as, dst_as = texts[src_as], texts[dst_as]
+        if src_as == "null" == dst_as:  # not annotated
             yield line + "}"
         else:
-            yield (f'{line},"src_as":{"null" if src_as is None else src_as},'
-                   f'"dst_as":{"null" if dst_as is None else dst_as}}}')
+            yield f'{line},"src_as":{src_as},"dst_as":{dst_as}}}'
+
+
+def _template_row(record: PacketRecord) -> tuple | PacketRecord:
+    """The record's 17 values when they are all exactly builtin types and ts
+    is finite, else the record."""
+    values = record_values(record)
+    if tuple(map(type, values)) in PLAIN_RECORD_TYPES and math.isfinite(values[0]):
+        return values
+    return record
 
 
 def write_trace(records: Iterable[PacketRecord], path: str) -> None:
     write_lines(serialize_trace(records), path)
 
 
-def _ip_or_none(text: str) -> ipaddress.IPv4Address | ipaddress.IPv6Address | None:
-    try:
-        return ipaddress.ip_address(text)
-    except ValueError:
-        return None
-
-
-# A canonical dotted quad: the IPv4 text ipaddress accepts, ASCII digits with
-# no leading zeros, each octet at most 255. Any other text goes to ipaddress.
-_OCTET = r"(25[0-5]|2[0-4][0-9]|1[0-9][0-9]|[1-9]?[0-9])"
-_IPV4 = re.compile(r"\.".join([_OCTET] * 4) + r"\Z")
-
-
-def _ipv4_int(text: str) -> int | None:
-    """The address a canonical dotted quad writes, as an integer; None for
-    any other text."""
-    quad = _IPV4.match(text) if isinstance(text, str) else None
-    if quad is None:
-        return None
-    a, b, c, d = map(int, quad.groups())
-    return a << 24 | b << 16 | c << 8 | d
-
-
-def _record_is_valid(record: PacketRecord, ip_valid: Memo, name_valid: Memo) -> bool:
-    """`ip_valid` and `name_valid` map an address or a normalized qname to
-    whether it is valid."""
-    # only a builtin int round-trips through write_trace and parse_trace: a
-    # bool is written as true/false, and a numpy integer is not JSON at all;
-    # likewise only a bool QR bit. Exactly one endpoint is on the DNS port,
-    # consistent with the QR bit: requests travel to port 53, responses come
-    # from it. (Reading each field where it is used is faster than unpacking
-    # all 17 of them first.)
-    return (isinstance(record.ts, float) and math.isfinite(record.ts)
-            and (type(record.src_port), type(record.dst_port), type(record.ip_ttl),
-                 type(record.ip_id), type(record.udp_len), type(record.dns_id),
-                 type(record.qtype), type(record.rcode), type(record.ancount),
-                 type(record.nscount)) == _TEN_INTS
-            and type(record.is_response) is bool
-            and type(record.src_as) in _AS_TYPES and type(record.dst_as) in _AS_TYPES
-            and ip_valid[record.src_ip] and ip_valid[record.dst_ip]
-            and 0 <= record.src_port <= 65535 and 0 <= record.dst_port <= 65535
-            and (record.src_port == DNS_PORT) != (record.dst_port == DNS_PORT)
-            and (record.src_port if record.is_response else record.dst_port) == DNS_PORT
-            and 0 <= record.ip_ttl <= 255 and 0 <= record.ip_id <= 65535
-            and 0 <= record.dns_id <= 65535 and record.udp_len >= UDP_HEADER_LEN
-            and 0 <= record.qtype <= 65535 and 0 <= record.rcode <= 15
-            and record.ancount >= 0 and record.nscount >= 0
-            and name_valid[record.qname])
-
-
-def sanitize(records: Iterable[PacketRecord]) -> tuple[list[PacketRecord], int]:
+def sanitize(records: Iterable[PacketRecord]) -> tuple[Trace, int]:
     """Keep semantically well-formed records, count the rest.
 
     Idempotent: a second pass over the kept records drops nothing. Kept
     records get their qname normalized so hand-built input behaves like
-    parsed input. Each distinct address and qname is checked once per call.
+    parsed input; a hand-built record's qname is normalized in place. The
+    kept trace of a Trace shares its columns.
     """
-    # an address or qname must be a string: ipaddress also reads an integer
-    ip_valid = Memo(lambda ip: isinstance(ip, str) and (
-        _ipv4_int(ip) is not None or _ip_or_none(ip) is not None))
-    normalized = Memo(lambda qname: normalize_qname(qname) if isinstance(qname, str) else qname)
-    name_valid = Memo(lambda qname: isinstance(qname, str) and qname_is_valid(qname))
-    kept: list[PacketRecord] = []
-    dropped = 0
-    for record in records:
-        record.qname = normalized[record.qname]
-        if _record_is_valid(record, ip_valid, name_valid):
-            kept.append(record)
-        else:
-            dropped += 1
-    return kept, dropped
+    trace = records if isinstance(records, Trace) else Trace.of(records, normalize=True)
+    kept = Trace.__new__(Trace)
+    for name in Trace.__slots__:
+        setattr(kept, name, getattr(trace, name))
+    kept.odd = {}
+    normalized = {index: kept.intern(normalize_qname(trace.values[index]))
+                  for index in set(trace.qname)}
+    if any(index != normal for index, normal in normalized.items()):
+        kept.qname = array("I", map(normalized.__getitem__, trace.qname))
+    return kept, len(trace.odd)
 
 
 class PrefixTable:
@@ -360,11 +216,11 @@ class PrefixTable:
         return table
 
     def lookup(self, ip: str) -> int | None:
-        addr_int = _ipv4_int(ip)
+        addr_int = ipv4_int(ip)
         if addr_int is not None:
             version, max_bits = 4, 32
         else:
-            addr = _ip_or_none(ip)
+            addr = ip_or_none(ip)
             if addr is None:
                 return None
             version, max_bits, addr_int = addr.version, addr.max_prefixlen, int(addr)
@@ -376,14 +232,19 @@ class PrefixTable:
         return None
 
 
-def annotate(records: list[PacketRecord], table: PrefixTable) -> list[PacketRecord]:
-    """Fill src_as/dst_as in place via longest-prefix match; membership of the
-    record list never changes. Unmatched addresses stay None."""
-    cache: dict[str, int | None] = {}
-    for record in records:
-        for ip in (record.src_ip, record.dst_ip):
-            if ip not in cache:
-                cache[ip] = table.lookup(ip)
-        record.src_as = cache[record.src_ip]
-        record.dst_as = cache[record.dst_ip]
+def annotate(records: Iterable[PacketRecord], table: PrefixTable) -> Iterable[PacketRecord]:
+    """Fill src_as/dst_as in place via longest-prefix match, one lookup per
+    distinct address; membership of the records never changes. Unmatched
+    addresses stay None. A Trace gets new AS columns; other records, and a
+    trace's odd records, are set one by one."""
+    asn = Memo(table.lookup)
+    if isinstance(records, Trace):
+        values = records.values
+        as_index = {address: records.intern(asn[values[address]])
+                    for address in {*records.src_ip, *records.dst_ip}}
+        records.src_as = array("I", map(as_index.__getitem__, records.src_ip))
+        records.dst_as = array("I", map(as_index.__getitem__, records.dst_ip))
+    for record in records.odd.values() if isinstance(records, Trace) else records:
+        record.src_as = asn[record.src_ip]
+        record.dst_as = asn[record.dst_ip]
     return records

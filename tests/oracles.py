@@ -12,12 +12,17 @@ import ipaddress
 import json
 import math
 import struct
+from collections import Counter
+from dataclasses import fields as dataclass_fields
 from datetime import date, datetime, timezone
 from fractions import Fraction
+from functools import partial
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from dnsamp.detector import AttackEvent
+from dnsamp.detector import AttackEvent, ClientDayStats
+from dnsamp.fileio import Memo, decode_lines, read_lines, shared
 from dnsamp.synth import derive_seed
 from dnsamp.trace import TRACE_FIELDS, PacketRecord, normalize_qname, qname_is_valid
 
@@ -566,3 +571,223 @@ def detection_reference(records, names, share_threshold: float, min_packets: int
         event["duration_s"] = event["last_ts"] - event["first_ts"]
         lines.append(json.dumps(event, separators=(",", ":")))
     return lines
+
+
+# --- the trace stages over lists of records --------------------------------
+# The row path the columnar Trace replaced: parse into one PacketRecord per
+# line, sanitize record by record, and loop over records in each consumer.
+
+_ROW_FIELD_TYPES = [float, str, str, int, int, int, int, int, bool, int, str, int, int, int, int]
+_row_fields = itemgetter(*TRACE_FIELDS)
+_row_values = attrgetter(*(f.name for f in dataclass_fields(PacketRecord)))
+_PLAIN_ROW_TYPES = {(*_ROW_FIELD_TYPES, src_as, dst_as)
+                    for src_as in (int, type(None)) for dst_as in (int, type(None))}
+_TEN_INTS = (int,) * 10
+_AS_TYPES = (int, type(None))
+
+
+def _record_from_obj_rows(normalized: Memo, addresses: Memo, integers: Memo,
+                          obj) -> PacketRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    try:
+        values = _row_fields(obj)
+    except KeyError:
+        raise ValueError("a field is missing") from None
+    (ts, src_ip, dst_ip, src_port, dst_port, ip_ttl, ip_id, udp_len, qr,
+     dns_id, qname, qtype, rcode, ancount, nscount) = values
+    types = list(map(type, values))
+    if types != _ROW_FIELD_TYPES:
+        if types[8] is int and qr in (0, 1):
+            qr, types[8] = bool(qr), bool
+        if types[0] is int:
+            try:
+                ts, types[0] = float(ts), float
+            except OverflowError:
+                raise ValueError("ts is beyond the float range") from None
+        if types != _ROW_FIELD_TYPES:
+            raise ValueError("a field has the wrong type")
+    src_as, dst_as = obj.get("src_as"), obj.get("dst_as")
+    if (src_as is not None and type(src_as) is not int) or \
+            (dst_as is not None and type(dst_as) is not int):
+        raise ValueError("an AS number is not an integer")
+    return PacketRecord(ts, addresses[src_ip], addresses[dst_ip], src_port, dst_port,
+                        ip_ttl, ip_id, integers[udp_len], qr, dns_id, normalized[qname],
+                        qtype, rcode, ancount, nscount, integers[src_as], integers[dst_as])
+
+
+def parse_trace_rows(source) -> tuple[list[PacketRecord], int]:
+    """(records, skipped lines): one PacketRecord per sound line."""
+    return decode_lines(read_lines(source), partial(_record_from_obj_rows,
+                                                    Memo(normalize_qname), shared(), shared()))
+
+
+def _record_is_valid_rows(record: PacketRecord, ip_valid: Memo, name_valid: Memo) -> bool:
+    return (isinstance(record.ts, float) and math.isfinite(record.ts)
+            and (type(record.src_port), type(record.dst_port), type(record.ip_ttl),
+                 type(record.ip_id), type(record.udp_len), type(record.dns_id),
+                 type(record.qtype), type(record.rcode), type(record.ancount),
+                 type(record.nscount)) == _TEN_INTS
+            and type(record.is_response) is bool
+            and type(record.src_as) in _AS_TYPES and type(record.dst_as) in _AS_TYPES
+            and ip_valid[record.src_ip] and ip_valid[record.dst_ip]
+            and 0 <= record.src_port <= 65535 and 0 <= record.dst_port <= 65535
+            and (record.src_port == 53) != (record.dst_port == 53)
+            and (record.src_port if record.is_response else record.dst_port) == 53
+            and 0 <= record.ip_ttl <= 255 and 0 <= record.ip_id <= 65535
+            and 0 <= record.dns_id <= 65535 and record.udp_len >= 8
+            and 0 <= record.qtype <= 65535 and 0 <= record.rcode <= 15
+            and record.ancount >= 0 and record.nscount >= 0
+            and name_valid[record.qname])
+
+
+def sanitize_rows(records) -> tuple[list[PacketRecord], int]:
+    """(kept, dropped), every record's qname normalized in place."""
+    ip_valid = Memo(lambda ip: isinstance(ip, str) and _ip_or_none(ip) is not None)
+    normalized = Memo(lambda qname: normalize_qname(qname) if isinstance(qname, str) else qname)
+    name_valid = Memo(lambda qname: isinstance(qname, str) and qname_is_valid(qname))
+    kept = []
+    dropped = 0
+    for record in records:
+        record.qname = normalized[record.qname]
+        if _record_is_valid_rows(record, ip_valid, name_valid):
+            kept.append(record)
+        else:
+            dropped += 1
+    return kept, dropped
+
+
+def ingest_stats_rows(lines) -> dict:
+    """The ingest_stats.json object of a trace's lines."""
+    records, skipped = parse_trace_rows(lines)
+    total_bytes = sum(r.udp_len for r in records)
+    kept, dropped = sanitize_rows(records)
+    kept_bytes = sum(r.udp_len for r in kept)
+    return {
+        "parsed_records": len(records),
+        "skipped_lines": skipped,
+        "dropped_records": dropped,
+        "kept_records": len(kept),
+        "dropped_packet_share": dropped / len(records) if records else 0.0,
+        "dropped_byte_share": (1.0 - kept_bytes / total_bytes) if total_bytes else 0.0,
+    }
+
+
+def annotate_rows(records, table) -> None:
+    """Fill src_as/dst_as of each record in place from table.lookup."""
+    cache: dict = {}
+    for record in records:
+        for ip in (record.src_ip, record.dst_ip):
+            if ip not in cache:
+                cache[ip] = table.lookup(ip)
+        record.src_as = cache[record.src_ip]
+        record.dst_as = cache[record.dst_ip]
+
+
+def serialize_trace_rows(records):
+    """Canonical JSONL lines, each record of builtin types with a finite ts
+    from a template, any other through json.dumps."""
+    quoted = Memo(json.dumps)
+    for record in records:
+        values = _row_values(record)
+        if tuple(map(type, values)) not in _PLAIN_ROW_TYPES or not math.isfinite(values[0]):
+            yield trace_line_reference(record)
+            continue
+        (ts, src_ip, dst_ip, src_port, dst_port, ip_ttl, ip_id, udp_len, qr,
+         dns_id, qname, qtype, rcode, ancount, nscount, src_as, dst_as) = values
+        line = (f'{{"ts":{ts!r},"src_ip":{quoted[src_ip]},"dst_ip":{quoted[dst_ip]},'
+                f'"src_port":{src_port},"dst_port":{dst_port},"ip_ttl":{ip_ttl},'
+                f'"ip_id":{ip_id},"udp_len":{udp_len},"qr":{"true" if qr else "false"},'
+                f'"dns_id":{dns_id},"qname":{quoted[qname]},"qtype":{qtype},'
+                f'"rcode":{rcode},"ancount":{ancount},"nscount":{nscount}')
+        if src_as is None and dst_as is None:
+            yield line + "}"
+        else:
+            yield (f'{line},"src_as":{"null" if src_as is None else src_as},'
+                   f'"dst_as":{"null" if dst_as is None else dst_as}}}')
+
+
+def _rank_rows(scores: dict) -> tuple:
+    return tuple(sorted(scores.items(), key=lambda item: (-item[1], item[0])))
+
+
+def selector_max_size_rows(records) -> tuple:
+    """(qname, score) pairs of the max-size selector, record by record."""
+    best: dict = {}
+    for record in records:
+        if not record.is_response:
+            continue
+        size = record.dns_payload_len
+        if size > best.get(record.qname, -1):
+            best[record.qname] = size
+    return _rank_rows(best)
+
+
+def selector_any_volume_rows(records) -> tuple:
+    counts: dict = {}
+    for record in records:
+        if not record.is_response and record.qtype == 255:
+            counts[record.qname] = counts.get(record.qname, 0) + 1
+    return _rank_rows(counts)
+
+
+def selector_ground_truth_rows(records, victim_windows, slack_s: float) -> tuple:
+    windows: dict = {}
+    for event in victim_windows:
+        windows.setdefault(event.victim_ip, []).append(
+            (event.start - slack_s, event.end + slack_s))
+    counts: dict = {}
+    for record in records:
+        spans = windows.get(record.client_ip)
+        if spans and any(lo <= record.ts <= hi for lo, hi in spans):
+            counts[record.qname] = counts.get(record.qname, 0) + 1
+    return _rank_rows(counts)
+
+
+def aggregate_client_days_rows(records, names) -> list[ClientDayStats]:
+    """The per-(client, UTC day) aggregates, record by record."""
+    totals: Counter = Counter()
+    details: dict = {}
+    for record in records:
+        key = (record.client_ip, record.day)
+        totals[key] += 1
+        if record.qname not in names:
+            continue
+        stats = details.get(key)
+        if stats is None:
+            stats = details[key] = ClientDayStats(client_ip=key[0], day=key[1])
+        stats.misused_pkts += 1
+        if record.qname != ".":
+            stats.misused_nonroot_pkts += 1
+        stats.first_ts = min(stats.first_ts, record.ts)
+        stats.last_ts = max(stats.last_ts, record.ts)
+        stats.qname_counts[record.qname] += 1
+        stats.amplifiers.add(record.server_ip)
+        stats.dns_id_seq.append((record.ts, record.dns_id))
+        if record.is_response:
+            stats.response_count += 1
+        else:
+            stats.request_count += 1
+            stats.req_field_seq.append(
+                (record.ts, record.ip_id, record.src_port, record.dns_id))
+        if record.ingress_as is not None:
+            stats.ingress_as_counts[record.ingress_as] += 1
+        if record.client_as is not None:
+            stats.client_as_counts[record.client_as] += 1
+    out = []
+    for key in sorted(details):
+        stats = details[key]
+        stats.total_pkts = totals[key]
+        stats.dns_id_seq.sort(key=lambda pair: pair[0])
+        stats.req_field_seq.sort(key=lambda row: row[0])
+        out.append(stats)
+    return out
+
+
+def nscount_shares_rows(records) -> tuple:
+    """report's (nscount_le1_share, nscount_le10_share) over the responses."""
+    nscounts = [r.nscount for r in records if r.is_response]
+    if not nscounts:
+        return None, None
+    return (sum(n <= 1 for n in nscounts) / len(nscounts),
+            sum(n <= 10 for n in nscounts) / len(nscounts))

@@ -23,12 +23,16 @@ from dnsamp import honeypot as hp
 from dnsamp import synth
 from dnsamp import trace as tr
 from dnsamp import pipeline
-from oracles import (benign_client_records_reference, consensus_reference,
-                     csv_table_reference, detection_reference, event_from_obj_reference,
-                     event_to_obj_reference, jaccard_distance_matrix_reference,
-                     lpm_reference, parity_alternation_period_reference,
-                     parse_trace_reference, sanitize_reference,
-                     selector_rankings_reference, trace_line_reference)
+from dnsamp import selectors as sel
+from oracles import (aggregate_client_days_rows, annotate_rows, benign_client_records_reference,
+                     consensus_reference, csv_table_reference, detection_reference,
+                     event_from_obj_reference, event_to_obj_reference, ingest_stats_rows,
+                     jaccard_distance_matrix_reference, lpm_reference, nscount_shares_rows,
+                     parity_alternation_period_reference, parse_trace_reference,
+                     parse_trace_rows, sanitize_reference, sanitize_rows,
+                     selector_any_volume_rows, selector_ground_truth_rows,
+                     selector_max_size_rows, selector_rankings_reference,
+                     serialize_trace_rows, trace_line_reference)
 
 # Small pools so that keys repeat within one trace, as they do in real ones.
 ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1",
@@ -157,6 +161,108 @@ def test_parse_matches_json_loads_reader(edit, batch, constants):
     assert skipped == skipped_ref
     # serialized, because a nan ts never equals itself
     assert list(tr.serialize_trace(records)) == list(tr.serialize_trace(records_ref))
+
+
+# --- the columnar trace against the row path --------------------------------
+
+PREFIXES = [("0.0.0.0/1", 1), ("10.0.0.0/8", 2), ("192.0.2.0/24", 3), ("2001:db8::/32", 4)]
+
+
+def outcome(function, *args):
+    """("ok", result) or ("raised", exception type) of function(*args)."""
+    try:
+        return "ok", function(*args)
+    except Exception as exc:  # the two paths must fail alike
+        return "raised", type(exc)
+
+
+def rankings(records, windows):
+    return (sel.selector_max_size(records).ranked, sel.selector_any_volume(records).ranked,
+            sel.selector_ground_truth(records, windows, slack_s=60.0).ranked)
+
+
+def rankings_rows(records, windows):
+    return (selector_max_size_rows(records), selector_any_volume_rows(records),
+            selector_ground_truth_rows(records, windows, 60.0))
+
+
+@st.composite
+def valid_records(draw):
+    """Records that sanitize keeps, their values often at the edges of their
+    ranges."""
+    qr = draw(st.booleans())
+    client_port = draw(st.integers(0, 65535).filter(lambda port: port != 53))
+    return tr.PacketRecord(
+        ts=draw(finite_ts), src_ip=draw(st.sampled_from(VALID_ADDRESSES)),
+        dst_ip=draw(st.sampled_from(VALID_ADDRESSES)),
+        src_port=53 if qr else client_port, dst_port=client_port if qr else 53,
+        ip_ttl=draw(st.integers(0, 255)), ip_id=draw(st.integers(0, 65535)),
+        udp_len=draw(st.integers(8, 600)), is_response=qr, dns_id=draw(st.integers(0, 65535)),
+        qname=draw(st.sampled_from(QNAMES)),
+        qtype=draw(st.one_of(st.sampled_from([1, 28, 255]), st.integers(0, 65535))),
+        rcode=draw(st.integers(0, 15)), ancount=draw(st.integers(0, 40)),
+        nscount=draw(st.one_of(st.sampled_from([1, 2, 10, 11]), st.integers(0, 40))),
+        src_as=draw(as_field), dst_as=draw(as_field))
+
+
+VALID_ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1", "0.0.0.0",
+                   "255.255.255.255", "::ffff:10.0.0.1")
+mixed_records = st.one_of(valid_records(), records(ts=finite_ts, bools_as_ints=False),
+                          records())
+victim_windows = st.lists(st.builds(
+    hp.HoneypotEvent, victim_ip=st.sampled_from(ADDRESSES), start=finite_ts,
+    end=finite_ts, request_count=st.just(5), sensor_ids=st.just(("s1",))), max_size=4)
+
+
+# Lines of sound, invalid (a nan ts, an out-of-range field, a bad address)
+# and malformed (a bool in an integer field) records, written by the row
+# path's serializer.
+@settings(max_examples=120)
+@given(st.lists(mixed_records, max_size=25),
+       st.sets(st.sampled_from(QNAMES).map(tr.normalize_qname), max_size=6), victim_windows)
+def test_columnar_trace_matches_row_path(batch, names, windows):
+    lines = list(serialize_trace_rows(copy.deepcopy(batch)))
+    trace, skipped = tr.parse_trace(lines)
+    rows, skipped_rows = parse_trace_rows(lines)
+    assert (len(trace), skipped) == (len(rows), skipped_rows)
+    assert list(tr.serialize_trace(trace)) == list(serialize_trace_rows(rows))
+    assert outcome(rankings, trace, windows) == outcome(rankings_rows, rows, windows)
+    table = tr.PrefixTable(PREFIXES)
+    tr.annotate(trace, table)
+    annotate_rows(rows, table)
+    assert list(tr.serialize_trace(trace)) == list(serialize_trace_rows(rows))
+    kept, dropped = tr.sanitize(trace)
+    kept_rows, dropped_rows = sanitize_rows(rows)
+    assert dropped == dropped_rows
+    assert list(tr.serialize_trace(kept)) == list(serialize_trace_rows(kept_rows))
+    assert pipeline.prepare(lines)["ingest_stats.json"] == ingest_stats_rows(lines)
+    assert det.aggregate_client_days(kept, names) == aggregate_client_days_rows(kept_rows, names)
+    assert rankings(kept, windows) == rankings_rows(kept_rows, windows)
+    report = pipeline.report([], names, kept)["report.json"]
+    assert (report["nscount_le1_share"], report["nscount_le10_share"]) == \
+        nscount_shares_rows(kept_rows)
+
+
+# Hand-built records, as tests, demos and synth pass them: a consumer takes
+# any records, invalid ones included, in their order.
+@settings(max_examples=120)
+@given(st.lists(mixed_records, max_size=25), st.sets(st.sampled_from(QNAMES), max_size=6),
+       victim_windows)
+def test_consumers_of_hand_built_records_match_row_path(batch, names, windows):
+    assert list(tr.serialize_trace(batch)) == list(serialize_trace_rows(batch))
+    assert outcome(rankings, batch, windows) == outcome(rankings_rows, batch, windows)
+    assert outcome(det.aggregate_client_days, batch, names) == \
+        outcome(aggregate_client_days_rows, batch, names)
+    ours, theirs = copy.deepcopy(batch), copy.deepcopy(batch)
+    table = tr.PrefixTable(PREFIXES)
+    assert tr.annotate(ours, table) is ours
+    annotate_rows(theirs, table)
+    assert ours == theirs
+    kept, dropped = tr.sanitize(ours)
+    kept_rows, dropped_rows = sanitize_rows(theirs)
+    assert dropped == dropped_rows
+    assert list(tr.serialize_trace(kept)) == list(serialize_trace_rows(kept_rows))
+    assert [r.qname for r in ours] == [r.qname for r in theirs]
 
 
 def read_jsonl_reference(path):

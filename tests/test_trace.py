@@ -4,10 +4,12 @@ import io
 import json
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dnsamp import pipeline, synth
 from dnsamp import trace as tr
 from oracles import lpm_reference, wire_name
 
@@ -152,6 +154,24 @@ class TestParse:
         # about 290 B/rec; a copy of every value per record, and a freed
         # tuple per line kept on the free list, cost about 565
         assert kept / len(records) <= 380
+
+
+    def test_prepared_trace_holds_under_100_bytes_a_record(self):
+        # columns of 49 B a row plus the shared table; a PacketRecord per row
+        # held about 290
+        records, _, _ = synth.generate_scenario(
+            synth.read_scenario(str(Path(__file__).parent / "data" / "scenario_small.json")))
+        lines = list(tr.serialize_trace(records))
+        del records
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = pipeline.prepare(lines)["annotated.jsonl"]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(kept) == 5834
+        assert held / len(kept) <= 100
 
 
 class TestSanitize:
