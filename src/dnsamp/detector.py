@@ -122,8 +122,7 @@ def aggregate_client_days(records: Iterable[PacketRecord],
         if values[client_as] is not None:
             stats.client_as_counts[values[client_as]] += 1
     out = []
-    for key, stats in sorted(details.items(), key=lambda item: (item[1].client_ip,
-                                                                item[1].day)):
+    for key, stats in sorted(details.items(), key=lambda item: (item[1].client_ip, item[1].day)):
         stats.total_pkts = totals[key]
         stats.dns_id_seq.sort(key=lambda pair: pair[0])
         stats.req_field_seq.sort(key=lambda row: row[0])

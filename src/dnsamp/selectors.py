@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import compress
-from operator import not_
 from typing import Iterable, Protocol, Sequence
 
 from .fileio import from_obj, read_json, read_text_lines, write_json
@@ -56,12 +55,11 @@ def selector_max_size(records: Iterable[PacketRecord]) -> SelectorRanking:
     trace = as_trace(records)
     values, responses = trace.values, trace.column("is_response")
     best: dict[str, int] = {}
-    # each distinct (qname, udp_len) of a response once, in trace order
-    for qname, udp_len in dict.fromkeys(zip(compress(trace.column("qname"), responses),
-                                            compress(trace.column("udp_len"), responses))):
+    for qname, udp_len in zip(map(values.__getitem__, compress(trace.column("qname"), responses)),
+                              compress(trace.column("udp_len"), responses)):
         size = values[udp_len] - UDP_HEADER_LEN
-        if size > best.get(values[qname], -1):
-            best[values[qname]] = size
+        if size > best.get(qname, -1):
+            best[qname] = size
     return _rank(SELECTOR_MAX_SIZE, best)
 
 
@@ -69,10 +67,9 @@ def selector_any_volume(records: Iterable[PacketRecord]) -> SelectorRanking:
     """Rank names by the number of sampled ANY queries carrying them."""
     trace = as_trace(records)
     counts: Counter[str] = Counter()
-    requests = bytes(map(not_, trace.column("is_response")))
-    for (qtype, qname), count in Counter(zip(compress(trace.column("qtype"), requests),
-                                             compress(trace.column("qname"), requests))).items():
-        if qtype == QTYPE_ANY:
+    for (qr, qtype, qname), count in Counter(zip(*map(trace.column, (
+            "is_response", "qtype", "qname")))).items():
+        if not qr and qtype == QTYPE_ANY:
             counts[trace.values[qname]] += count
     return _rank(SELECTOR_ANY_VOLUME, counts)
 
