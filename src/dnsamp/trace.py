@@ -14,6 +14,7 @@ import ipaddress
 import json
 import math
 from array import array
+from copy import copy
 from functools import partial
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, TextIO
@@ -160,9 +161,7 @@ def sanitize(records: Iterable[PacketRecord]) -> tuple[Trace, int]:
     kept trace of a Trace shares its columns.
     """
     trace = records if isinstance(records, Trace) else Trace.of(records, normalize=True)
-    kept = Trace.__new__(Trace)
-    for name in Trace.__slots__:
-        setattr(kept, name, getattr(trace, name))
+    kept = copy(trace)  # shares the arrays and the table
     kept.odd = {}
     normalized = {index: kept.intern(normalize_qname(trace.values[index]))
                   for index in set(trace.qname)}

@@ -576,6 +576,8 @@ def detection_reference(records, names, share_threshold: float, min_packets: int
 # --- the trace stages over lists of records --------------------------------
 # The row path the columnar Trace replaced: parse into one PacketRecord per
 # line, sanitize record by record, and loop over records in each consumer.
+# It reads lines with the library's fileio.read_lines, which the two paths
+# share and test_read_jsonl_matches_json_loads checks on its own.
 
 _ROW_FIELD_TYPES = [float, str, str, int, int, int, int, int, bool, int, str, int, int, int, int]
 _row_fields = itemgetter(*TRACE_FIELDS)

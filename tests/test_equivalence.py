@@ -1,6 +1,7 @@
-"""Property tests: the cached and templated trace paths, the CSV table format,
-the record codec, the amplifier distance matrix and the whole detection chain
-against the straightforward implementations in oracles.py, plus invariants of
+"""Property tests: the columnar trace against the row path it replaced, the
+cached and templated trace paths, the CSV table format, the record codec, the
+amplifier distance matrix and the whole detection chain against the
+straightforward implementations in oracles.py, plus invariants of
 detection."""
 
 import copy
@@ -20,10 +21,10 @@ from dnsamp import detector as det
 from dnsamp import fileio
 from dnsamp import fingerprint as fp
 from dnsamp import honeypot as hp
-from dnsamp import synth
-from dnsamp import trace as tr
 from dnsamp import pipeline
 from dnsamp import selectors as sel
+from dnsamp import synth
+from dnsamp import trace as tr
 from oracles import (aggregate_client_days_rows, annotate_rows, benign_client_records_reference,
                      consensus_reference, csv_table_reference, detection_reference,
                      event_from_obj_reference, event_to_obj_reference, ingest_stats_rows,
