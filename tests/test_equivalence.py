@@ -187,6 +187,10 @@ def rankings_rows(records, windows):
             selector_ground_truth_rows(records, windows, 60.0))
 
 
+VALID_ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1", "0.0.0.0",
+                   "255.255.255.255", "::ffff:10.0.0.1")
+
+
 @st.composite
 def valid_records(draw):
     """Records that sanitize keeps, their values often at the edges of their
@@ -206,8 +210,6 @@ def valid_records(draw):
         src_as=draw(as_field), dst_as=draw(as_field))
 
 
-VALID_ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1", "0.0.0.0",
-                   "255.255.255.255", "::ffff:10.0.0.1")
 mixed_records = st.one_of(valid_records(), records(ts=finite_ts, bools_as_ints=False),
                           records())
 victim_windows = st.lists(st.builds(
