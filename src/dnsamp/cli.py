@@ -16,14 +16,17 @@ import argparse
 import dataclasses
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import detector as det
 from . import honeypot as hp
 from . import pipeline
 from . import selectors as sel
-from . import trace as tr
 from .fileio import field_types, from_obj, read_json
 from .pipeline import Settings, StageResult
+
+if TYPE_CHECKING:
+    from .records import Trace
 
 
 def _settings(args: argparse.Namespace) -> Settings:
@@ -47,11 +50,13 @@ def _load_names(path: str) -> set[str]:
 def _cmd_ingest(args: argparse.Namespace, config: Settings | None = None) -> StageResult:
     """`pipeline.prepare` of --trace, annotated when the subcommand has a
     --prefix-table and it is given."""
+    from . import trace as tr
+
     table = getattr(args, "prefix_table", None)
     return pipeline.prepare(args.trace, tr.PrefixTable.from_csv(table) if table else None)
 
 
-def _records(args: argparse.Namespace) -> tr.Trace:
+def _records(args: argparse.Namespace) -> Trace:
     return _cmd_ingest(args)["annotated.jsonl"]
 
 

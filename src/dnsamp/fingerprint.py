@@ -15,7 +15,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .detector import AttackEvent
 from .fileio import from_obj, read_json
-from .trace import normalize_qname
+from .records import normalize_qname
 
 PATTERN_PURE_ODD = "pure_odd"
 PATTERN_PURE_EVEN = "pure_even"

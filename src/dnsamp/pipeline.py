@@ -5,8 +5,8 @@ uses, and returns a `StageResult`: the files its subcommand writes, by name,
 each with its writer and the value written, and the line it prints. So
 stages chain without files: `detect(...)["attacks.jsonl"]` is the list of
 events. The modules only some stages use (amplifiers, fingerprint, sizing,
-snoop, synth) are imported inside those stages, so each stage loads only the
-modules it runs.
+snoop, synth, and trace, the trace's file I/O) are imported inside those
+stages, so each stage loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Iterable, Sequence
 from . import detector as det
 from . import honeypot as hp
 from . import selectors as sel
-from . import trace as tr
 from .fileio import csv_writer, to_obj, write_json, write_jsonl, write_lines
+from .records import as_trace, qname_labels
 
 if TYPE_CHECKING:
+    from . import trace as tr
     from .fingerprint import EntityFingerprint
     from .sizing import RecordSet
     from .snoop import ProbeResponse
@@ -79,6 +80,8 @@ def prepare(trace: str | Iterable[str],
     """ingest: annotated.jsonl, the records of a trace (a path or its lines),
     parsed, sanitized and annotated from the prefix table when one is given,
     and their counts in ingest_stats.json."""
+    from . import trace as tr
+
     records, skipped = tr.parse_trace(trace)
     kept, dropped = tr.sanitize(records)
     kept_bytes = sum(map(kept.values.__getitem__, kept.udp_len))
@@ -287,6 +290,7 @@ def synth(cfg: ScenarioConfig) -> StageResult:
     """synth: the scenario's sampled trace, honeypot log, ground truth and
     prefix table."""
     from . import synth as sy
+    from . import trace as tr
 
     records, requests, truth = sy.generate_scenario(cfg)
     return StageResult({
@@ -336,7 +340,7 @@ def compare(events: Sequence[det.AttackEvent], requests: Sequence[hp.HoneypotReq
 
 
 def _tld(qname: str) -> str:
-    labels = tr.qname_labels(qname)
+    labels = qname_labels(qname)
     return labels[-1] + "." if labels else "."
 
 
@@ -372,7 +376,7 @@ def report(events: Sequence[det.AttackEvent], names: AbstractSet[str] | None = N
             for label, group in sorted(per_tld.items())]
     nscounts: Counter[int] = Counter()
     if records is not None:
-        trace = tr.as_trace(records)
+        trace = as_trace(records)
         for index, count in Counter(compress(trace.column("nscount"),
                                              trace.column("is_response"))).items():
             nscounts[trace.values[index]] += count

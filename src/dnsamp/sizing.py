@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .fileio import from_obj, is_iso_day, read_jsonl
-from .trace import qname_is_valid, qname_wire_length, normalize_qname
+from .records import qname_is_valid, qname_wire_length, normalize_qname
 
 DNS_HEADER_LEN = 12
 QUESTION_FIXED_LEN = 4      # QTYPE + QCLASS

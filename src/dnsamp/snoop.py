@@ -15,7 +15,7 @@ from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 from .fileio import decode_lines, from_obj, read_csv, read_lines
-from .trace import normalize_qname
+from .records import normalize_qname
 
 RCODE_NOERROR = 0
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .fileio import from_obj, is_iso_day, read_json, to_obj, write_json
 from .honeypot import HoneypotEvent, HoneypotRequest
-from .trace import PacketRecord, normalize_qname, qname_wire_length
+from .records import PacketRecord, normalize_qname, qname_wire_length
 
 DAY_S = 86400.0
 QTYPE_ANY = 255
