@@ -19,7 +19,7 @@ from operator import not_
 from typing import AbstractSet, Iterable, Sequence
 
 from .fileio import from_obj, read_jsonl, shared, to_obj, write_jsonl
-from .records import PacketRecord, as_trace, day_index, utc_day
+from .records import TS_END, TS_MIN, PacketRecord, as_trace, day_index, utc_day
 
 ROOT_NAME = "."
 
@@ -84,20 +84,19 @@ def aggregate_client_days(records: Iterable[PacketRecord],
     """
     trace = as_trace(records)
     values = trace.values
-    (ts, is_response, src_ip, dst_ip, qname, dns_id, ip_id, src_port, src_as,
-     dst_as) = map(trace.column, ("ts", "is_response", "src_ip", "dst_ip", "qname", "dns_id",
-                                  "ip_id", "src_port", "src_as", "dst_as"))
-    days = array("q", map(day_index, ts))
+    days = array("q", map(day_index, trace.ts))
     day_names = {day: utc_day(day) for day in set(days)}
     # keyed by (client, day) indices: requests count for their source,
     # responses for their destination
-    totals = Counter(compress(zip(src_ip, days), map(not_, is_response)))
-    totals.update(compress(zip(dst_ip, days), is_response))
-    listed = {index for index in set(qname) if values[index] in names}
+    totals = Counter(compress(zip(trace.src_ip, days), map(not_, trace.is_response)))
+    totals.update(compress(zip(trace.dst_ip, days), trace.is_response))
+    listed = {index for index in set(trace.qname) if values[index] in names}
     details: dict[tuple[int, int], ClientDayStats] = {}
     for (stamp, qr, src, dst, name, dns, ip, port, ingress, dst_asn,
-         day) in compress(zip(ts, is_response, src_ip, dst_ip, qname, dns_id, ip_id, src_port,
-                              src_as, dst_as, days), map(listed.__contains__, qname)):
+         day) in compress(zip(trace.ts, trace.is_response, trace.src_ip, trace.dst_ip,
+                              trace.qname, trace.dns_id, trace.ip_id, trace.src_port,
+                              trace.src_as, trace.dst_as, days),
+                          map(listed.__contains__, trace.qname)):
         client, server, client_as = (dst, src, dst_asn) if qr else (src, dst, ingress)
         key = (client, day)
         stats = details.get(key)
@@ -348,13 +347,18 @@ def write_events(events: Iterable[AttackEvent], path: str) -> None:
 
 def read_events(path: str) -> list[AttackEvent]:
     """The events of an event log. Events of one call share each distinct
-    victim, day, reflector address and qname as one string."""
+    victim, day, reflector address and qname as one string. A first_ts or
+    last_ts must fall on a UTC day from 0001-01-01 to 9999-12-31."""
     strings = shared()
     events = []
     for lineno, obj in read_jsonl(path):
         if isinstance(obj, dict):
             obj.pop("duration_s", None)  # derived from first_ts and last_ts
         event = from_obj(AttackEvent, obj, f"{path} line {lineno}")
+        for key, ts in (("first_ts", event.first_ts), ("last_ts", event.last_ts)):
+            if not TS_MIN <= ts < TS_END:  # nan and the infinities fail too
+                raise ValueError(f"{path} line {lineno}: key {key!r}: expected a time from "
+                                 f"0001-01-01 to 9999-12-31 UTC, got {ts!r}")
         event.victim_ip = strings[event.victim_ip]
         event.day = strings[event.day]
         event.qname_counts = {strings[q]: n for q, n in event.qname_counts.items()}

@@ -84,16 +84,17 @@ def prepare(trace: str | Iterable[str],
 
     records, skipped = tr.parse_trace(trace)
     kept, dropped = tr.sanitize(records)
+    parsed = len(kept) + dropped
     kept_bytes = sum(map(kept.values.__getitem__, kept.udp_len))
-    total_bytes = kept_bytes + sum(record.udp_len for record in records.odd.values())
+    total_bytes = kept_bytes + sum(record.udp_len for record in records.dropped)
     if prefix_table is not None:
         tr.annotate(kept, prefix_table)
     stats = {
-        "parsed_records": len(records),
+        "parsed_records": parsed,
         "skipped_lines": skipped,
         "dropped_records": dropped,
         "kept_records": len(kept),
-        "dropped_packet_share": dropped / len(records) if records else 0.0,
+        "dropped_packet_share": dropped / parsed if parsed else 0.0,
         "dropped_byte_share": (1.0 - kept_bytes / total_bytes) if total_bytes else 0.0,
     }
     return StageResult({"annotated.jsonl": (tr.write_trace, kept),
@@ -377,8 +378,7 @@ def report(events: Sequence[det.AttackEvent], names: AbstractSet[str] | None = N
     nscounts: Counter[int] = Counter()
     if records is not None:
         trace = as_trace(records)
-        for index, count in Counter(compress(trace.column("nscount"),
-                                             trace.column("is_response"))).items():
+        for index, count in Counter(compress(trace.nscount, trace.is_response)).items():
             nscounts[trace.values[index]] += count
     nscount_total = sum(nscounts.values())
     obj = {

@@ -1,10 +1,10 @@
 """The packet record, its fields and the columnar trace that holds them.
 
-`PacketRecord` is one sampled packet. `Trace` holds many as one typed array
-per field, with addresses, qnames, AS numbers and the fields unbounded above
-held once each in a table of values, and reads as a sequence of records
-built on demand. The validity rules that decide which rows the columns hold
-live in `row_filler`.
+`PacketRecord` is one sampled packet. `Trace` holds the packets that
+sanitize keeps as one typed array per field, with addresses, qnames, AS
+numbers and the fields unbounded above held once each in a table of values,
+and reads as a sequence of records built on demand. The validity rules that
+decide which rows the columns hold live in `row_filler`.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from functools import lru_cache
-from itertools import islice
 from operator import attrgetter
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from .fileio import Memo
 
@@ -28,6 +27,10 @@ UDP_HEADER_LEN = 8
 MAX_NAME_WIRE_LEN = 255
 MAX_LABEL_LEN = 63
 DAY_S = 86400
+# The timestamps of 0001-01-01 and 10000-01-01 UTC: a ts in [TS_MIN, TS_END)
+# falls on a day that day_index and utc_day can name.
+TS_MIN = -62135596800.0
+TS_END = 253402300800.0
 
 
 def normalize_qname(qname: str) -> str:
@@ -147,90 +150,56 @@ COLUMNS = {"ts": "d", "src_ip": "I", "dst_ip": "I", "src_port": "H", "dst_port":
            "ip_ttl": "B", "ip_id": "H", "udp_len": "I", "is_response": "B", "dns_id": "H",
            "qname": "I", "qtype": "H", "rcode": "B", "ancount": "I", "nscount": "I",
            "src_as": "I", "dst_as": "I"}
-INTERNED = frozenset({"src_ip", "dst_ip", "udp_len", "qname", "ancount", "nscount",
-                      "src_as", "dst_as"})
 _CHUNK = 256  # rows gathered before the columns are extended
-_PLAIN_TYPES = (str, int, type(None))
 
 
 class Trace:
     """A trace held as one typed array per PacketRecord field, plus one table
     of the values that the interned fields point into.
 
-    The columns hold the rows that sanitize() keeps. A row that is sound but
-    invalid (a ttl of 300, a nan ts) stays a PacketRecord in `odd`, keyed by
-    its position among all rows, until sanitize() drops it. A trace is a
-    sequence of PacketRecords in row order, built on demand from the columns;
-    the pipeline's consumers read the columns instead.
+    The columns hold the rows that sanitize() keeps, each qname normalized;
+    every other sound record of the input is set aside in `dropped`, in input
+    order. A trace is a sequence of PacketRecords, built on demand from the
+    columns; the pipeline's consumers read the columns instead.
     """
 
-    __slots__ = (*COLUMNS, "values", "_index", "odd")
+    __slots__ = (*COLUMNS, "values", "_index", "dropped")
 
     def __init__(self) -> None:
         for name, code in COLUMNS.items():
             setattr(self, name, array(code))
         self.values: list = [None]  # index 0: an AS number not annotated
         self._index: dict = {None: 0}
-        self.odd: dict[int, PacketRecord] = {}
+        self.dropped: list[PacketRecord] = []
 
     @classmethod
-    def of(cls, records: Iterable[PacketRecord], normalize: bool = False) -> Trace:
-        """The records as a trace, each qname as given, or with `normalize`
-        normalized first, in place on the record."""
+    def of(cls, records: Iterable[PacketRecord]) -> Trace:
+        """The records as a trace: those that sanitize() keeps as rows, the
+        others in `dropped`. The records themselves are left as they are."""
         trace = cls()
-        add, add_odd, flush = row_filler(trace)
-        normalized = Memo(lambda qname: normalize_qname(qname) if isinstance(qname, str)
-                          else qname)
+        add, flush = row_filler(trace)
         for record in records:
-            if normalize:
-                record.qname = normalized[record.qname]
             values = record_values(record)
             if _has_record_types(values):
                 add(values, record)
             else:
-                add_odd(record)
+                trace.dropped.append(record)
         flush()
         return trace
 
     def intern(self, value: Any) -> int:
-        """The index of value in the table, added if new. A value of any type
-        but str, int and None is keyed by its type too, so that True never
-        stands for 1."""
-        key = value if type(value) in _PLAIN_TYPES else (type(value), value)
-        index = self._index.get(key)
+        """The index of value in the table, added if new. Its values are
+        strings, ints (never a bool) and None, so values that compare equal
+        are interchangeable."""
+        index = self._index.get(value)
         if index is None:
-            index = self._index[key] = len(self.values)
+            index = self._index[value] = len(self.values)
             self.values.append(value)
         return index
 
     @property
     def columns(self) -> list[array]:
         return [getattr(self, name) for name in COLUMNS]
-
-    def runs(self) -> Iterator[tuple[int, PacketRecord | None]]:
-        """(n, record) in row order: the next n rows of the columns, then an
-        odd record (None after the last rows)."""
-        done = 0
-        for k, (position, record) in enumerate(self.odd.items()):
-            yield position - k - done, record
-            done = position - k
-        yield len(self.ts) - done, None
-
-    def column(self, name: str) -> Sequence:
-        """A field's value in every row, odd rows included, in row order: for
-        an interned field the index of its value."""
-        column = getattr(self, name)
-        if not self.odd:
-            return column
-        out: list = []
-        start = 0
-        for count, record in self.runs():
-            out += column[start:start + count]
-            start += count
-            if record is not None:
-                value = getattr(record, name)
-                out.append(self.intern(value) if name in INTERNED else value)
-        return out
 
     def _record(self, row: tuple) -> PacketRecord:
         values = self.values
@@ -242,29 +211,17 @@ class Trace:
                             values[dst_as])
 
     def __len__(self) -> int:
-        return len(self.ts) + len(self.odd)
+        return len(self.ts)
 
-    def rows(self) -> Iterator[tuple | PacketRecord]:
-        """Each row in order: a tuple of the columns' values, or an odd
-        record."""
-        rows = zip(*self.columns)
-        for count, record in self.runs():
-            yield from islice(rows, count)
-            if record is not None:
-                yield record
+    def rows(self) -> Iterator[tuple]:
+        """Each row in order, as a tuple of the columns' values."""
+        return zip(*self.columns)
 
     def __iter__(self) -> Iterator[PacketRecord]:
-        for row in self.rows():
-            yield self._record(row) if type(row) is tuple else row
+        return map(self._record, self.rows())
 
     def __getitem__(self, position: int) -> PacketRecord:
-        if not -len(self) <= position < len(self):
-            raise IndexError("trace index out of range")
-        position %= len(self)
-        if position in self.odd:
-            return self.odd[position]
-        row = position - sum(odd < position for odd in self.odd)
-        return self._record(tuple(column[row] for column in self.columns))
+        return self._record(tuple(column[position] for column in self.columns))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, (Trace, list, tuple)):
@@ -304,21 +261,21 @@ def _has_record_types(values: tuple) -> bool:
         and types[15] in _AS_TYPES and types[16] in _AS_TYPES)
 
 
-def row_filler(trace: Trace) -> tuple[Callable[..., None], Callable[[PacketRecord], None],
-                                    Callable[[], None]]:
-    """(add, add_odd, flush) that append rows to a trace: a valid row to its
-    columns, a chunk at a time, any other as a PacketRecord at its position.
+def row_filler(trace: Trace) -> tuple[Callable[..., None], Callable[[], None]]:
+    """(add, flush) that add rows to a trace: a valid row to its columns, a
+    chunk at a time, with its qname normalized, any other to its `dropped`.
     The validity rules live here. Each distinct address and qname is checked
     once.
 
     add(values, record=None) takes PacketRecord's 17 values, of the types
-    that _has_record_types accepts, and adds an invalid row as `record`, or
+    that _has_record_types accepts, and drops an invalid row as `record`, or
     as a record of its values. flush() extends the columns by the rows that
     add has gathered."""
-    intern, odd, chunk, isfinite = trace.intern, trace.odd, [], math.isfinite
+    intern, dropped, chunk = trace.intern, trace.dropped, []
     addresses = Memo(lambda ip: intern(ip) if ipv4_int(ip) is not None
                      or ip_or_none(ip) is not None else None)
-    names = Memo(lambda qname: intern(qname) if qname_is_valid(qname) else None)
+    names = Memo(lambda qname: intern(normalize_qname(qname)) if qname_is_valid(qname)
+                 else None)
     numbers = Memo(intern)
 
     def add(values: tuple, record: PacketRecord | None = None) -> None:
@@ -326,8 +283,9 @@ def row_filler(trace: Trace) -> tuple[Callable[..., None], Callable[[PacketRecor
          qtype, rcode, ancount, nscount, src_as, dst_as) = values
         src, dst, name = addresses[src_ip], addresses[dst_ip], names[qname]
         # Exactly one endpoint is on the DNS port, consistent with the QR
-        # bit: requests travel to port 53, responses come from it.
-        if (src is not None and dst is not None and name is not None and isfinite(ts)
+        # bit: requests travel to port 53, responses come from it. A nan ts
+        # fails the range test.
+        if (src is not None and dst is not None and name is not None and TS_MIN <= ts < TS_END
                 and 0 <= src_port <= 65535 and 0 <= dst_port <= 65535
                 and (src_port == DNS_PORT) != (dst_port == DNS_PORT)
                 and (src_port if qr else dst_port) == DNS_PORT
@@ -340,10 +298,7 @@ def row_filler(trace: Trace) -> tuple[Callable[..., None], Callable[[PacketRecor
             if len(chunk) == _CHUNK:
                 flush()
         else:
-            add_odd(PacketRecord(*values) if record is None else record)
-
-    def add_odd(record: PacketRecord) -> None:
-        odd[len(trace.ts) + len(chunk) + len(odd)] = record
+            dropped.append(PacketRecord(*values) if record is None else record)
 
     def flush() -> None:
         # fromlist converts about twice as fast as extend from a tuple
@@ -351,7 +306,7 @@ def row_filler(trace: Trace) -> tuple[Callable[..., None], Callable[[PacketRecor
             column.fromlist(list(values))
         chunk.clear()
 
-    return add, add_odd, flush
+    return add, flush
 
 
 def ip_or_none(text: str) -> ipaddress.IPv4Address | ipaddress.IPv6Address | None:

@@ -53,10 +53,10 @@ def _rank(selector_id: str, scores: dict[str, float | int]) -> SelectorRanking:
 def selector_max_size(records: Iterable[PacketRecord]) -> SelectorRanking:
     """Rank names by the largest response payload observed for them."""
     trace = as_trace(records)
-    values, responses = trace.values, trace.column("is_response")
+    values, responses = trace.values, trace.is_response
     best: dict[str, int] = {}
-    for qname, udp_len in zip(map(values.__getitem__, compress(trace.column("qname"), responses)),
-                              compress(trace.column("udp_len"), responses)):
+    for qname, udp_len in zip(map(values.__getitem__, compress(trace.qname, responses)),
+                              compress(trace.udp_len, responses)):
         size = values[udp_len] - UDP_HEADER_LEN
         if size > best.get(qname, -1):
             best[qname] = size
@@ -67,8 +67,8 @@ def selector_any_volume(records: Iterable[PacketRecord]) -> SelectorRanking:
     """Rank names by the number of sampled ANY queries carrying them."""
     trace = as_trace(records)
     counts: Counter[str] = Counter()
-    for (qr, qtype, qname), count in Counter(zip(*map(trace.column, (
-            "is_response", "qtype", "qname")))).items():
+    for (qr, qtype, qname), count in Counter(zip(trace.is_response, trace.qtype,
+                                                 trace.qname)).items():
         if not qr and qtype == QTYPE_ANY:
             counts[trace.values[qname]] += count
     return _rank(SELECTOR_ANY_VOLUME, counts)
@@ -88,8 +88,8 @@ def selector_ground_truth(records: Iterable[PacketRecord],
     trace = as_trace(records)
     values = trace.values
     counts: Counter[str] = Counter()
-    for qr, src_ip, dst_ip, ts, qname in zip(*map(trace.column, (
-            "is_response", "src_ip", "dst_ip", "ts", "qname"))):
+    for qr, src_ip, dst_ip, ts, qname in zip(trace.is_response, trace.src_ip, trace.dst_ip,
+                                             trace.ts, trace.qname):
         spans = windows.get(values[dst_ip if qr else src_ip])
         if not spans:
             continue

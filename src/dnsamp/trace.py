@@ -20,11 +20,9 @@ from operator import itemgetter
 from typing import Any, Iterable, Iterator, TextIO
 
 from .fileio import Memo, read_csv, read_lines, write_lines
-from .records import (COLUMNS, DAY_S, DNS_PORT, FIELD_TYPES, INTERNED,  # noqa: F401
-                      MAX_LABEL_LEN, MAX_NAME_WIRE_LEN, PLAIN_RECORD_TYPES, UDP_HEADER_LEN,
-                      PacketRecord, Trace, as_trace, day_index, ip_or_none, ipv4_int,
-                      normalize_qname, qname_is_valid, qname_labels, qname_wire_length,
-                      record_values, row_filler, utc_day)
+from .records import (FIELD_TYPES, PLAIN_RECORD_TYPES, PacketRecord, Trace, as_trace,  # noqa: F401
+                      ip_or_none, ipv4_int, normalize_qname, qname_is_valid, qname_wire_length,
+                      record_values, row_filler)
 
 # Canonical JSONL field order. Serialization always emits these fields in this
 # order so that parse -> serialize round-trips byte-identically.
@@ -80,10 +78,10 @@ def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[Trace, int]:
     Returns (trace, skipped_line_count); malformed lines (bad lines as
     `fileio.read_lines` finds them, missing fields, wrong types, a ts beyond
     the float range) are counted and skipped, never raised. A sound line that
-    sanitize() drops stays in the trace, as an odd record.
+    sanitize() drops is set aside in the trace's `dropped`.
     """
     trace = Trace()
-    add, _, flush = row_filler(trace)
+    add, flush = row_filler(trace)
     values_from_obj = partial(_values_from_obj, Memo(normalize_qname))
     skipped = 0
     for _, obj in read_lines(source):
@@ -110,9 +108,9 @@ def serialize_trace(records: Iterable[PacketRecord]) -> Iterator[str]:
     """Yield canonical JSONL lines (no trailing newline per line).
 
     Each line equals json.dumps(record_to_obj(r), separators=(",", ":")).
-    The rows of a Trace's columns, and records whose fields are all exactly
-    builtin types with a finite ts, are written from a template with each
-    distinct value encoded once; any other record goes through json.dumps."""
+    The rows of a Trace, and records whose fields are all exactly builtin
+    types with a finite ts, are written from a template with each distinct
+    value encoded once; any other record goes through json.dumps."""
     if isinstance(records, Trace):
         values = records.values
         texts = Memo(lambda index: json.dumps(values[index]))
@@ -155,19 +153,15 @@ def write_trace(records: Iterable[PacketRecord], path: str) -> None:
 def sanitize(records: Iterable[PacketRecord]) -> tuple[Trace, int]:
     """Keep semantically well-formed records, count the rest.
 
-    Idempotent: a second pass over the kept records drops nothing. Kept
-    records get their qname normalized so hand-built input behaves like
-    parsed input; a hand-built record's qname is normalized in place. The
-    kept trace of a Trace shares its columns.
+    A Trace holds only the records sanitize keeps, qnames normalized, and
+    sets the rest aside in `dropped`, so its kept trace is a copy that shares
+    the columns, with nothing dropped. Other records are adopted as a Trace
+    and are left as they are. Idempotent: a second pass drops nothing.
     """
-    trace = records if isinstance(records, Trace) else Trace.of(records, normalize=True)
+    trace = as_trace(records)
     kept = copy(trace)  # shares the arrays and the table
-    kept.odd = {}
-    normalized = {index: kept.intern(normalize_qname(trace.values[index]))
-                  for index in set(trace.qname)}
-    if any(index != normal for index, normal in normalized.items()):
-        kept.qname = array("I", map(normalized.__getitem__, trace.qname))
-    return kept, len(trace.odd)
+    kept.dropped = []
+    return kept, len(trace.dropped)
 
 
 class PrefixTable:
@@ -234,8 +228,8 @@ class PrefixTable:
 def annotate(records: Iterable[PacketRecord], table: PrefixTable) -> Iterable[PacketRecord]:
     """Fill src_as/dst_as in place via longest-prefix match, one lookup per
     distinct address; membership of the records never changes. Unmatched
-    addresses stay None. A Trace gets new AS columns; other records, and a
-    trace's odd records, are set one by one."""
+    addresses stay None. A Trace gets new AS columns for its rows; other
+    records are set one by one."""
     asn = Memo(table.lookup)
     if isinstance(records, Trace):
         values = records.values
@@ -243,7 +237,8 @@ def annotate(records: Iterable[PacketRecord], table: PrefixTable) -> Iterable[Pa
                     for address in {*records.src_ip, *records.dst_ip}}
         records.src_as = array("I", map(as_index.__getitem__, records.src_ip))
         records.dst_as = array("I", map(as_index.__getitem__, records.dst_ip))
-    for record in records.odd.values() if isinstance(records, Trace) else records:
-        record.src_as = asn[record.src_ip]
-        record.dst_as = asn[record.dst_ip]
+    else:
+        for record in records:
+            record.src_as = asn[record.src_ip]
+            record.dst_as = asn[record.dst_ip]
     return records

@@ -8,6 +8,7 @@ corresponding fast paths under test.
 
 from __future__ import annotations
 
+import dataclasses
 import ipaddress
 import json
 import math
@@ -199,9 +200,15 @@ def _ip_or_none(text):
         return None
 
 
+# A kept ts falls on a UTC day from 0001-01-01 to 9999-12-31, which datetime
+# can name.
+FIRST_TS = datetime(1, 1, 1, tzinfo=timezone.utc).timestamp()
+END_TS = datetime(9999, 12, 31, tzinfo=timezone.utc).timestamp() + 86400
+
+
 def record_is_valid_reference(record) -> bool:
     """Per-record validity, every field checked on every record."""
-    if not (isinstance(record.ts, float) and math.isfinite(record.ts)):
+    if not (isinstance(record.ts, float) and FIRST_TS <= record.ts < END_TS):
         return False
     integers = (record.src_port, record.dst_port, record.ip_ttl, record.ip_id, record.udp_len,
                 record.dns_id, record.qtype, record.rcode, record.ancount, record.nscount)
@@ -242,14 +249,13 @@ def record_is_valid_reference(record) -> bool:
 
 
 def sanitize_reference(records):
-    """(kept, dropped) with the qname of every record normalized in place."""
+    """(kept, dropped): copies of the valid records, each qname normalized;
+    the records themselves are left as they are."""
     kept = []
     dropped = 0
     for record in records:
-        if isinstance(record.qname, str):
-            record.qname = normalize_qname(record.qname)
         if record_is_valid_reference(record):
-            kept.append(record)
+            kept.append(dataclasses.replace(record, qname=normalize_qname(record.qname)))
         else:
             dropped += 1
     return kept, dropped
@@ -625,7 +631,7 @@ def parse_trace_rows(source) -> tuple[list[PacketRecord], int]:
 
 
 def _record_is_valid_rows(record: PacketRecord, ip_valid: Memo, name_valid: Memo) -> bool:
-    return (isinstance(record.ts, float) and math.isfinite(record.ts)
+    return (isinstance(record.ts, float) and FIRST_TS <= record.ts < END_TS
             and (type(record.src_port), type(record.dst_port), type(record.ip_ttl),
                  type(record.ip_id), type(record.udp_len), type(record.dns_id),
                  type(record.qtype), type(record.rcode), type(record.ancount),

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import math
 import random
 from dataclasses import replace
 from datetime import datetime, timezone
@@ -413,6 +414,25 @@ class TestIngestStage:
         assert stats["skipped_lines"] == 1
         assert stats["parsed_records"] == 19
 
+    # a ts must fall on a UTC day from 0001-01-01 to 9999-12-31
+    @pytest.mark.parametrize("ts, dropped", [
+        (1e300, 1), (1e12, 1), (253402300800.0, 1), (-62135596800.5, 1),
+        (253402300799.0, 0), (-62135596800.0, 0),
+    ])
+    def test_ts_beyond_the_utc_days_is_dropped(self, tmp_path, ts, dropped):
+        record = PacketRecord(ts, "10.0.0.1", "192.0.2.1", 5353, 53, 60, 7, 64, False, 42,
+                              "example.com.", 255, 0, 0, 0)
+        write_trace([record], str(tmp_path / "trace.jsonl"))
+        assert run("ingest", "--trace", str(tmp_path / "trace.jsonl"),
+                   "--out-dir", str(tmp_path / "ing")) == 0
+        stats = json.loads((tmp_path / "ing" / "ingest_stats.json").read_text())
+        assert (stats["parsed_records"], stats["dropped_records"]) == (1, dropped)
+        (tmp_path / "names.txt").write_text("example.com.\n")
+        assert run("detect", "--trace", str(tmp_path / "trace.jsonl"),
+                   "--names", str(tmp_path / "names.txt"), "--min-packets", "1",
+                   "--out-dir", str(tmp_path / "det")) == 0
+        assert len((tmp_path / "det" / "attacks.jsonl").read_text().splitlines()) == 1 - dropped
+
     def test_prefix_table_not_utf8_is_processing_error(self, ws, tmp_path, capsys):
         prefixes = tmp_path / "prefixes.csv"
         prefixes.write_bytes((out(ws, "gen") / "prefixes.csv").read_bytes() + b"10.\xff/8,7\n")
@@ -628,6 +648,26 @@ class TestClusterStage:
         assert run("cluster", "--attacks", str(attacks), "--out-dir", str(tmp_path)) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {attacks} {where}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key, value", [
+        ("first_ts", 1e300), ("first_ts", math.inf), ("first_ts", -1e12),
+        ("last_ts", math.nan), ("last_ts", 253402300800.0),
+    ])
+    def test_event_time_beyond_the_utc_days_is_processing_error(self, ws, tmp_path, capsys,
+                                                                key, value):
+        lines = (out(ws, "det") / "attacks.jsonl").read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj[key] = value
+        attacks = tmp_path / "attacks.jsonl"
+        attacks.write_text("\n".join([lines[0], json.dumps(obj), *lines[2:]]) + "\n")
+        (tmp_path / "seen.csv").write_text("ip,first_seen,last_seen\n" + "".join(
+            f"{ip},2019-05-01,2019-05-30\n" for ip in obj["amplifier_set"]))
+        assert run("cluster", "--attacks", str(attacks), "--seen-table",
+                   str(tmp_path / "seen.csv"), "--out-dir", str(tmp_path / "cl")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {attacks} line 2: key {key!r}: expected a time from 0001-01-01 to "
+            f"9999-12-31 UTC, got {value!r}\n")
+        assert not (tmp_path / "cl").exists()
 
     def test_bad_eps_writes_nothing(self, ws, tmp_path, capsys):
         assert run("cluster", "--attacks", str(out(ws, "det") / "attacks.jsonl"),

@@ -1,5 +1,6 @@
 """Attack-event detection, intensity scoring, and event serialization."""
 
+import dataclasses
 import random
 
 import pytest
@@ -249,9 +250,11 @@ class TestSummary:
                 day["prefixes_8"]) == (2, 1, 1, 1)
 
     def test_victim_that_is_no_address_counts_only_as_victim(self):
-        records = burst(12, 0, client="10.0.0.1") + burst(12, 0, client="victim.example")
-        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED),
-                                    det.DetectorConfig())
+        # no aggregate of records has such a client, since sanitize drops
+        # them; a hand-edited event log can
+        event = det.detect_attacks(det.aggregate_client_days(burst(12, 0), MISUSED),
+                                   det.DetectorConfig())[0]
+        events = [event, dataclasses.replace(event, victim_ip="victim.example")]
         day = det.victim_summary(events)["daily"][0]
         assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
                 day["prefixes_8"]) == (2, 1, 1, 1)

@@ -10,6 +10,8 @@ import json
 import math
 import re
 from datetime import date, datetime, timedelta, timezone
+from itertools import compress
+from operator import not_
 
 import numpy as np
 import pytest
@@ -30,7 +32,8 @@ from oracles import (aggregate_client_days_rows, annotate_rows, benign_client_re
                      event_from_obj_reference, event_to_obj_reference, ingest_stats_rows,
                      jaccard_distance_matrix_reference, lpm_reference, nscount_shares_rows,
                      parity_alternation_period_reference, parse_trace_reference,
-                     parse_trace_rows, sanitize_reference, sanitize_rows,
+                     parse_trace_rows, record_is_valid_reference, sanitize_reference,
+                     sanitize_rows,
                      selector_any_volume_rows, selector_ground_truth_rows,
                      selector_max_size_rows, selector_rankings_reference,
                      serialize_trace_rows, trace_line_reference)
@@ -47,7 +50,11 @@ QNAMES = ("example.com.", "Example.COM", "www.example.com", ".", "", "  ",
           "ctl\x01.", "emoji\U0001f600.", "del\x7f.")
 
 finite_ts = st.floats(min_value=-1e9, max_value=4e9, allow_nan=False)
-any_ts = st.one_of(finite_ts, st.sampled_from([math.inf, -math.inf, math.nan]),
+# the first and last ts of 0001-01-01 to 9999-12-31 UTC, and one beyond each
+TS_EDGES = (-62135596800.0, math.nextafter(253402300800.0, 0),
+            math.nextafter(-62135596800.0, -math.inf), 253402300800.0)
+any_ts = st.one_of(finite_ts, st.sampled_from([math.inf, -math.inf, math.nan, 1e300, 1e12,
+                                               *TS_EDGES]),
                    st.integers(0, 4 * 10 ** 9), finite_ts.map(np.float64))
 as_field = st.one_of(st.none(), st.integers(0, 2 ** 32))
 
@@ -97,7 +104,9 @@ def test_sanitize_matches_reference(batch):
     kept_ref, dropped_ref = sanitize_reference(reference_in)
     assert dropped == dropped_ref
     assert [tr.record_to_obj(r) for r in kept] == [tr.record_to_obj(r) for r in kept_ref]
-    assert [r.qname for r in ours_in] == [r.qname for r in reference_in]
+    # neither rewrites the qnames it was given
+    assert [r.qname for r in ours_in] == [r.qname for r in reference_in] == \
+        [r.qname for r in batch]
 
 
 @given(traces)
@@ -160,21 +169,17 @@ def test_parse_matches_json_loads_reader(edit, batch, constants):
     records, skipped = tr.parse_trace(lines)
     records_ref, skipped_ref = parse_trace_reference(lines)
     assert skipped == skipped_ref
+    valid = list(map(record_is_valid_reference, records_ref))
     # serialized, because a nan ts never equals itself
-    assert list(tr.serialize_trace(records)) == list(tr.serialize_trace(records_ref))
+    assert list(tr.serialize_trace(records)) == \
+        list(tr.serialize_trace(list(compress(records_ref, valid))))
+    assert list(tr.serialize_trace(records.dropped)) == \
+        list(tr.serialize_trace(list(compress(records_ref, map(not_, valid)))))
 
 
 # --- the columnar trace against the row path --------------------------------
 
 PREFIXES = [("0.0.0.0/1", 1), ("10.0.0.0/8", 2), ("192.0.2.0/24", 3), ("2001:db8::/32", 4)]
-
-
-def outcome(function, *args):
-    """("ok", result) or ("raised", exception type) of function(*args)."""
-    try:
-        return "ok", function(*args)
-    except Exception as exc:  # the two paths must fail alike
-        return "raised", type(exc)
 
 
 def rankings(records, windows):
@@ -227,15 +232,19 @@ def test_columnar_trace_matches_row_path(batch, names, windows):
     lines = list(serialize_trace_rows(copy.deepcopy(batch)))
     trace, skipped = tr.parse_trace(lines)
     rows, skipped_rows = parse_trace_rows(lines)
-    assert (len(trace), skipped) == (len(rows), skipped_rows)
-    assert list(tr.serialize_trace(trace)) == list(serialize_trace_rows(rows))
-    assert outcome(rankings, trace, windows) == outcome(rankings_rows, rows, windows)
+    assert skipped == skipped_rows
+    # the trace's rows are the valid records, the others are set aside
+    valid = list(map(record_is_valid_reference, rows))
+    assert list(tr.serialize_trace(trace)) == list(serialize_trace_rows(compress(rows, valid)))
+    assert list(tr.serialize_trace(trace.dropped)) == \
+        list(serialize_trace_rows(compress(rows, map(not_, valid))))
+    kept_rows, dropped_rows = sanitize_rows(rows)
+    assert rankings(trace, windows) == rankings_rows(kept_rows, windows)
     table = tr.PrefixTable(PREFIXES)
     tr.annotate(trace, table)
-    annotate_rows(rows, table)
-    assert list(tr.serialize_trace(trace)) == list(serialize_trace_rows(rows))
+    annotate_rows(kept_rows, table)
+    assert list(tr.serialize_trace(trace)) == list(serialize_trace_rows(kept_rows))
     kept, dropped = tr.sanitize(trace)
-    kept_rows, dropped_rows = sanitize_rows(rows)
     assert dropped == dropped_rows
     assert list(tr.serialize_trace(kept)) == list(serialize_trace_rows(kept_rows))
     assert pipeline.prepare(lines)["ingest_stats.json"] == ingest_stats_rows(lines)
@@ -246,29 +255,40 @@ def test_columnar_trace_matches_row_path(batch, names, windows):
         nscount_shares_rows(kept_rows)
 
 
-# Hand-built records, as tests, demos and synth pass them: a consumer takes
-# any records, invalid ones included, in their order.
+# Hand-built records, as tests, demos and synth pass them: a consumer of a
+# list reads the records that sanitize keeps, their qnames normalized, and
+# leaves the list as it was.
 @settings(max_examples=120)
 @given(st.lists(mixed_records, max_size=25), st.sets(st.sampled_from(QNAMES), max_size=6),
        victim_windows)
 def test_consumers_of_hand_built_records_match_row_path(batch, names, windows):
+    given_records = copy.deepcopy(batch)
     assert list(tr.serialize_trace(batch)) == list(serialize_trace_rows(batch))
-    assert outcome(rankings, batch, windows) == outcome(rankings_rows, batch, windows)
-    assert outcome(det.aggregate_client_days, batch, names) == \
-        outcome(aggregate_client_days_rows, batch, names)
+    kept_rows, dropped_rows = sanitize_rows(copy.deepcopy(batch))
+    assert rankings(batch, windows) == rankings_rows(kept_rows, windows)
+    assert det.aggregate_client_days(batch, names) == \
+        aggregate_client_days_rows(kept_rows, names)
+    kept, dropped = tr.sanitize(batch)
+    adopted_kept, adopted_dropped = tr.sanitize(tr.as_trace(batch))
+    assert dropped == adopted_dropped == dropped_rows
+    assert list(tr.serialize_trace(kept)) == list(tr.serialize_trace(adopted_kept)) == \
+        list(serialize_trace_rows(kept_rows))
+    assert batch == given_records
     ours, theirs = copy.deepcopy(batch), copy.deepcopy(batch)
     table = tr.PrefixTable(PREFIXES)
     assert tr.annotate(ours, table) is ours
     annotate_rows(theirs, table)
     assert ours == theirs
-    # a trace of the records as given has its qnames normalized by sanitize
-    raw_kept, raw_dropped = tr.sanitize(tr.as_trace(copy.deepcopy(ours)))
-    kept, dropped = tr.sanitize(ours)
-    kept_rows, dropped_rows = sanitize_rows(theirs)
-    assert dropped == raw_dropped == dropped_rows
-    assert list(tr.serialize_trace(kept)) == list(tr.serialize_trace(raw_kept)) == \
-        list(serialize_trace_rows(kept_rows))
-    assert [r.qname for r in ours] == [r.qname for r in theirs]
+
+
+@given(st.lists(mixed_records, max_size=25))
+def test_trace_rows_are_the_valid_records(batch):
+    trace = tr.Trace.of(batch)
+    assert all(map(record_is_valid_reference, trace))
+    assert list(map(id, trace.dropped)) == \
+        [id(record) for record in batch if not record_is_valid_reference(record)]
+    assert list(tr.serialize_trace(trace)) == \
+        list(tr.serialize_trace(sanitize_reference(batch)[0]))
 
 
 def read_jsonl_reference(path):
@@ -478,12 +498,15 @@ def test_read_csv_inverts_write_csv(tmp_path_factory, table):
 numbers = st.one_of(st.floats(allow_nan=False), st.integers(-10 ** 20, 10 ** 20))
 texts = st.text(max_size=6)
 int_tuples = st.lists(st.integers(-3, 70000), max_size=6).map(tuple)
+# the times read_events takes: 0001-01-01 to 9999-12-31 UTC
+event_times = st.one_of(st.floats(-62135596800.0, 253402300800.0, exclude_max=True),
+                        st.integers(-62135596800, 253402300799))
 
 events = st.builds(
     det.AttackEvent,
     victim_ip=texts, day=texts, packet_count=st.integers(), misused_packet_count=st.integers(),
     est_original_packets=st.integers(), est_misused_packets=st.integers(),
-    share=numbers, share_excluding_root=numbers, first_ts=numbers, last_ts=numbers,
+    share=numbers, share_excluding_root=numbers, first_ts=event_times, last_ts=event_times,
     request_count=st.integers(), response_count=st.integers(),
     qname_counts=st.dictionaries(texts, st.integers(), max_size=3),
     amplifier_set=st.lists(texts, max_size=4).map(tuple),
