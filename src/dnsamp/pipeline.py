@@ -79,7 +79,7 @@ def prepare(trace: str | Iterable[str],
             prefix_table: tr.PrefixTable | None = None) -> StageResult:
     """ingest: annotated.jsonl, the records of a trace (a path or its lines),
     parsed, sanitized and annotated from the prefix table when one is given,
-    and their counts in ingest_stats.json."""
+    their columns in annotated.columns, and their counts in ingest_stats.json."""
     from . import trace as tr
 
     records, skipped = tr.parse_trace(trace)
@@ -98,6 +98,7 @@ def prepare(trace: str | Iterable[str],
         "dropped_byte_share": (1.0 - kept_bytes / total_bytes) if total_bytes else 0.0,
     }
     return StageResult({"annotated.jsonl": (tr.write_trace, kept),
+                        "annotated.columns": (tr.write_columns, kept),
                         "ingest_stats.json": (write_json, stats)},
                        f"kept {len(kept)} records ({skipped} malformed lines, {dropped} dropped)")
 

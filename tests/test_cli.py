@@ -14,6 +14,7 @@ import pytest
 from dnsamp.cli import main
 from dnsamp.detector import AttackEvent, write_events
 from dnsamp.fileio import write_csv
+from dnsamp import trace as tr
 from dnsamp.trace import PacketRecord, write_trace
 from oracles import jaccard_distance_matrix_reference
 
@@ -203,7 +204,7 @@ class TestPrintedLines:
                   "ground_truth.json honeypot.csv prefixes.csv trace.jsonl"),
         "ingest": ("ingest --trace {ws}/gen/trace.jsonl --prefix-table {ws}/gen/prefixes.csv",
                    "kept 5834 records (0 malformed lines, 0 dropped)\n",
-                   "annotated.jsonl ingest_stats.json"),
+                   "annotated.columns annotated.jsonl ingest_stats.json"),
         "select-names": ("select-names --trace {ws}/ing/annotated.jsonl "
                          "--honeypot {ws}/gen/honeypot.csv",
                          "consensus k*=3, 3 names\n", "curve.csv names.json names.txt"),
@@ -432,6 +433,31 @@ class TestIngestStage:
                    "--names", str(tmp_path / "names.txt"), "--min-packets", "1",
                    "--out-dir", str(tmp_path / "det")) == 0
         assert len((tmp_path / "det" / "attacks.jsonl").read_text().splitlines()) == 1 - dropped
+
+    def test_trace_stages_answer_alike_with_and_without_columns(self, ws, tmp_path):
+        ing = tmp_path / "ing"
+        ing.mkdir()
+        for name in ("annotated.jsonl", "annotated.columns"):
+            (ing / name).write_bytes((out(ws, "ing") / name).read_bytes())
+        trace, honeypot = str(ing / "annotated.jsonl"), str(out(ws, "gen") / "honeypot.csv")
+        assert tr._load_columns(trace) is not None
+        names = str(tmp_path / "loaded" / "names.json")
+        outputs = {}
+        for case in ("loaded", "parsed"):
+            if case == "parsed":
+                (ing / "annotated.columns").unlink()
+            directory = tmp_path / case
+            assert run("select-names", "--trace", trace, "--honeypot", honeypot,
+                       "--out-dir", str(directory)) == 0
+            assert run("detect", "--trace", trace, "--names", names,
+                       "--prefix-table", str(out(ws, "gen") / "prefixes.csv"),
+                       "--out-dir", str(directory)) == 0
+            assert run("report", "--attacks", str(directory / "attacks.jsonl"), "--names",
+                       names, "--trace", trace, "--out-dir", str(directory)) == 0
+            outputs[case] = {path.name: path.read_bytes() for path in directory.iterdir()}
+        assert len(outputs["loaded"]) == 8
+        assert outputs["loaded"] == outputs["parsed"]
+        assert outputs["loaded"]["attacks.jsonl"] == (out(ws, "det") / "attacks.jsonl").read_bytes()
 
     def test_prefix_table_not_utf8_is_processing_error(self, ws, tmp_path, capsys):
         prefixes = tmp_path / "prefixes.csv"

@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dnsamp import amplifiers as amp
+from dnsamp import cli
 from dnsamp import detector as det
 from dnsamp import fileio
 from dnsamp import fingerprint as fp
@@ -289,6 +290,33 @@ def test_trace_rows_are_the_valid_records(batch):
         [id(record) for record in batch if not record_is_valid_reference(record)]
     assert list(tr.serialize_trace(trace)) == \
         list(tr.serialize_trace(sanitize_reference(batch)[0]))
+
+
+# Lines of sound, invalid and malformed records, each as written or edited.
+edited_records = st.tuples(mixed_records, st.sampled_from(["as-written"] * 3 + sorted(LINE_EDITS)))
+
+
+# What ingest writes beside annotated.jsonl loads as the trace a parse of the
+# file's lines gives: its columns, its values in order and of the same types,
+# nothing dropped and nothing skipped.
+@settings(max_examples=60)
+@given(st.lists(edited_records, max_size=25), st.lists(st.sampled_from(CONSTANT_LINES),
+                                                       max_size=2), st.booleans())
+def test_loaded_columns_equal_the_parse(tmp_path_factory, edited, constants, annotated):
+    lines = [LINE_EDITS[edit](line) for line, (_, edit)
+             in zip(tr.serialize_trace([record for record, _ in edited]), edited)] + constants
+    out = tmp_path_factory.mktemp("ingest")
+    cli._write(pipeline.prepare(lines, tr.PrefixTable(PREFIXES) if annotated else None), out)
+    path = out / "annotated.jsonl"
+    assert tr._load_columns(str(path)) is not None
+    trace, skipped = tr.parse_trace(path)
+    parsed, parse_skipped = tr.parse_trace(path.read_text(encoding="utf-8").splitlines())
+    assert (skipped, parse_skipped) == (0, 0)
+    assert trace.columns == parsed.columns
+    assert list(map(type, trace.values)) == list(map(type, parsed.values))
+    assert trace.values == parsed.values
+    assert trace.dropped == parsed.dropped == []
+    assert list(tr.serialize_trace(trace)) == list(tr.serialize_trace(parsed))
 
 
 def read_jsonl_reference(path):

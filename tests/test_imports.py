@@ -1,5 +1,6 @@
-"""Import costs and module boundaries: no stage but synth may load numpy, only
-fileio opens a file or decodes JSON, and the CLI writes only through `_write`."""
+"""Import costs and module boundaries: no stage but synth may load numpy, no
+trace stage loads hashlib, only fileio opens a file or decodes JSON, and the
+CLI writes only through `_write`."""
 
 import ast
 import os
@@ -26,6 +27,26 @@ def test_trace_stages_leave_numpy_unloaded():
         capture_output=True, text=True, check=True,
         env=dict(os.environ, PYTHONPATH=str(src)))
     assert result.stdout.strip() == "False"
+
+
+def test_trace_stages_leave_hashlib_unloaded(tmp_path):
+    # hashlib maps OpenSSL, about 3.6 MB: the columns file is bound to its
+    # JSONL by zlib's CRC-32, checked here by a write and a load
+    imports = "; ".join(f"import {m}" for m in TRACE_STAGE_MODULES)
+    code = f"""
+import sys; {imports}
+from dnsamp import cli, pipeline, trace
+line = ('{{"ts":1.5,"src_ip":"10.0.0.1","dst_ip":"192.0.2.1","src_port":5353,"dst_port":53,'
+        '"ip_ttl":60,"ip_id":7,"udp_len":64,"qr":false,"dns_id":42,"qname":"example.com.",'
+        '"qtype":255,"rcode":0,"ancount":0,"nscount":0}}')
+cli._write(pipeline.prepare([line]), __import__("pathlib").Path({str(tmp_path)!r}))
+print(trace._load_columns({str(tmp_path / "annotated.jsonl")!r}) is not None,
+      "hashlib" in sys.modules, "_hashlib" in sys.modules)
+"""
+    src = Path(dnsamp.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            check=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert result.stdout.strip().splitlines()[-1] == "True False False"
 
 
 def test_cli_leaves_fingerprint_unloaded():

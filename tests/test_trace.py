@@ -2,14 +2,16 @@
 
 import io
 import json
+import math
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dnsamp import pipeline, synth
+from dnsamp import cli, fileio, pipeline, synth
 from dnsamp import trace as tr
 from oracles import lpm_reference, wire_name
 
@@ -294,6 +296,113 @@ class TestRoundTrip:
         path = tmp_path / "trace.jsonl"
         tr.write_trace(kept, str(path))
         assert tr.parse_trace(str(path)) == (kept, 0)
+
+
+def same_parse(ours, expected):
+    """Whether two (trace, skipped) results hold equal columns, equal values
+    of equal types, the same dropped records and skipped count."""
+    (trace, skipped), (expected_trace, expected_skipped) = ours, expected
+    return (skipped == expected_skipped and trace.columns == expected_trace.columns
+            and list(map(type, trace.values)) == list(map(type, expected_trace.values))
+            and trace.values == expected_trace.values
+            and trace.dropped == expected_trace.dropped)
+
+
+def parse_lines_of(path):
+    """parse_trace of a file's lines: a parse, never a load of its columns."""
+    return tr.parse_trace(path.read_text(encoding="utf-8").splitlines())
+
+
+def edit_columns(change):
+    """A defect that rewrites the columns file as change(header, columns)
+    leaves it."""
+    def defect(jsonl, columns):
+        header, arrays = fileio.read_arrays(columns, tr._layout)
+        change(header, arrays)
+        fileio.write_arrays(str(columns), header, arrays)
+    return defect
+
+
+def replace_value(old, new):
+    """A change that puts new in the table in place of old."""
+    return lambda header, columns: header["values"].__setitem__(header["values"].index(old), new)
+
+
+def column(columns, name):
+    return columns[list(tr.COLUMNS).index(name)]
+
+
+def set_cell(name, value):
+    """A change that puts value in the first row of a column."""
+    return lambda header, columns: column(columns, name).__setitem__(0, value)
+
+
+OTHER_BYTEORDER = {"little": "big", "big": "little"}[sys.byteorder]
+
+
+class TestColumnsFile:
+    @pytest.fixture
+    def ingested(self, tmp_path):
+        """annotated.jsonl and annotated.columns of ingest: two clients, two
+        names, responses and requests, AS numbers from a prefix table."""
+        lines = [json.dumps(make_record(ts=100.5 + i, dns_id=i, ancount=i % 3,
+                                        qname=("a.example." if i % 2 else "B.example"),
+                                        src_ip=f"10.0.0.{i % 2 + 1}"))
+                 for i in range(6)]
+        lines += [json.dumps(make_record(ts=200.0 + i, qr=1, src_ip="192.0.2.1",
+                                         dst_ip="10.0.0.1", src_port=53, dst_port=4000 + i,
+                                         udp_len=1200, ancount=12, nscount=2))
+                  for i in range(3)]
+        result = pipeline.prepare(lines, tr.PrefixTable([("10.0.0.0/8", 64512)]))
+        cli._write(result, tmp_path)
+        return tmp_path / "annotated.jsonl", tmp_path / "annotated.columns"
+
+    def test_load_equals_the_parse(self, ingested):
+        jsonl, _ = ingested
+        assert tr._load_columns(str(jsonl)) is not None
+        assert same_parse(tr.parse_trace(jsonl), parse_lines_of(jsonl))
+        assert same_parse(tr.parse_trace(str(jsonl)), parse_lines_of(jsonl))
+
+    def test_rewrite_is_byte_identical(self, ingested, tmp_path):
+        jsonl, columns = ingested
+        cli._write(pipeline.prepare(str(jsonl)), tmp_path / "again")
+        for path in (jsonl, columns):
+            assert (tmp_path / "again" / path.name).read_bytes() == path.read_bytes()
+
+    # Each leaves the files as something a parse of the JSONL must answer.
+    DEFECTS = {
+        "jsonl-byte-edited": lambda jsonl, columns: jsonl.write_bytes(
+            jsonl.read_bytes().replace(b'"ip_ttl":60', b'"ip_ttl":61', 1)),
+        "jsonl-line-appended": lambda jsonl, columns: jsonl.write_bytes(
+            jsonl.read_bytes() + jsonl.read_bytes().splitlines(keepends=True)[0]),
+        "columns-missing": lambda jsonl, columns: columns.unlink(),
+        "columns-truncated": lambda jsonl, columns: columns.write_bytes(
+            columns.read_bytes()[:-1]),
+        "trailing-bytes": lambda jsonl, columns: columns.write_bytes(
+            columns.read_bytes() + b"\0"),
+        "header-not-json": lambda jsonl, columns: columns.write_bytes(
+            b"{" + columns.read_bytes()),
+        "header-not-an-object": edit_columns(lambda header, arrays: header.clear()),
+        "wrong-format": edit_columns(lambda header, arrays: header.update(format=2)),
+        "format-as-bool": edit_columns(lambda header, arrays: header.update(format=True)),
+        "other-byteorder": edit_columns(
+            lambda header, arrays: header.update(byteorder=OTHER_BYTEORDER)),
+        "index-past-table": edit_columns(lambda header, arrays: column(
+            arrays, "qname").__setitem__(0, len(header["values"]))),
+        "bool-in-table": edit_columns(replace_value(1, True)),
+        "float-in-table": edit_columns(replace_value(1200, 1200.0)),
+        "duplicate-in-table": edit_columns(replace_value("a.example.", "b.example.")),
+        "none-not-first": edit_columns(lambda header, arrays: header["values"].reverse()),
+        **{f"ts-{ts!r}": edit_columns(set_cell("ts", ts))
+           for ts in (tr.TS_END, math.nextafter(tr.TS_MIN, -math.inf), math.nan, math.inf)},
+    }
+
+    @pytest.mark.parametrize("defect", DEFECTS)
+    def test_defect_falls_back_to_parsing(self, ingested, defect):
+        jsonl, columns = ingested
+        self.DEFECTS[defect](jsonl, columns)
+        assert tr._load_columns(str(jsonl)) is None
+        assert same_parse(tr.parse_trace(jsonl), parse_lines_of(jsonl))
 
 
 class TestPrefixTable:
