@@ -174,7 +174,7 @@ _INTERNED = ("src_ip", "dst_ip", "qname", "udp_len", "ancount", "nscount", "src_
 
 
 def write_columns(trace: Trace, path: str) -> None:
-    """The columns file `<name>.columns` at path, of a sanitized trace that
+    """The columns file `<name>.columns` at path, of the trace that
     write_trace has just written to `<name>.jsonl` beside it.
 
     The header holds COLUMNS_FORMAT, the byte order, the row count, the table
