@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import random
+import sys
 from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -197,57 +198,127 @@ class TestOutDir:
 
 class TestPrintedLines:
     # each subcommand on the ws fixture: its arguments, with {ws}, {data} and
-    # {tmp} filled in, the exact stdout, and the files it writes
+    # {tmp} filled in, the exact stdout, and the SHA-256 of each file it
+    # writes. A change that alters an answer on purpose updates its digest.
     CASES = {
         "synth": ("synth --scenario {data}/scenario_small.json",
                   "5834 trace records, 90 honeypot requests, 3 planted attacks\n",
-                  "ground_truth.json honeypot.csv prefixes.csv trace.jsonl"),
+                  {"ground_truth.json":
+                   "3d43be2b3a2549e56ae6c785288867fea0b60663d67b912424f2673f27d7f134",
+                   "honeypot.csv":
+                   "7da3eaf28c6f656aaad3205c4ef9d634b77fd72054f6b88c9c75bedd786c621f",
+                   "prefixes.csv":
+                   "159a231cbcdca8403a2769dd406882e93fc49f1218579a1b3c3df561d56561f8",
+                   "trace.jsonl":
+                   "a1ee60fb26e935fff60ce7732bfae8d78f7aed607b003852101817d55df6e0cc"}),
         "ingest": ("ingest --trace {ws}/gen/trace.jsonl --prefix-table {ws}/gen/prefixes.csv",
                    "kept 5834 records (0 malformed lines, 0 dropped)\n",
-                   "annotated.columns annotated.jsonl ingest_stats.json"),
+                   {"annotated.columns":
+                    "a028f4036e0855c85d35ebe8b6419994fe3d77c3956401d8aeb9c59322aa6667",
+                    "annotated.jsonl":
+                    "0fb11e5e659f14eaf8246ea7353d8e12fc78e29f671d16e5a289d99cd0d4369f",
+                    "ingest_stats.json":
+                    "61d361e0fed5a4e1b09199a89978f80269c9af90adaeda112d7e55b653632aae"}),
         "select-names": ("select-names --trace {ws}/ing/annotated.jsonl "
                          "--honeypot {ws}/gen/honeypot.csv",
-                         "consensus k*=3, 3 names\n", "curve.csv names.json names.txt"),
-        "select-names-previous": ("select-names --trace {ws}/ing/annotated.jsonl "
-                                  "--honeypot {ws}/gen/honeypot.csv "
-                                  "--previous {ws}/sel/names.json",
-                                  "day-over-day name-list jaccard: 1.0000\n"
-                                  "consensus k*=3, 3 names\n",
-                                  "curve.csv delta.json names.json names.txt"),
-        "select-names-no-honeypot": ("select-names --trace {ws}/ing/annotated.jsonl",
-                                     "consensus k*=3, 3 names (empty selectors: ground_truth)\n",
-                                     "curve.csv names.json names.txt"),
+                         "consensus k*=3, 3 names\n",
+                         {"curve.csv":
+                          "06cbd26b4e148d7f5671119ab7051e52e06ad5acfe113ac93a1591fae070e060",
+                          "names.json":
+                          "3af8062fba29fa2802abcdddc07ad5b368470ab8d457ab8d534d3b6d4537e200",
+                          "names.txt":
+                          "428488ba1b948e5a955b58d3d03119f98a6050d83ff9dbe7931d0cb1d204f42e"}),
+        "select-names-previous": (
+            "select-names --trace {ws}/ing/annotated.jsonl --honeypot {ws}/gen/honeypot.csv "
+            "--previous {ws}/sel/names.json",
+            "day-over-day name-list jaccard: 1.0000\nconsensus k*=3, 3 names\n",
+            {"curve.csv":
+             "06cbd26b4e148d7f5671119ab7051e52e06ad5acfe113ac93a1591fae070e060",
+             "delta.json":
+             "2f04f0cafe32029d6ab52fef7dcbc3551e1a51ba08687ef65156913eac6b3038",
+             "names.json":
+             "3af8062fba29fa2802abcdddc07ad5b368470ab8d457ab8d534d3b6d4537e200",
+             "names.txt":
+             "428488ba1b948e5a955b58d3d03119f98a6050d83ff9dbe7931d0cb1d204f42e"}),
+        "select-names-no-honeypot": (
+            "select-names --trace {ws}/ing/annotated.jsonl",
+            "consensus k*=3, 3 names (empty selectors: ground_truth)\n",
+            {"curve.csv":
+             "44b7839947a73ad7af789cbe3ed92ae00ea750429e8529943f8209fe7b32b2e3",
+             "names.json":
+             "a70932f382618acf65005f216d035175168cb73847af0fc63b51ca0f53d26889",
+             "names.txt":
+             "428488ba1b948e5a955b58d3d03119f98a6050d83ff9dbe7931d0cb1d204f42e"}),
         "detect": ("detect --trace {ws}/ing/annotated.jsonl --names {ws}/sel/names.json",
                    "3 attack events from 3 suspicious client-days\n",
-                   "attacks.jsonl duration_percentiles.csv victims_daily.csv"),
+                   {"attacks.jsonl":
+                    "7b36c8d9c08151bb2e12f19236007c7d99bf4b5fef8e137202d19ef01a7207e6",
+                    "duration_percentiles.csv":
+                    "47603e81f3dd7e466e42680d645f8ef2c65ecd36840e7b7773a81dbe165bff2d",
+                    "victims_daily.csv":
+                    "14f9b30fc7415d2ba46aa0c7296d096ada1c27eca34b380a9dc38d9fa742edb1"}),
         "fingerprint": ("fingerprint --attacks {ws}/det/attacks.jsonl "
                         "--fingerprint-spec {tmp}/entity.json",
                         "attributed 1/3 events (share 0.3333)\n",
-                        "attribution.jsonl timeline.json"),
+                        {"attribution.jsonl":
+                         "793c4d223a38c2347ffbfe10795837b1a2377645c61a0aa323357441d3c49b96",
+                         "timeline.json":
+                         "7752f9ca50d073e42f5429ff082822bc5c09b665b9521b2f9f6b14a04a853def"}),
         "cluster": ("cluster --attacks {ws}/det/attacks.jsonl",
                     "0 clusters, outlier share 1.0000, 0 stable sets\n",
-                    "amplifiers.csv churn.csv clusters.json distance_matrix.csv qname_roles.csv"),
-        "cluster-seen-table": ("cluster --attacks {ws}/det/attacks.jsonl "
-                               "--seen-table {tmp}/seen.csv",
-                               "0 clusters, outlier share 1.0000, 0 stable sets, "
-                               "scan coverage 0.5000\n",
-                               "amplifiers.csv churn.csv clusters.json distance_matrix.csv "
-                               "qname_roles.csv"),
+                    {"amplifiers.csv":
+                     "7d97aa6efb5d3ed403acda110accd2eb5e983607b4c678b0c9a5eea73837503e",
+                     "churn.csv":
+                     "6262e06ac41e49f1dd28917ec3b59ef5185533c8cc8f76fdca9292779b1f2af6",
+                     "clusters.json":
+                     "90b48ff3446f3f7c02f90a8bcb2ceb1c1626e7f6e427e0c54cfdda8c04d6bf63",
+                     "distance_matrix.csv":
+                     "715ef5786255240501e84a688d25c86fe154fca6e929503f9dddf4a969d49164",
+                     "qname_roles.csv":
+                     "292202246fe82a0e016c56187b7c89b48b09f70cc162a31713885d0b45fd91b9"}),
+        "cluster-seen-table": (
+            "cluster --attacks {ws}/det/attacks.jsonl --seen-table {tmp}/seen.csv",
+            "0 clusters, outlier share 1.0000, 0 stable sets, scan coverage 0.5000\n",
+            {"amplifiers.csv":
+             "8989a17c57f344ce650aeb4f385e8fb7ea84ca0e5cce5cf56af00d403736904c",
+             "churn.csv":
+             "6262e06ac41e49f1dd28917ec3b59ef5185533c8cc8f76fdca9292779b1f2af6",
+             "clusters.json":
+             "90b48ff3446f3f7c02f90a8bcb2ceb1c1626e7f6e427e0c54cfdda8c04d6bf63",
+             "distance_matrix.csv":
+             "715ef5786255240501e84a688d25c86fe154fca6e929503f9dddf4a969d49164",
+             "qname_roles.csv":
+             "292202246fe82a0e016c56187b7c89b48b09f70cc162a31713885d0b45fd91b9"}),
         "estimate": ("estimate --records {data}/record_sets_small.jsonl "
                      "--reference-names {data}/reference_names.txt",
                      "2 names sized, 1 above reference\n",
-                     "estimates.csv plateaus.csv ranking.json"),
+                     {"estimates.csv":
+                      "bfaaba4def2095d1fef0964e2e2daeb260f91a67d5daed8f9eec040b242210cf",
+                      "plateaus.csv":
+                      "14d0f2c75d3666c5d00de6c0c8cc6566a5d0e6dea8c8fa067231adeea207e30c",
+                      "ranking.json":
+                      "56fdc1fd0e76d7e2712355cf58f569a7af4acf2c81949155817f175ed3ec230b"}),
         "snoop": ("snoop --responses {data}/probes_small.jsonl "
                   "--ttl-table {data}/default_ttls.csv",
                   "3 responders kept (0 malformed, 0 dropped); roles {'forwarder': 3}; "
                   "cache {'hit': 1, 'miss': 1, 'unknown': 1}\n",
-                  "snoop.jsonl"),
+                  {"snoop.jsonl":
+                   "fc1e203c7f9694888ab6b835a3626595b787c3969e0996db4339d5a419400051"}),
         "compare": ("compare --attacks {ws}/det/attacks.jsonl --honeypot {ws}/gen/honeypot.csv",
                     "3 mutual events (1.0000 of trace, 1.0000 of honeypot)\n",
-                    "convergence.csv honeypot_events.jsonl overlap.json"),
+                    {"convergence.csv":
+                     "4cc9911e0090af4008399eca4c1f1f35a17fb10704e8212beb545f74486425ca",
+                     "honeypot_events.jsonl":
+                     "9ac68f4bc8dd8d66d1c4112b1d8841419ba120c48b8f8185dcf0d1a490e5fe7f",
+                     "overlap.json":
+                     "24b62cd0a72221dcd8d07f2256622517fefd70647f702d16e3ca7bd734c8ea45"}),
         "report": ("report --attacks {ws}/det/attacks.jsonl --names {ws}/sel/names.json "
                    "--trace {ws}/ing/annotated.jsonl",
-                   "report over 3 events, 3 names\n", "report.json tld_summary.csv"),
+                   "report over 3 events, 3 names\n",
+                   {"report.json":
+                    "970ce9ffb33513a33663b4775c1a205b86be276c5501e32b290ba97c6edf7329",
+                    "tld_summary.csv":
+                    "2e4a134a57401980c5f08fa424e7a6c9fd5440097a9fc836ad932ef8a4ee1cf4"}),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
@@ -265,7 +336,12 @@ class TestPrintedLines:
                 for token in template.split()]
         assert run(*argv, "--out-dir", str(tmp_path / "out")) == 0
         assert capsys.readouterr().out == stdout
-        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == files.split()
+        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                   for path in (tmp_path / "out").iterdir()}
+        assert sorted(digests) == sorted(files)
+        if sys.byteorder != "little":  # the columns file is in machine byte order
+            digests.pop("annotated.columns", None)
+        assert digests == {name: files[name] for name in digests}
 
 
 class TestSynthStage:
