@@ -9,7 +9,8 @@ The record model, `PacketRecord` and the columnar `Trace`, lives in
 
 `ingest` writes the columns of its trace beside the JSONL, in
 `<name>.columns`, and `parse_trace` of `<name>.jsonl` loads them instead of
-parsing while they are bound to the JSONL's bytes (`write_columns`).
+parsing while they are bound to the JSONL's bytes (`write_columns`): the
+same trace row for row.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ import json
 import math
 import os
 import sys
+import zlib
 from array import array
 from copy import copy
 from functools import partial
-from itertools import chain
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Any, Iterable, Iterator, TextIO
 
 from .fileio import (Memo, file_digest, read_arrays, read_csv, read_lines, write_arrays,
@@ -90,7 +91,7 @@ def parse_trace(source: str | TextIO | Iterable[str]) -> tuple[Trace, int]:
 
     A path `<name>.jsonl` whose `<name>.columns` is sound and was written
     beside these very bytes (`write_columns`) is loaded from the columns
-    instead, as (trace, 0): the trace that parsing would return.
+    instead, as (trace, 0): row for row the trace that parsing would return.
     """
     trace = _load_columns(source) if isinstance(source, (str, os.PathLike)) else None
     if trace is not None:
@@ -167,9 +168,9 @@ def write_trace(records: Iterable[PacketRecord], path: str) -> None:
 
 # The columns file: a header line, then each column of COLUMNS in order, its
 # raw bytes in the byte order the header names.
-COLUMNS_FORMAT = 1
-_HEADER_KEYS = ("format", "byteorder", "rows", "values", "jsonl_bytes", "jsonl_crc32")
-# The columns that index the table, in the order a parse interns their values.
+COLUMNS_FORMAT = 2
+_HEADER_KEYS = ("format", "byteorder", "rows", "values", "crc32", "jsonl_bytes", "jsonl_crc32")
+# The columns that hold an index into the table of values.
 _INTERNED = ("src_ip", "dst_ip", "qname", "udp_len", "ancount", "nscount", "src_as", "dst_as")
 
 
@@ -177,27 +178,24 @@ def write_columns(trace: Trace, path: str) -> None:
     """The columns file `<name>.columns` at path, of the trace that
     write_trace has just written to `<name>.jsonl` beside it.
 
-    The header holds COLUMNS_FORMAT, the byte order, the row count, the table
-    of values, and the length and CRC-32 of the JSONL's bytes, which bind the
-    two files. The table holds each value of the rows at its first sight in
-    row order over the _INTERNED columns, None first: the order in which a
-    parse of the JSONL interns them, so a load equals the parse."""
-    values = trace.values
-    # Old index -> new index in an array, not a dict: a dict raised the peak
-    # RSS of ingest on a trace of many distinct addresses by about 1 MB.
-    remap = array("l", [-1]) * len(values)
-    remap[0] = 0
-    table = [None]
-    for index in chain.from_iterable(zip(*attrgetter(*_INTERNED)(trace))):
-        if remap[index] < 0:
-            remap[index] = len(table)
-            table.append(values[index])
+    The header holds COLUMNS_FORMAT, the byte order, the row count, the
+    trace's table of values, the CRC-32 of that table and the columns, and
+    the length and CRC-32 of the JSONL's bytes, which bind the two files.
+    Table and columns are written as they are: a load equals the parse row
+    for row, and its table may hold values that only dropped rows used."""
     jsonl_bytes, jsonl_crc32 = file_digest(os.path.splitext(path)[0] + ".jsonl")
-    header = dict(zip(_HEADER_KEYS, (COLUMNS_FORMAT, sys.byteorder, len(trace), table,
-                                     jsonl_bytes, jsonl_crc32)))
-    write_arrays(path, header, (
-        array(column.typecode, map(remap.__getitem__, column)) if name in _INTERNED else column
-        for name, column in zip(COLUMNS, trace.columns)))
+    values, columns = trace.values, trace.columns
+    header = dict(zip(_HEADER_KEYS, (COLUMNS_FORMAT, sys.byteorder, len(trace), values,
+                                     _crc32(values, columns), jsonl_bytes, jsonl_crc32)))
+    write_arrays(path, header, columns)
+
+
+def _crc32(values: list, columns: Iterable[array]) -> int:
+    """CRC-32 of the table as JSON, then of each column's bytes."""
+    crc = zlib.crc32(json.dumps(values).encode())
+    for column in columns:
+        crc = zlib.crc32(column, crc)
+    return crc
 
 
 def _layout(header: Any) -> list[tuple[str, int]]:
@@ -205,8 +203,8 @@ def _layout(header: Any) -> list[tuple[str, int]]:
     ValueError unless the header is one that write_columns writes here."""
     if type(header) is not dict or tuple(header) != _HEADER_KEYS:
         raise ValueError("not a columns header")
-    numbers = [header[key] for key in ("format", "rows", "jsonl_bytes", "jsonl_crc32")]
-    if list(map(type, numbers)) != [int] * 4 or numbers[0] != COLUMNS_FORMAT \
+    numbers = [header[key] for key in ("format", "rows", "crc32", "jsonl_bytes", "jsonl_crc32")]
+    if list(map(type, numbers)) != [int] * 5 or numbers[0] != COLUMNS_FORMAT \
             or header["byteorder"] != sys.byteorder or numbers[1] < 0:
         raise ValueError("another format, another byte order or a negative row count")
     return [(code, numbers[1]) for code in COLUMNS.values()]
@@ -214,8 +212,8 @@ def _layout(header: Any) -> list[tuple[str, int]]:
 
 def _load_columns(path: str | os.PathLike) -> Trace | None:
     """The trace in the columns file `<name>.columns` beside the JSONL trace
-    `<name>.jsonl` at path, when that file is well formed, its values in
-    range and its JSONL digest that of path's bytes; else None."""
+    `<name>.jsonl` at path, when that file is well formed and as written, its
+    values in range and its JSONL digest that of path's bytes; else None."""
     stem, extension = os.path.splitext(os.fspath(path))
     if extension != ".jsonl":
         return None
@@ -229,7 +227,8 @@ def _load_columns(path: str | os.PathLike) -> Trace | None:
     # Only strings, ints and None, each once and None first, as a parse's
     # table; a bool or float would equal an int. Every index in range, and
     # every ts on a day that day_index can name, as the parse checks.
-    if type(values) is not list or not {*map(type, values)} <= {str, int, type(None)}:
+    if type(values) is not list or not {*map(type, values)} <= {str, int, type(None)} \
+            or _crc32(values, columns) != header["crc32"]:
         return None
     trace = Trace()
     for value in values:

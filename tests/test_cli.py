@@ -214,7 +214,7 @@ class TestPrintedLines:
         "ingest": ("ingest --trace {ws}/gen/trace.jsonl --prefix-table {ws}/gen/prefixes.csv",
                    "kept 5834 records (0 malformed lines, 0 dropped)\n",
                    {"annotated.columns":
-                    "a028f4036e0855c85d35ebe8b6419994fe3d77c3956401d8aeb9c59322aa6667",
+                    "9df354c4f83f8edf176a6358cb80b961a88b32c9f3259387cddce77b35198d41",
                     "annotated.jsonl":
                     "0fb11e5e659f14eaf8246ea7353d8e12fc78e29f671d16e5a289d99cd0d4369f",
                     "ingest_stats.json":

@@ -299,12 +299,12 @@ class TestRoundTrip:
 
 
 def same_parse(ours, expected):
-    """Whether two (trace, skipped) results hold equal columns, equal values
-    of equal types, the same dropped records and skipped count."""
+    """Whether two (trace, skipped) results hold the same rows, serialized
+    alike, the same dropped records and skipped count. Their tables may
+    differ in order and in values that no row uses."""
     (trace, skipped), (expected_trace, expected_skipped) = ours, expected
-    return (skipped == expected_skipped and trace.columns == expected_trace.columns
-            and list(map(type, trace.values)) == list(map(type, expected_trace.values))
-            and trace.values == expected_trace.values
+    return (skipped == expected_skipped and list(trace) == list(expected_trace)
+            and list(tr.serialize_trace(trace)) == list(tr.serialize_trace(expected_trace))
             and trace.dropped == expected_trace.dropped)
 
 
@@ -313,12 +313,16 @@ def parse_lines_of(path):
     return tr.parse_trace(path.read_text(encoding="utf-8").splitlines())
 
 
-def edit_columns(change):
+def edit_columns(change, seal=True):
     """A defect that rewrites the columns file as change(header, columns)
-    leaves it."""
+    leaves it. Sealed, the header's CRC-32 of the table and the columns, when
+    it has one, is made to match, so that another check must find the
+    defect."""
     def defect(jsonl, columns):
         header, arrays = fileio.read_arrays(columns, tr._layout)
         change(header, arrays)
+        if seal and "crc32" in header:
+            header["crc32"] = tr._crc32(header["values"], arrays)
         fileio.write_arrays(str(columns), header, arrays)
     return defect
 
@@ -344,7 +348,8 @@ class TestColumnsFile:
     @pytest.fixture
     def ingested(self, tmp_path):
         """annotated.jsonl and annotated.columns of ingest: two clients, two
-        names, responses and requests, AS numbers from a prefix table."""
+        names, responses and requests, AS numbers from a prefix table, and a
+        dropped record whose address only ingest's table holds."""
         lines = [json.dumps(make_record(ts=100.5 + i, dns_id=i, ancount=i % 3,
                                         qname=("a.example." if i % 2 else "B.example"),
                                         src_ip=f"10.0.0.{i % 2 + 1}"))
@@ -353,13 +358,16 @@ class TestColumnsFile:
                                          dst_ip="10.0.0.1", src_port=53, dst_port=4000 + i,
                                          udp_len=1200, ancount=12, nscount=2))
                   for i in range(3)]
+        lines.append(json.dumps(make_record(ip_ttl=300, src_ip="10.9.9.9")))
         result = pipeline.prepare(lines, tr.PrefixTable([("10.0.0.0/8", 64512)]))
         cli._write(result, tmp_path)
         return tmp_path / "annotated.jsonl", tmp_path / "annotated.columns"
 
     def test_load_equals_the_parse(self, ingested):
         jsonl, _ = ingested
-        assert tr._load_columns(str(jsonl)) is not None
+        loaded = tr._load_columns(str(jsonl))
+        assert "10.9.9.9" in loaded.values
+        assert "10.9.9.9" not in parse_lines_of(jsonl)[0].values
         assert same_parse(tr.parse_trace(jsonl), parse_lines_of(jsonl))
         assert same_parse(tr.parse_trace(str(jsonl)), parse_lines_of(jsonl))
 
@@ -383,7 +391,10 @@ class TestColumnsFile:
         "header-not-json": lambda jsonl, columns: columns.write_bytes(
             b"{" + columns.read_bytes()),
         "header-not-an-object": edit_columns(lambda header, arrays: header.clear()),
-        "wrong-format": edit_columns(lambda header, arrays: header.update(format=2)),
+        "wrong-format": edit_columns(
+            lambda header, arrays: header.update(format=tr.COLUMNS_FORMAT + 1)),
+        "format-1": edit_columns(lambda header, arrays: (header.pop("crc32", None),
+                                                          header.update(format=1))),
         "format-as-bool": edit_columns(lambda header, arrays: header.update(format=True)),
         "other-byteorder": edit_columns(
             lambda header, arrays: header.update(byteorder=OTHER_BYTEORDER)),
@@ -393,6 +404,10 @@ class TestColumnsFile:
         "float-in-table": edit_columns(replace_value(1200, 1200.0)),
         "duplicate-in-table": edit_columns(replace_value("a.example.", "b.example.")),
         "none-not-first": edit_columns(lambda header, arrays: header["values"].reverse()),
+        "cell-edited": edit_columns(lambda header, arrays: column(arrays, "dns_id").__setitem__(
+            0, column(arrays, "dns_id")[0] ^ 1), seal=False),
+        "table-value-renamed": edit_columns(replace_value("a.example.", "c.example."),
+                                            seal=False),
         **{f"ts-{ts!r}": edit_columns(set_cell("ts", ts))
            for ts in (tr.TS_END, math.nextafter(tr.TS_MIN, -math.inf), math.nan, math.inf)},
     }
