@@ -2,11 +2,13 @@
 
 import csv
 import hashlib
+import io
 import json
 import math
 import random
 import sys
-from dataclasses import replace
+from contextlib import redirect_stdout
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -18,6 +20,7 @@ from dnsamp.fileio import write_csv
 from dnsamp import trace as tr
 from dnsamp.trace import PacketRecord, write_trace
 from oracles import jaccard_distance_matrix_reference
+import test_synth
 
 
 def run(*argv: str) -> int:
@@ -196,6 +199,19 @@ class TestOutDir:
         assert any(target.iterdir())
 
 
+def file_digests(directory: Path) -> dict[str, str]:
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in directory.iterdir()}
+
+
+def assert_pinned(digests: dict[str, str], files: dict[str, str]) -> None:
+    """The files written are the files pinned, each with its digest."""
+    assert sorted(digests) == sorted(files)
+    if sys.byteorder != "little":  # the columns file is in machine byte order
+        digests.pop("annotated.columns", None)
+    assert digests == {name: files[name] for name in digests}
+
+
 class TestPrintedLines:
     # each subcommand on the ws fixture: its arguments, with {ws}, {data} and
     # {tmp} filled in, the exact stdout, and the SHA-256 of each file it
@@ -289,6 +305,19 @@ class TestPrintedLines:
              "715ef5786255240501e84a688d25c86fe154fca6e929503f9dddf4a969d49164",
              "qname_roles.csv":
              "292202246fe82a0e016c56187b7c89b48b09f70cc162a31713885d0b45fd91b9"}),
+        "cluster-ns-table": (
+            "cluster --attacks {ws}/det/attacks.jsonl --ns-table {tmp}/ns.csv",
+            "0 clusters, outlier share 1.0000, 0 stable sets\n",
+            {"amplifiers.csv":
+             "a0f0d075649bcd1e8dd6f062f785500c12234d9ab80ba2eb497f691fee9b4c32",
+             "churn.csv":
+             "6262e06ac41e49f1dd28917ec3b59ef5185533c8cc8f76fdca9292779b1f2af6",
+             "clusters.json":
+             "90b48ff3446f3f7c02f90a8bcb2ceb1c1626e7f6e427e0c54cfdda8c04d6bf63",
+             "distance_matrix.csv":
+             "715ef5786255240501e84a688d25c86fe154fca6e929503f9dddf4a969d49164",
+             "qname_roles.csv":
+             "1789e1190e01f16f0517c323aaebcb81b0e81b52cfc420513bfaa0d44a1336a9"}),
         "estimate": ("estimate --records {data}/record_sets_small.jsonl "
                      "--reference-names {data}/reference_names.txt",
                      "2 names sized, 1 above reference\n",
@@ -312,6 +341,34 @@ class TestPrintedLines:
                      "9ac68f4bc8dd8d66d1c4112b1d8841419ba120c48b8f8185dcf0d1a490e5fe7f",
                      "overlap.json":
                      "24b62cd0a72221dcd8d07f2256622517fefd70647f702d16e3ca7bd734c8ea45"}),
+        "compare-ccc": (
+            "compare --attacks {ws}/det/attacks.jsonl --honeypot {ws}/gen/honeypot.csv "
+            "--preset ccc",
+            "3 mutual events (1.0000 of trace, 1.0000 of honeypot)\n",
+            {"convergence.csv":
+             "4cc9911e0090af4008399eca4c1f1f35a17fb10704e8212beb545f74486425ca",
+             "honeypot_events.jsonl":
+             "9ac68f4bc8dd8d66d1c4112b1d8841419ba120c48b8f8185dcf0d1a490e5fe7f",
+             "overlap.json":
+             "24b62cd0a72221dcd8d07f2256622517fefd70647f702d16e3ca7bd734c8ea45"}),
+        "compare-amppot": (
+            "compare --attacks {ws}/det/attacks.jsonl --honeypot {ws}/gen/honeypot.csv "
+            "--preset amppot",
+            "0 mutual events (0.0000 of trace, 0.0000 of honeypot)\n",
+            {"convergence.csv":
+             "1a29c1a0c83b44d23d44e3d0f46577883be74a9db5eb3d1e76f6fb0fc22ed730",
+             "honeypot_events.jsonl":
+             "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+             "overlap.json":
+             "b3405b1bc5b3c827c0da0aa6a096e68f830af3e3ea22877070ddcb99d4b4eb81"}),
+        # the form the event-log benchmark runs
+        "report-no-trace": (
+            "report --attacks {ws}/det/attacks.jsonl --names {ws}/sel/names.json",
+            "report over 3 events, 3 names\n",
+            {"report.json":
+             "9a60a4577d3e3c84d0914ba73f324466615f9c2d25ff02468f6147039271fdac",
+             "tld_summary.csv":
+             "6ce04c84abbc823cde028ef778112dd00e40fa31bc296e15011badb83ebf2bae"}),
         "report": ("report --attacks {ws}/det/attacks.jsonl --names {ws}/sel/names.json "
                    "--trace {ws}/ing/annotated.jsonl",
                    "report over 3 events, 3 names\n",
@@ -331,17 +388,133 @@ class TestPrintedLines:
                              for ip in json.loads(line)["amplifier_set"]})
         (tmp_path / "seen.csv").write_text("ip,first_seen,last_seen\n" + "".join(
             f"{ip},2019-05-01,2019-05-30\n" for ip in reflectors[::2]))
+        # every third reflector is an authoritative nameserver
+        (tmp_path / "ns.csv").write_text("ip,ns_name\n" + "".join(
+            f"{ip},ns{i}.example.\n" for i, ip in enumerate(reflectors[::3])))
         capsys.readouterr()
         argv = [token.format(ws=ws, data=SCENARIO_PATH.parent, tmp=tmp_path)
                 for token in template.split()]
         assert run(*argv, "--out-dir", str(tmp_path / "out")) == 0
         assert capsys.readouterr().out == stdout
-        digests = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-                   for path in (tmp_path / "out").iterdir()}
-        assert sorted(digests) == sorted(files)
-        if sys.byteorder != "little":  # the columns file is in machine byte order
-            digests.pop("annotated.columns", None)
-        assert digests == {name: files[name] for name in digests}
+        assert_pinned(file_digests(tmp_path / "out"), files)
+
+
+# the benchmark's stage order on the "mixed" scenario of test_synth: each
+# stage's arguments, with {root} filled in, its exact stdout and the SHA-256
+# of each file it writes into its own directory
+MIXED_STAGES = {
+    "synth": (
+        "synth --scenario {root}/scenario.json",
+        "10553 trace records, 244 honeypot requests, 6 planted attacks\n",
+        {"ground_truth.json":
+         "1d52708dce32919c45084313e897add8e4048ed4d17b000b8dd2c17af3fb1bf5",
+         "honeypot.csv":
+         "79b1c5d301e2cc7621b018e60fcf7021fd313166317de9b51b59cd7783c1567b",
+         "prefixes.csv":
+         "5d9621f09aaea2925a5bb0037d501b992c3d6ff6531153ab9361e7daf8d4ed28",
+         "trace.jsonl":
+         "9f2c1a06c4a06d73b2eddacbf7525fe0907b0ba1b772d7a80e1e4c42d16b571e"}),
+    "ingest": (
+        "ingest --trace {root}/synth/trace.jsonl "
+        "--prefix-table {root}/synth/prefixes.csv",
+        "kept 10553 records (0 malformed lines, 0 dropped)\n",
+        {"annotated.columns":
+         "39eaca9e77047f1e3b9dc91dc9c927738a2795ff1efa2b6f137258246ad1474e",
+         "annotated.jsonl":
+         "61c8d53b254b6677aad42c9367372cb93c81354434c64c54c2821ec38db5be7f",
+         "ingest_stats.json":
+         "0f26f05b06f4bcbf06bc487113222f3dad905bd200bb3d43514c0f622b7caef3"}),
+    "select-names": (
+        "select-names --trace {root}/ingest/annotated.jsonl "
+        "--honeypot {root}/synth/honeypot.csv",
+        "consensus k*=2, 3 names\n",
+        {"curve.csv":
+         "cb36d10dcc51f63e73dee6c404a5049329b32a6ed11e7e900b8bfdb7d29549d4",
+         "names.json":
+         "d163af90146703b050742b19350c79c5b61613052f5b75a4338e902d3bd88825",
+         "names.txt":
+         "24544f7de462c90042475506a2259b93ccb5aab8403cf29ed059e7253b795dfc"}),
+    "detect": (
+        "detect --trace {root}/ingest/annotated.jsonl "
+        "--names {root}/select-names/names.json",
+        "5 attack events from 5 suspicious client-days\n",
+        {"attacks.jsonl":
+         "7d517f898bd62aec6f68d5d137f40ff628aa9feeb89b9156c627b838dfbdd1e9",
+         "duration_percentiles.csv":
+         "509d9f0a97edbb82b1e0ba53875f7f8835b6c16ebd6c71b6a006cf38c107e2f5",
+         "victims_daily.csv":
+         "3632275dc64ee9b0320389ed9834bd8fd80ff7498887582e5c793cccdff4221c"}),
+    "fingerprint": (
+        "fingerprint --attacks {root}/detect/attacks.jsonl "
+        "--fingerprint-spec {root}/entity.json --names {root}/select-names/names.json",
+        "attributed 2/5 events (share 0.4000)\n",
+        {"attribution.jsonl":
+         "6641926b87f67772c1942d7742682719905355116cd9864cabb25f6773fad060",
+         "timeline.json":
+         "97a43fc07c66926e5264bbb673f7ee6710c6b94ed97491dd63c7955db8f002de"}),
+    "cluster": (
+        "cluster --attacks {root}/detect/attacks.jsonl",
+        "0 clusters, outlier share 1.0000, 0 stable sets\n",
+        {"amplifiers.csv":
+         "72820a79f2e54688dc7c9567d5b0ecd5b26bbdc33afee437eca6b5a6b6925704",
+         "churn.csv":
+         "75785d0a6ed8fbbae58f158dfc7054a4960a88dd99ddbcb77f321ca1b9c8343b",
+         "clusters.json":
+         "81f6a81fb7246d676efcfe8185fff7e8c05b5ea8a700d3adeebb4e92594d68b7",
+         "distance_matrix.csv":
+         "ed9b5b657b3eeb1fff0d479702aba5463c6d3b8910fa9bb30bd2907b155cd8cc",
+         "qname_roles.csv":
+         "62321148f70bfc3a696646b07deacee9f62259b91c4a5099edf34eac5dcf8749"}),
+    "compare": (
+        "compare --attacks {root}/detect/attacks.jsonl --honeypot {root}/synth/honeypot.csv",
+        "2 mutual events (0.4000 of trace, 0.6667 of honeypot)\n",
+        {"convergence.csv":
+         "4de51ee1e9ce1b08008b98c51a8a140c506e0d57df5ce6f420f4ae83eb0bdfc9",
+         "honeypot_events.jsonl":
+         "0b45aed6e19808e7a23af743f58267fdcbd019e4319fedb1ed640c860dc60a9d",
+         "overlap.json":
+         "cf8a03a95969d846595eed10b7af18111dc82962ab83a916471fce110e04cf38"}),
+    "report": (
+        "report --attacks {root}/detect/attacks.jsonl --names {root}/select-names/names.json "
+        "--trace {root}/ingest/annotated.jsonl",
+        "report over 5 events, 3 names\n",
+        {"report.json":
+         "6ef8f9ebee799809c6ccac921e28382179c8b3676b9bba28c0c64b7949c21443",
+         "tld_summary.csv":
+         "a90bb478ecf0e03e16b8f2b335868844c68113f72f35854124ee67a2b217a6c5"}),
+}
+
+
+@pytest.fixture(scope="module")
+def mixed(tmp_path_factory):
+    """Each stage of MIXED_STAGES run in turn: its exit code, stdout and
+    file digests."""
+    root = tmp_path_factory.mktemp("mixed")
+    (root / "scenario.json").write_text(
+        json.dumps(asdict(test_synth.TestDeterminism.mixed_scenario())))
+    # the names of the `booter` entity's attacks
+    (root / "entity.json").write_text(json.dumps(
+        {"name_suffixes": ["beta.example.", "gamma.example."], "id_patterns": ["pure", "phased"]}))
+    runs = {}
+    for stage, (template, _, _) in MIXED_STAGES.items():
+        stdout = io.StringIO()
+        with redirect_stdout(stdout):
+            code = run(*template.format(root=root).split(), "--out-dir", str(root / stage))
+        runs[stage] = code, stdout.getvalue(), file_digests(root / stage)
+    return runs
+
+
+class TestMixedScenario:
+    @pytest.mark.parametrize("stage", MIXED_STAGES)
+    def test_stdout_and_files(self, mixed, stage):
+        _, stdout, files = MIXED_STAGES[stage]
+        code, printed, digests = mixed[stage]
+        assert (code, printed) == (0, stdout)
+        assert_pinned(digests, files)
+
+    def test_detect_finds_events(self, mixed):
+        # so the digests of the event stages cover real content
+        assert int(mixed["detect"][1].split()[0]) > 0
 
 
 class TestSynthStage:
