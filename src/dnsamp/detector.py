@@ -18,7 +18,7 @@ from itertools import compress
 from operator import not_
 from typing import AbstractSet, Iterable, Sequence
 
-from .fileio import from_obj, read_jsonl, shared, to_obj, write_jsonl
+from .fileio import from_obj, is_iso_day, read_jsonl, shared, to_obj, write_jsonl
 from .records import TS_END, TS_MIN, PacketRecord, as_trace, day_index, utc_day
 
 ROOT_NAME = "."
@@ -347,14 +347,18 @@ def write_events(events: Iterable[AttackEvent], path: str) -> None:
 
 def read_events(path: str) -> list[AttackEvent]:
     """The events of an event log. Events of one call share each distinct
-    victim, day, reflector address and qname as one string. A first_ts or
-    last_ts must fall on a UTC day from 0001-01-01 to 9999-12-31."""
+    victim, day, reflector address and qname as one string. A day must be
+    written YYYY-MM-DD, and a first_ts or last_ts must fall on a UTC day from
+    0001-01-01 to 9999-12-31."""
     strings = shared()
     events = []
     for lineno, obj in read_jsonl(path):
         if isinstance(obj, dict):
             obj.pop("duration_s", None)  # derived from first_ts and last_ts
         event = from_obj(AttackEvent, obj, f"{path} line {lineno}")
+        if not is_iso_day(event.day):
+            raise ValueError(f"{path} line {lineno}: key 'day': expected a YYYY-MM-DD string, "
+                             f"got {event.day!r}")
         for key, ts in (("first_ts", event.first_ts), ("last_ts", event.last_ts)):
             if not TS_MIN <= ts < TS_END:  # nan and the infinities fail too
                 raise ValueError(f"{path} line {lineno}: key {key!r}: expected a time from "

@@ -183,6 +183,27 @@ class TestExitCodes:
                   for token in line.split() if token.startswith("-")]
         assert listed == ["-h", "--help", *self.OPTIONS[command].split()]
 
+    # the flags besides --attacks of each stage that reads an event log
+    EVENT_STAGES = {"cluster": "", "fingerprint": "--fingerprint-spec {tmp}/entity.json",
+                    "compare": "--honeypot {ws}/gen/honeypot.csv",
+                    "report": "--names {ws}/sel/names.json"}
+
+    @pytest.mark.parametrize("command", sorted(EVENT_STAGES))
+    @pytest.mark.parametrize("day", ["junk", "2019-06-1", "2019-02-30"])
+    def test_event_day_not_iso_is_processing_error(self, ws, tmp_path, capsys, command, day):
+        lines = (out(ws, "det") / "attacks.jsonl").read_text().splitlines()
+        obj = json.loads(lines[1])
+        obj["day"] = day
+        attacks = tmp_path / "attacks.jsonl"
+        attacks.write_text("\n".join([lines[0], json.dumps(obj), *lines[2:]]) + "\n")
+        (tmp_path / "entity.json").write_text(json.dumps({"name_suffixes": ["alpha.example."]}))
+        argv = self.EVENT_STAGES[command].format(ws=ws, tmp=tmp_path).split()
+        assert run(command, "--attacks", str(attacks), *argv,
+                   "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {attacks} line 2: key 'day': expected a YYYY-MM-DD string, got {day!r}\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestOutDir:
     @pytest.mark.parametrize("command", ["synth", "ingest", "estimate", "snoop"])

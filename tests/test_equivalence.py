@@ -531,10 +531,12 @@ int_tuples = st.lists(st.integers(-3, 70000), max_size=6).map(tuple)
 # the times read_events takes: 0001-01-01 to 9999-12-31 UTC
 event_times = st.one_of(st.floats(-62135596800.0, 253402300800.0, exclude_max=True),
                         st.integers(-62135596800, 253402300799))
+# the days read_events takes: YYYY-MM-DD
+iso_days = st.dates().map(date.isoformat)
 
 events = st.builds(
     det.AttackEvent,
-    victim_ip=texts, day=texts, packet_count=st.integers(), misused_packet_count=st.integers(),
+    victim_ip=texts, day=iso_days, packet_count=st.integers(), misused_packet_count=st.integers(),
     est_original_packets=st.integers(), est_misused_packets=st.integers(),
     share=numbers, share_excluding_root=numbers, first_ts=event_times, last_ts=event_times,
     request_count=st.integers(), response_count=st.integers(),
