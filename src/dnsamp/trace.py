@@ -5,7 +5,7 @@ Traces come from packet-sampled, truncated captures, so records carry only
 header-level fields. The client side of a flow is the source of requests and
 the destination of responses; everything downstream keys on that convention.
 The record model, `PacketRecord` and the columnar `Trace`, lives in
-`records` and is importable from here.
+`records`.
 
 `ingest` writes the columns of its trace beside the JSONL, in
 `<name>.columns`, and `parse_trace` of `<name>.jsonl` loads them instead of
@@ -29,9 +29,9 @@ from typing import Any, Iterable, Iterator, TextIO
 
 from .fileio import (Memo, file_digest, read_arrays, read_csv, read_lines, write_arrays,
                      write_lines)
-from .records import (COLUMNS, FIELD_TYPES, PLAIN_RECORD_TYPES, TS_END, TS_MIN,  # noqa: F401
-                      PacketRecord, Trace, as_trace, ip_or_none, ipv4_int, normalize_qname,
-                      qname_is_valid, qname_wire_length, record_values, row_filler)
+from .records import (COLUMNS, FIELD_TYPES, PLAIN_RECORD_TYPES, TS_END, TS_MIN, PacketRecord,
+                      Trace, as_trace, ip_or_none, ipv4_int, normalize_qname, record_values,
+                      row_filler)
 
 # Canonical JSONL field order. Serialization always emits these fields in this
 # order so that parse -> serialize round-trips byte-identically.

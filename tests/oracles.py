@@ -25,7 +25,8 @@ import numpy as np
 from dnsamp.detector import AttackEvent, ClientDayStats
 from dnsamp.fileio import Memo, decode_lines, read_lines, shared
 from dnsamp.synth import derive_seed
-from dnsamp.trace import TRACE_FIELDS, PacketRecord, normalize_qname, qname_is_valid
+from dnsamp.records import qname_is_valid
+from dnsamp.trace import TRACE_FIELDS, PacketRecord, normalize_qname
 
 QCLASS_IN = 1
 TYPE_CODES = {"A": 1, "NS": 2, "CNAME": 5, "SOA": 6, "MX": 15, "TXT": 16,

@@ -1,6 +1,7 @@
-"""Import costs and module boundaries: no stage but synth may load numpy, no
-trace stage loads hashlib, only fileio opens a file or decodes JSON, and the
-CLI writes only through `_write`."""
+"""Import costs and module boundaries: the package loads no submodule and
+no stage but synth may load numpy, no trace stage loads hashlib, every name a
+module imports is used, only fileio opens a file or decodes JSON, and the CLI
+writes only through `_write`."""
 
 import ast
 import os
@@ -17,16 +18,42 @@ import dnsamp
 TRACE_STAGE_MODULES = ("dnsamp", "dnsamp.cli", "dnsamp.pipeline", "dnsamp.trace",
                        "dnsamp.selectors", "dnsamp.detector", "dnsamp.honeypot",
                        "dnsamp.fingerprint", "dnsamp.amplifiers")
+PACKAGE = Path(dnsamp.__file__).resolve().parent
+
+
+def python(code: str) -> str:
+    """The stdout of code run in a fresh interpreter that imports this package."""
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent))).stdout
+
+
+def test_package_import_loads_nothing():
+    # no submodule, and no name but the module's own and __version__
+    code = """
+import sys, dnsamp
+print(sorted(m for m in sys.modules if m.startswith("dnsamp.")),
+      sorted(n for n in vars(dnsamp) if n in ("__all__", "__getattr__", "__dir__")
+             or not n.startswith("__")))
+"""
+    assert python(code).strip() == "[] []"
+
+
+def test_every_imported_name_is_used():
+    # annotations count as uses: from __future__ import annotations keeps them in the AST
+    unused = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__" for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{module.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
 
 
 def test_trace_stages_leave_numpy_unloaded():
     imports = "; ".join(f"import {m}" for m in TRACE_STAGE_MODULES)
-    src = Path(dnsamp.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c", f"import sys; {imports}; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    assert result.stdout.strip() == "False"
+    assert python(f"import sys; {imports}; print('numpy' in sys.modules)").strip() == "False"
 
 
 def test_trace_stages_leave_hashlib_unloaded(tmp_path):
@@ -43,20 +70,12 @@ cli._write(pipeline.prepare([line]), __import__("pathlib").Path({str(tmp_path)!r
 print(trace._load_columns({str(tmp_path / "annotated.jsonl")!r}) is not None,
       "hashlib" in sys.modules, "_hashlib" in sys.modules)
 """
-    src = Path(dnsamp.__file__).resolve().parents[1]
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert result.stdout.strip().splitlines()[-1] == "True False False"
+    assert python(code).strip().splitlines()[-1] == "True False False"
 
 
 def test_cli_leaves_fingerprint_unloaded():
-    src = Path(dnsamp.__file__).resolve().parents[1]
-    result = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; import dnsamp.cli; print('dnsamp.fingerprint' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    assert result.stdout.strip() == "False"
+    code = "import sys; import dnsamp.cli; print('dnsamp.fingerprint' in sys.modules)"
+    assert python(code).strip() == "False"
 
 
 def test_name_timeline_leaves_numpy_unloaded():
@@ -72,10 +91,7 @@ events = det.detect_attacks(det.aggregate_client_days(records, {"evil.example."}
 fp.build_name_timeline(events)
 print(len({e.day for e in events}), "numpy" in sys.modules)
 """
-    src = Path(dnsamp.__file__).resolve().parents[1]
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert result.stdout.strip() == "3 False"
+    assert python(code).strip() == "3 False"
 
 
 def test_cluster_stage_leaves_numpy_unloaded(tmp_path):
@@ -97,24 +113,9 @@ code = cli.main(["cluster", "--attacks", {str(tmp_path / "attacks.jsonl")!r},
                  "--min-pts", "2", "--out-dir", {str(tmp_path / "out")!r}])
 print(code, "numpy" in sys.modules)
 """
-    src = Path(dnsamp.__file__).resolve().parents[1]
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                            check=True, env=dict(os.environ, PYTHONPATH=str(src)))
-    assert result.stdout.strip().splitlines()[-1] == "0 False", result.stderr
+    assert python(code).strip().splitlines()[-1] == "0 False"
     assert (tmp_path / "out" / "distance_matrix.csv").read_text() == \
         "0.0,0.0,1.0\n0.0,0.0,1.0\n1.0,1.0,0.0\n"
-
-
-def test_every_exported_name_resolves():
-    for name in dnsamp.__all__:
-        assert getattr(dnsamp, name) is not None, name
-    assert set(dnsamp.__all__) <= set(dir(dnsamp))
-
-
-def test_star_import():
-    namespace: dict = {}
-    exec("from dnsamp import *", namespace)
-    assert set(dnsamp.__all__) <= set(namespace)
 
 
 def test_unknown_attribute_raises():
@@ -123,8 +124,7 @@ def test_unknown_attribute_raises():
 
 
 def test_only_fileio_opens_files_and_decodes_json():
-    package = Path(dnsamp.__file__).resolve().parent
-    for module in sorted(package.glob("*.py")):
+    for module in sorted(PACKAGE.glob("*.py")):
         if module.name == "fileio.py":
             continue
         text = module.read_text(encoding="utf-8")
@@ -133,7 +133,7 @@ def test_only_fileio_opens_files_and_decodes_json():
 
 
 def test_cli_writes_files_only_in_write():
-    tree = ast.parse(Path(dnsamp.__file__).with_name("cli.py").read_text(encoding="utf-8"))
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     write = next(node for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name == "_write")
     inside = {id(node) for node in ast.walk(write)}

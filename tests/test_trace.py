@@ -13,6 +13,7 @@ import pytest
 
 from dnsamp import cli, fileio, pipeline, synth
 from dnsamp import trace as tr
+from dnsamp.records import qname_is_valid, qname_wire_length
 from oracles import lpm_reference, wire_name
 
 
@@ -50,18 +51,18 @@ class TestQnames:
             labels = ["".join(rng.choices("abc", k=rng.randint(1, 12)))
                       for _ in range(rng.randint(0, 5))]
             name = ".".join(labels) + "." if labels else "."
-            assert tr.qname_wire_length(name) == len(wire_name(name))
+            assert qname_wire_length(name) == len(wire_name(name))
 
     def test_wire_length_known_values(self):
-        assert tr.qname_wire_length(".") == 1
-        assert tr.qname_wire_length("a.b.") == 5
-        assert tr.qname_wire_length("example.com.") == 13
+        assert qname_wire_length(".") == 1
+        assert qname_wire_length("a.b.") == 5
+        assert qname_wire_length("example.com.") == 13
 
     def test_validity_rejects_oversized_labels(self):
-        assert tr.qname_is_valid("a" * 63 + ".com.")
-        assert not tr.qname_is_valid("a" * 64 + ".com.")
+        assert qname_is_valid("a" * 63 + ".com.")
+        assert not qname_is_valid("a" * 64 + ".com.")
         long = ".".join(["a" * 63] * 4) + "."
-        assert not tr.qname_is_valid(long)  # wire length 257
+        assert not qname_is_valid(long)  # wire length 257
 
 
 class TestParse:
