@@ -10,6 +10,7 @@ their event lists victim by victim.
 from dnsamp import detector as det
 from dnsamp import honeypot as hp
 from dnsamp import synth
+from dnsamp.pipeline import PRESETS
 
 
 def burst(start: float, n: int, sensor: str, victim: str,
@@ -49,7 +50,7 @@ def main() -> None:
     campaign: list[hp.HoneypotRequest] = []
     for i in range(6):                       # 6 bursts, 1500-s gaps
         campaign += burst(i * (19.0 + 1500.0), 20, "hp-a", "203.0.113.9")
-    for preset, (min_req, max_gap) in sorted(hp.PRESETS.items()):
+    for preset, (min_req, max_gap) in sorted(PRESETS.items()):
         found = hp.infer_honeypot_attacks(campaign, min_requests=min_req,
                                           max_gap_s=max_gap)
         print(f"  {preset:<7} (>= {min_req:>3} requests, gap {max_gap:>6.0f} s)"

@@ -7,23 +7,22 @@ stage function. `_write` writes every file of the `StageResult` it returns
 and prints its line. Outputs are deterministic: identical inputs produce
 byte-identical files.
 
-Exit codes: 0 success, 1 processing error, 2 usage error.
+Exit codes: 0 success, 1 processing error, 2 usage error. `run`, the
+`dnsamp` script, exits without the interpreter's final garbage collection.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
-from . import detector as det
-from . import honeypot as hp
 from . import pipeline
-from . import selectors as sel
 from .fileio import field_types, from_obj, read_json
-from .pipeline import Settings, StageResult
+from .pipeline import PRESETS, Settings, StageResult
 
 if TYPE_CHECKING:
     from .records import Trace
@@ -35,13 +34,15 @@ def _settings(args: argparse.Namespace) -> Settings:
         from_obj(Settings, read_json(args.config), args.config)
     if getattr(args, "preset", None):
         config = dataclasses.replace(
-            config, **dict(zip(("min_requests", "max_gap"), hp.PRESETS[args.preset])))
+            config, **dict(zip(("min_requests", "max_gap"), PRESETS[args.preset])))
     flags = {name: getattr(args, name) for name in field_types(Settings)
              if getattr(args, name, None) is not None}
     return dataclasses.replace(config, **flags)
 
 
 def _load_names(path: str) -> set[str]:
+    from . import selectors as sel
+
     if path.endswith(".json"):
         return sel.read_name_list(path).name_set()
     return sel.read_plain_names(path)
@@ -62,7 +63,11 @@ def _records(args: argparse.Namespace) -> Trace:
 
 def _cmd_select_names(args: argparse.Namespace, config: Settings) -> StageResult:
     records = _records(args)
-    requests = hp.read_honeypot_csv(args.honeypot)[0] if args.honeypot else None
+    requests = None
+    if args.honeypot:
+        from . import honeypot as hp
+
+        requests = hp.read_honeypot_csv(args.honeypot)[0]
     previous = _load_names(args.previous) if args.previous else None
     return pipeline.select_names(records, config, requests, previous)
 
@@ -72,6 +77,7 @@ def _cmd_detect(args: argparse.Namespace, config: Settings) -> StageResult:
 
 
 def _cmd_fingerprint(args: argparse.Namespace, config: Settings) -> StageResult:
+    from . import detector as det
     from . import fingerprint as fp
 
     events = det.read_events(args.attacks)
@@ -82,6 +88,7 @@ def _cmd_fingerprint(args: argparse.Namespace, config: Settings) -> StageResult:
 
 def _cmd_cluster(args: argparse.Namespace, config: Settings) -> StageResult:
     from . import amplifiers as amp
+    from . import detector as det
 
     events = det.read_events(args.attacks)
     seen_table = amp.read_seen_table(args.seen_table) if args.seen_table else None
@@ -93,7 +100,11 @@ def _cmd_estimate(args: argparse.Namespace, config: Settings) -> StageResult:
     from . import sizing
 
     record_sets = sizing.read_record_sets(args.records)
-    references = sel.read_plain_names(args.reference_names) if args.reference_names else ()
+    references = ()
+    if args.reference_names:
+        from . import selectors as sel
+
+        references = sel.read_plain_names(args.reference_names)
     return pipeline.estimate(record_sets, config, references, args.edns)
 
 
@@ -115,11 +126,16 @@ def _cmd_synth(args: argparse.Namespace, config: Settings) -> StageResult:
 
 
 def _cmd_compare(args: argparse.Namespace, config: Settings) -> StageResult:
+    from . import detector as det
+    from . import honeypot as hp
+
     events = det.read_events(args.attacks)
     return pipeline.compare(events, hp.read_honeypot_csv(args.honeypot)[0], config)
 
 
 def _cmd_report(args: argparse.Namespace, config: Settings) -> StageResult:
+    from . import detector as det
+
     events = det.read_events(args.attacks)
     names = _load_names(args.names) if args.names else None
     return pipeline.report(events, names, _records(args) if args.trace else None)
@@ -200,7 +216,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="match trace events against honeypot events")
     p.add_argument("--attacks", required=True)
     p.add_argument("--honeypot", required=True)
-    p.add_argument("--preset", choices=sorted(hp.PRESETS))
+    p.add_argument("--preset", choices=sorted(PRESETS))
     add_settings(p, "min_requests", "max_gap", "slack")
     p.set_defaults(func=_cmd_compare)
 
@@ -225,5 +241,18 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run() -> NoReturn:
+    """`main`, then exit once stdout and stderr are flushed, skipping the
+    interpreter's teardown: every file is closed by then. A flush that fails
+    (a closed pipe) leaves the exit to `sys.exit`, as before."""
+    code = main()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

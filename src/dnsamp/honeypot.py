@@ -17,13 +17,6 @@ from .detector import AttackEvent, decile_ranks
 from .fileio import (Memo, decode_lines, from_obj, read_csv, read_jsonl, shared, to_obj,
                      write_csv, write_jsonl)
 
-# Inference presets: classic amplifier-honeypot thresholds.
-PRESETS: dict[str, tuple[int, float]] = {
-    "ccc": (5, 900.0),
-    "amppot": (100, 3600.0),
-}
-
-
 @dataclass(slots=True)
 class HoneypotRequest:
     ts: float

@@ -4,9 +4,10 @@ Each function takes its stage's inputs, already read, and the `Settings` it
 uses, and returns a `StageResult`: the files its subcommand writes, by name,
 each with its writer and the value written, and the line it prints. So
 stages chain without files: `detect(...)["attacks.jsonl"]` is the list of
-events. The modules only some stages use (amplifiers, fingerprint, sizing,
-snoop, synth, and trace, the trace's file I/O) are imported inside those
-stages, so each stage loads only the modules it runs.
+events. Every module but fileio and records (amplifiers, detector,
+fingerprint, honeypot, selectors, sizing, snoop, synth, and trace, the
+trace's file I/O) is imported inside the stages that call into it, so each
+stage loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -17,18 +18,25 @@ from itertools import compress
 from operator import attrgetter
 from typing import TYPE_CHECKING, AbstractSet, Any, Callable, Iterable, Sequence
 
-from . import detector as det
-from . import honeypot as hp
-from . import selectors as sel
 from .fileio import csv_writer, to_obj, write_json, write_jsonl, write_lines
 from .records import as_trace, qname_labels
 
 if TYPE_CHECKING:
+    from . import detector as det
+    from . import honeypot as hp
     from . import trace as tr
     from .fingerprint import EntityFingerprint
     from .sizing import RecordSet
     from .snoop import ProbeResponse
     from .synth import ScenarioConfig
+
+
+# Honeypot inference presets, (min_requests, max_gap): classic
+# amplifier-honeypot thresholds, chosen by `compare --preset`.
+PRESETS: dict[str, tuple[int, float]] = {
+    "ccc": (5, 900.0),
+    "amppot": (100, 3600.0),
+}
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,8 @@ class StageResult:
 
 def _honeypot_events(requests: Sequence[hp.HoneypotRequest],
                      settings: Settings) -> list[hp.HoneypotEvent]:
+    from . import honeypot as hp
+
     return hp.infer_honeypot_attacks(requests, min_requests=settings.min_requests,
                                      max_gap_s=settings.max_gap)
 
@@ -86,7 +96,8 @@ def prepare(trace: str | Iterable[str],
     kept, dropped = tr.sanitize(records)
     parsed = len(kept) + dropped
     kept_bytes = sum(map(kept.values.__getitem__, kept.udp_len))
-    total_bytes = kept_bytes + sum(record.udp_len for record in records.dropped)
+    # a dropped record's length may be any integer: the share stays in [0, 1]
+    total_bytes = kept_bytes + sum(max(record.udp_len, 0) for record in records.dropped)
     if prefix_table is not None:
         tr.annotate(kept, prefix_table)
     stats = {
@@ -110,6 +121,8 @@ def select_names(records: Sequence[tr.PacketRecord], settings: Settings,
     one fed by the honeypot's requests (empty without them), as names.json,
     its names one per line, its agreement curve, and with a previous day's
     names the list's Jaccard index against them in delta.json."""
+    from . import selectors as sel
+
     rankings = [sel.selector_max_size(records), sel.selector_any_volume(records)]
     if requests is None:
         rankings.append(sel.SelectorRanking(sel.SELECTOR_GROUND_TRUTH, ()))
@@ -134,6 +147,8 @@ def detect(records: Sequence[tr.PacketRecord], names: AbstractSet[str],
            settings: Settings) -> StageResult:
     """detect: the attack events with their intensity deciles, and the tables
     of their `victim_summary`."""
+    from . import detector as det
+
     config = det.DetectorConfig(share_threshold=settings.share_threshold,
                                 min_sampled_packets=settings.min_packets,
                                 sampling_denominator=settings.sampling)
@@ -291,6 +306,7 @@ def snoop(responses: Sequence[ProbeResponse], default_ttls: dict[str, int],
 def synth(cfg: ScenarioConfig) -> StageResult:
     """synth: the scenario's sampled trace, honeypot log, ground truth and
     prefix table."""
+    from . import honeypot as hp
     from . import synth as sy
     from . import trace as tr
 
@@ -309,6 +325,9 @@ def compare(events: Sequence[det.AttackEvent], requests: Sequence[hp.HoneypotReq
     """compare: the honeypot events inferred from the requests, with their
     intensity deciles, the overlap.json object, and the sensor convergence
     curve. Trace events without deciles are scored in place."""
+    from . import detector as det
+    from . import honeypot as hp
+
     if any(e.intensity_decile is None for e in events):
         det.intensity_deciles(events)
     hp_events = _honeypot_events(requests, settings)
@@ -371,16 +390,19 @@ def report(events: Sequence[det.AttackEvent], names: AbstractSet[str] | None = N
     per_tld: dict[str, list[str]] = {}
     for qname in sorted(names):
         per_tld.setdefault(_tld(qname), []).append(qname)
-    sizes = dict(sel.selector_max_size(records).ranked) if records is not None else {}
+    sizes: dict[str, int] = {}
+    nscounts: Counter[int] = Counter()
+    if records is not None:
+        from . import selectors as sel
+
+        sizes = dict(sel.selector_max_size(records).ranked)
+        trace = as_trace(records)
+        for index, count in Counter(compress(trace.nscount, trace.is_response)).items():
+            nscounts[trace.values[index]] += count
     total = sum(packets.values())
     rows = [(label, len(group), packets[label], packets[label] / total if total else 0.0,
              attacks[label], max(sizes.get(qname, 0) for qname in group))
             for label, group in sorted(per_tld.items())]
-    nscounts: Counter[int] = Counter()
-    if records is not None:
-        trace = as_trace(records)
-        for index, count in Counter(compress(trace.nscount, trace.is_response)).items():
-            nscounts[trace.values[index]] += count
     nscount_total = sum(nscounts.values())
     obj = {
         "events": len(events),

@@ -669,7 +669,7 @@ def sanitize_rows(records) -> tuple[list[PacketRecord], int]:
 def ingest_stats_rows(lines) -> dict:
     """The ingest_stats.json object of a trace's lines."""
     records, skipped = parse_trace_rows(lines)
-    total_bytes = sum(r.udp_len for r in records)
+    total_bytes = sum(max(r.udp_len, 0) for r in records)
     kept, dropped = sanitize_rows(records)
     kept_bytes = sum(r.udp_len for r in kept)
     return {

@@ -5,7 +5,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
+import subprocess
 import sys
 from contextlib import redirect_stdout
 from dataclasses import asdict, replace
@@ -14,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import dnsamp
 from dnsamp.cli import main
 from dnsamp.detector import AttackEvent, write_events
 from dnsamp.fileio import write_csv
@@ -203,6 +206,66 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {attacks} line 2: key 'day': expected a YYYY-MM-DD string, got {day!r}\n")
         assert not (tmp_path / "out").exists()
+
+
+class TestExitPath:
+    """`python -m dnsamp.cli` ends through `cli.run`, which exits without the
+    interpreter's teardown once its output is flushed."""
+
+    DETECT = "detect --trace {ws}/ing/annotated.jsonl --names {ws}/sel/names.json"
+
+    @staticmethod
+    def cli(*argv: str, stdout: int = subprocess.PIPE,
+            entry: tuple[str, str] = ("-m", "dnsamp.cli"),
+            buffered: bool = False) -> subprocess.CompletedProcess:
+        env = dict(os.environ, PYTHONPATH=str(Path(dnsamp.__file__).resolve().parents[1]))
+        if buffered:
+            env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.run([sys.executable, *entry, *argv], stdout=stdout,
+                              stderr=subprocess.PIPE, text=True, env=env)
+
+    def test_stage_output_equals_main(self, ws, tmp_path, capsys):
+        # buffered, the line reaches the pipe only through run's flush
+        argv = self.DETECT.format(ws=ws).split()
+        proc = self.cli(*argv, "--out-dir", str(tmp_path / "sub"), buffered=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        capsys.readouterr()
+        assert main([*argv, "--out-dir", str(tmp_path / "main")]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert file_digests(tmp_path / "sub") == file_digests(tmp_path / "main")
+
+    def test_processing_error_exits_one(self, tmp_path):
+        proc = self.cli("detect", "--trace", str(tmp_path / "absent.jsonl"),
+                        "--names", str(tmp_path / "absent.json"), "--out-dir", str(tmp_path))
+        assert proc.returncode == 1
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+    def test_usage_error_exits_two(self):
+        proc = self.cli("detect")
+        assert proc.returncode == 2 and "usage: dnsamp detect" in proc.stderr
+
+    # unbuffered, the line fails in main; buffered, it fails in the flush of run
+    @pytest.mark.parametrize("buffered", [False, True], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_exits_as_sys_exit_of_main(self, ws, tmp_path, buffered):
+        # each writes into a pipe that no one reads
+        results = []
+        for name, entry in (("run", ("-m", "dnsamp.cli")),
+                            ("main", ("-c", "import sys; from dnsamp.cli import main; "
+                                            "sys.exit(main())"))):
+            read, write = os.pipe()
+            os.close(read)
+            proc = self.cli(*self.DETECT.format(ws=ws).split(), "--out-dir",
+                            str(tmp_path / name), stdout=write, entry=entry, buffered=buffered)
+            os.close(write)
+            results.append((proc.returncode, proc.stderr))
+        assert results[0] == results[1]
+        assert results[0][0] == (120 if buffered else 1)
+
+    def test_script_runs_run(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(dnsamp.__file__).resolve().parents[2] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+        assert scripts == {"dnsamp": "dnsamp.cli:run"}
 
 
 class TestOutDir:
@@ -703,6 +766,22 @@ class TestIngestStage:
                    "--names", str(tmp_path / "names.txt"), "--min-packets", "1",
                    "--out-dir", str(tmp_path / "det")) == 0
         assert len((tmp_path / "det" / "attacks.jsonl").read_text().splitlines()) == 1 - dropped
+
+    # a dropped record's udp_len may be any integer, and only a length above
+    # 0 counts: the share stays in [0, 1] and no dropped byte is cancelled
+    @pytest.mark.parametrize("records, share", [
+        (((100, 60), (-50, 60)), 0.0),
+        (((100, 60), (300, 300), (-300, 60)), 0.75),
+    ], ids=["negative-only", "negative-cancels-ttl-drop"])
+    def test_dropped_byte_share_counts_no_negative_length(self, tmp_path, records, share):
+        write_trace([PacketRecord(1.5 + i, "10.0.0.1", "192.0.2.1", 5353, 53, ip_ttl, 7,
+                                  udp_len, False, 42, "example.com.", 255, 0, 0, 0)
+                     for i, (udp_len, ip_ttl) in enumerate(records)],
+                    str(tmp_path / "trace.jsonl"))
+        assert run("ingest", "--trace", str(tmp_path / "trace.jsonl"),
+                   "--out-dir", str(tmp_path / "ing")) == 0
+        stats = json.loads((tmp_path / "ing" / "ingest_stats.json").read_text())
+        assert (stats["kept_records"], stats["dropped_byte_share"]) == (1, share)
 
     def test_trace_stages_answer_alike_with_and_without_columns(self, ws, tmp_path):
         ing = tmp_path / "ing"

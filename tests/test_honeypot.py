@@ -6,6 +6,7 @@ import pytest
 
 from dnsamp import detector as det
 from dnsamp import honeypot as hp
+from dnsamp.pipeline import PRESETS
 from oracles import max_bipartite_matching
 
 
@@ -83,8 +84,8 @@ class TestSegmentation:
         assert len(events) == 2
 
     def test_presets(self):
-        assert hp.PRESETS["ccc"] == (5, 900.0)
-        assert hp.PRESETS["amppot"] == (100, 3600.0)
+        assert PRESETS["ccc"] == (5, 900.0)
+        assert PRESETS["amppot"] == (100, 3600.0)
 
     def test_unsorted_input_handled(self):
         requests = [req(4.0), req(0.0), req(2.0), req(1.0), req(3.0)]

@@ -1,7 +1,8 @@
-"""Import costs and module boundaries: the package loads no submodule and
-no stage but synth may load numpy, no trace stage loads hashlib, every name a
-module imports is used, only fileio opens a file or decodes JSON, and the CLI
-writes only through `_write`."""
+"""Import costs and module boundaries: the package loads no submodule, each
+subcommand loads only the modules it calls into, no stage but synth may load
+numpy, no trace stage loads hashlib, every name a module imports is used,
+only fileio opens a file or decodes JSON, and the CLI writes only through
+`_write`."""
 
 import ast
 import os
@@ -12,13 +13,41 @@ from pathlib import Path
 import pytest
 
 import dnsamp
+from dnsamp.cli import main
 
-# Modules behind every stage but synth: ingest, select-names, detect,
-# fingerprint, cluster, compare and report.
+# Every module that some stage but synth loads: ingest, select-names, detect,
+# fingerprint, cluster, compare and report (see STAGE_MODULES).
 TRACE_STAGE_MODULES = ("dnsamp", "dnsamp.cli", "dnsamp.pipeline", "dnsamp.trace",
                        "dnsamp.selectors", "dnsamp.detector", "dnsamp.honeypot",
                        "dnsamp.fingerprint", "dnsamp.amplifiers")
 PACKAGE = Path(dnsamp.__file__).resolve().parent
+
+# The dnsamp.* modules that `import dnsamp.cli` loads, and those each stage
+# adds in the form the benchmark runs it, with {run} its inputs' directory.
+# `cli` and `pipeline` import them inside the functions that call into them;
+# select-names loads detector only as honeypot's import.
+CLI_MODULES = ["cli", "fileio", "pipeline", "records"]
+STAGE_MODULES = {
+    "ingest": ("ingest --trace {run}/trace.jsonl --prefix-table {run}/prefixes.csv",
+               ["trace"]),
+    "select-names": ("select-names --trace {run}/annotated.jsonl "
+                     "--honeypot {run}/honeypot.csv",
+                     ["detector", "honeypot", "selectors", "trace"]),
+    "detect": ("detect --trace {run}/annotated.jsonl --names {run}/names.json",
+               ["detector", "selectors", "trace"]),
+    "fingerprint": ("fingerprint --attacks {run}/attacks.jsonl "
+                    "--fingerprint-spec {run}/entity.json --names {run}/names.json",
+                    ["detector", "fingerprint", "selectors"]),
+    "cluster": ("cluster --attacks {run}/attacks.jsonl",
+                ["amplifiers", "detector", "selectors"]),
+    "compare": ("compare --attacks {run}/attacks.jsonl --honeypot {run}/honeypot.csv",
+                ["detector", "honeypot"]),
+    "report": ("report --attacks {run}/attacks.jsonl --names {run}/names.json",
+               ["detector", "fingerprint", "selectors"]),
+    "report-trace": ("report --attacks {run}/attacks.jsonl --names {run}/names.json "
+                     "--trace {run}/annotated.jsonl",
+                     ["detector", "fingerprint", "selectors", "trace"]),
+}
 
 
 def python(code: str) -> str:
@@ -73,9 +102,43 @@ print(trace._load_columns({str(tmp_path / "annotated.jsonl")!r}) is not None,
     assert python(code).strip().splitlines()[-1] == "True False False"
 
 
-def test_cli_leaves_fingerprint_unloaded():
-    code = "import sys; import dnsamp.cli; print('dnsamp.fingerprint' in sys.modules)"
-    assert python(code).strip() == "False"
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory):
+    """The small scenario's inputs and the outputs of ingest, select-names
+    and detect, side by side."""
+    root = tmp_path_factory.mktemp("stages")
+    scenario = str(Path(__file__).parent / "data" / "scenario_small.json")
+    for argv in (["synth", "--scenario", scenario],
+                 ["ingest", "--trace", f"{root}/trace.jsonl",
+                  "--prefix-table", f"{root}/prefixes.csv"],
+                 ["select-names", "--trace", f"{root}/annotated.jsonl",
+                  "--honeypot", f"{root}/honeypot.csv"],
+                 ["detect", "--trace", f"{root}/annotated.jsonl",
+                  "--names", f"{root}/names.json"]):
+        assert main([*argv, "--out-dir", str(root)]) == 0
+    (root / "entity.json").write_text('{"name_suffixes": ["alpha.example."]}')
+    return root
+
+
+def loaded_modules(code: str) -> list[str]:
+    """The dnsamp.* modules, package aside, loaded after code runs in a fresh interpreter."""
+    return python(f"""
+import sys
+{code}
+print(" ".join(sorted(m.partition(".")[2] for m in sys.modules if m.startswith("dnsamp."))))
+""").splitlines()[-1].split()
+
+
+def test_cli_import_loads_only_its_modules():
+    assert loaded_modules("import dnsamp.cli") == CLI_MODULES
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_MODULES))
+def test_each_stage_loads_only_its_modules(run_dir, tmp_path, stage):
+    template, modules = STAGE_MODULES[stage]
+    argv = [*template.format(run=run_dir).split(), "--out-dir", str(tmp_path)]
+    assert loaded_modules(f"from dnsamp import cli; assert cli.main({argv!r}) == 0") == \
+        sorted(CLI_MODULES + modules)
 
 
 def test_name_timeline_leaves_numpy_unloaded():
