@@ -1,10 +1,10 @@
 """Amplifier-set analysis: clustering, stability, churn, and roles.
 
 Events reusing the same reflector pool betray shared infrastructure. Sets are
-compared with exact Jaccard distance, counted from posting lists, and
-grouped by a deterministic DBSCAN (points visited in index order, border
-ties to the first core cluster), so identical inputs always yield identical
-labels.
+compared with exact Jaccard distance, counted from an inverted index of the
+earlier sets, and grouped by a deterministic DBSCAN (points visited in index
+order, border ties to the first core cluster), so identical inputs always
+yield identical labels.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from collections import Counter, deque
 from collections.abc import Collection, Iterable, Iterator, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import accumulate, chain
+from itertools import chain
 from operator import index
 from typing import AbstractSet
 
@@ -81,58 +81,40 @@ def jaccard_distance_matrix(sets: Sequence[Collection[str]]) -> DistanceMatrix:
     """Symmetric, zero-diagonal matrix of 1 - Jaccard(set_i, set_j), for
     collections whose members are distinct.
 
-    Two empty sets are identical (distance 0). Each distinct member gets a
-    code and a posting list, the ascending rows that hold it, and a row's
-    intersections with later rows are counted from its members' later
-    postings. Only overlapping pairs divide and are stored. Counts are exact
-    and int / int rounds correctly, so each entry has the bits of
-    `1.0 - jaccard(a, b)`."""
-    n = len(sets)
-    codes: dict = {}
-    for members in sets:
-        for member in members:
-            codes.setdefault(member, len(codes))
-    # row i's member codes are member_codes[bounds[i]:bounds[i + 1]]
-    member_codes = array("i", map(codes.__getitem__, chain.from_iterable(sets)))
-    del codes
+    Two empty sets are identical (distance 0). The rows are taken in order,
+    with an inverted index from each member to the earlier rows that hold it:
+    counting a row's members' postings gives the earlier rows it overlaps and
+    each intersection size. Only overlapping pairs divide and are stored.
+    Counts are exact and int / int rounds correctly, so each entry has the
+    bits of `1.0 - jaccard(a, b)`."""
     sizes = [len(members) for members in sets]
-    bounds = list(accumulate(sizes, initial=0))
-    # the postings of all codes, back to back in one flat list: code c's end
-    # at ends[c]. cursor[c] starts at c's first entry and steps once at the
-    # turn of each row that holds c, so after row i's steps the entries from
-    # cursor[c] to ends[c] are the later rows holding c
-    tally = Counter(member_codes)
-    cursor = list(accumulate(map(tally.__getitem__, range(len(tally) - 1)), initial=0))
-    del tally
-    ends = cursor.copy()
-    postings = [0] * len(member_codes)
-    for i in range(n):
-        for code in member_codes[bounds[i]:bounds[i + 1]]:
-            postings[ends[code]] = i
-            ends[code] += 1
-    cols = [array("i") for _ in range(n)]
-    vals = [array("d") for _ in range(n)]
-    empty = [i for i, size in enumerate(sizes) if not size]
-    for i, size in enumerate(sizes):
+    postings: dict[str, list[int]] = {}
+    empty: list[int] = []
+    cols: list[array] = []
+    vals: list[array] = []
+    for i, members in enumerate(sets):
+        size = sizes[i]
         if size:
-            row = member_codes[bounds[i]:bounds[i + 1]]
-            for code in row:
-                cursor[code] += 1
-            counts = Counter(chain.from_iterable(
-                postings[cursor[code]:ends[code]] for code in row))
-            upper = sorted(counts)
+            counts = Counter(chain.from_iterable(postings.get(member, ()) for member in members))
+            earlier = sorted(counts)
             dists = [1.0 - inter / (size + sizes[j] - inter)
-                     for j, inter in zip(upper, map(counts.__getitem__, upper))]
+                     for j, inter in zip(earlier, map(counts.__getitem__, earlier))]
         else:
-            upper = [j for j in empty if j > i]
-            dists = [0.0] * len(upper)  # two empty sets: union 0, similarity 1
-        # each later row gets its entry in column i now, ahead of its own turn
-        for j, value in zip(upper, dists):
+            earlier = empty.copy()
+            dists = [0.0] * len(earlier)  # two empty sets: union 0, similarity 1
+            empty.append(i)
+        # each earlier row gets its entry in column i, after its lower columns
+        for j, value in zip(earlier, dists):
             cols[j].append(i)
             vals[j].append(value)
-        # new exact-size arrays drop the headroom that append leaves
-        cols[i] = cols[i] + array("i", [i, *upper])
-        vals[i] = vals[i] + array("d", [0.0, *dists])
+        cols.append(array("i", [*earlier, i]))
+        vals.append(array("d", [*dists, 0.0]))
+        for member in members:
+            postings.setdefault(member, []).append(i)
+    # copies drop the headroom that append leaves, one row at a time
+    for i in range(len(cols)):
+        cols[i] = cols[i][:]
+        vals[i] = vals[i][:]
     return DistanceMatrix(cols, vals)
 
 

@@ -12,9 +12,10 @@ from __future__ import annotations
 import ipaddress
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, groupby
 from operator import not_
 from typing import AbstractSet, Iterable, Sequence
 
@@ -229,22 +230,17 @@ def decile_ranks(values: Sequence[int]) -> list[int]:
     tied values share the mean of their 1-based sort positions.
     """
     n = len(values)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda i: values[i])
     deciles = [0] * n
     pos = 0
-    while pos < n:
-        end = pos
-        while end + 1 < n and values[order[end + 1]] == values[order[pos]]:
-            end += 1
-        # 1-based positions pos+1 .. end+1 share one average rank
-        rank_sum = (pos + 1 + end + 1) * (end - pos + 1) // 2
-        count = end - pos + 1
-        decile = (10 * rank_sum + count * n - 1) // (count * n)
-        for k in range(pos, end + 1):
-            deciles[order[k]] = decile
-        pos = end + 1
+    order = sorted(range(n), key=values.__getitem__)
+    for _, run in groupby(order, key=values.__getitem__):
+        run = list(run)
+        # 1-based positions pos+1 .. pos+len(run) share the average rank
+        # (2*pos + len(run) + 1) / 2, so ceil(10 * avg_rank / n) is this
+        decile = (5 * (2 * pos + len(run) + 1) + n - 1) // n
+        for i in run:
+            deciles[i] = decile
+        pos += len(run)
     return deciles
 
 
@@ -265,13 +261,7 @@ def visibility_curve(stats: Sequence[ClientDayStats],
     totals = sorted(s.total_pkts for s in stats)
     top = max_packets if max_packets is not None else totals[-1]
     n = len(totals)
-    curve = []
-    idx = 0
-    for p in range(1, top + 1):
-        while idx < n and totals[idx] < p:
-            idx += 1
-        curve.append((p, (n - idx) / n))
-    return curve
+    return [(p, (n - bisect_left(totals, p)) / n) for p in range(1, top + 1)]
 
 
 def _victim_prefixes(ip: str) -> tuple[tuple[int, int], ...]:

@@ -15,7 +15,7 @@ from typing import AbstractSet, Iterable, Sequence
 
 from .detector import AttackEvent
 from .fileio import from_obj, read_json
-from .records import normalize_qname
+from .records import normalize_qname, qname_is_valid
 
 PATTERN_PURE_ODD = "pure_odd"
 PATTERN_PURE_EVEN = "pure_even"
@@ -245,8 +245,10 @@ class EntityFingerprint:
         for token in self.id_patterns:
             if token not in _PATTERN_TOKENS:
                 raise ValueError(f"unknown id pattern token {token!r}")
-        self.name_suffixes = tuple(normalize_qname(s) if s != "." else "."
-                                   for s in self.name_suffixes)
+        for suffix in self.name_suffixes:
+            if not qname_is_valid(suffix):  # no valid name could match it
+                raise ValueError(f"name suffix {suffix!r} is not a valid DNS name")
+        self.name_suffixes = tuple(map(normalize_qname, self.name_suffixes))
 
     def allowed_kinds(self) -> set[str]:
         allowed: set[str] = set()
@@ -255,8 +257,11 @@ class EntityFingerprint:
         return allowed
 
     def matches_name(self, qname: str) -> bool:
+        """True when the name is one of the suffixes or lies below one, on a
+        label boundary; the root suffix "." matches every name."""
         qname = normalize_qname(qname)
-        return any(qname.endswith(suffix) for suffix in self.name_suffixes)
+        return any(suffix in (".", qname) or qname.endswith("." + suffix)
+                   for suffix in self.name_suffixes)
 
 
 def read_fingerprint(path: str) -> EntityFingerprint:

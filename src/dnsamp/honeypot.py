@@ -11,11 +11,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .detector import AttackEvent, decile_ranks
 from .fileio import (Memo, decode_lines, from_obj, read_csv, read_jsonl, shared, to_obj,
                      write_csv, write_jsonl)
+
+if TYPE_CHECKING:
+    from .detector import AttackEvent
+
 
 @dataclass(slots=True)
 class HoneypotRequest:
@@ -113,6 +116,7 @@ def infer_honeypot_attacks(requests: Sequence[HoneypotRequest],
 
 def score_honeypot_deciles(events: Sequence[HoneypotEvent]) -> list[HoneypotEvent]:
     """Intensity deciles by request count, same rule as trace-side events."""
+    from .detector import decile_ranks  # here, so select-names leaves detector unloaded
     for event, decile in zip(events, decile_ranks([e.request_count for e in events])):
         event.intensity_decile = decile
     return list(events)

@@ -178,6 +178,20 @@ def decile_reference(counts: list[int]) -> list[int]:
     return out
 
 
+def visibility_curve_reference(stats, max_packets=None) -> list[tuple[int, float]]:
+    """For p = 1 .. max_packets (default the largest total), the share of
+    client-days with at least p sampled packets, counted one p at a time."""
+    totals = [s.total_pkts for s in stats]
+    if not totals:
+        return []
+    top = max(totals) if max_packets is None else max_packets
+    curve = []
+    for p in range(1, top + 1):
+        seen = sum(1 for total in totals if total >= p)
+        curve.append((p, seen / len(totals)))
+    return curve
+
+
 def lpm_reference(ip: str, table: list[tuple[str, int]]) -> int | None:
     """Longest-prefix match by linear scan; None for text that is no address."""
     address = _ip_or_none(ip)

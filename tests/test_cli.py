@@ -96,6 +96,12 @@ def out(ws, stage: str):
     return ws / stage
 
 
+def jsonl(path: Path) -> list:
+    """The JSON value of each line of a file."""
+    with path.open() as handle:
+        return [json.loads(line) for line in handle]
+
+
 class TestExitCodes:
     def test_help_exits_zero(self):
         assert run("--help") == 0
@@ -468,8 +474,8 @@ class TestPrintedLines:
         (tmp_path / "entity.json").write_text(json.dumps(
             {"name_suffixes": ["alpha.example."], "id_patterns": ["pure", "phased"]}))
         # every other reflector of the detected events was seen by a scan
-        reflectors = sorted({ip for line in (out(ws, "det") / "attacks.jsonl").open()
-                             for ip in json.loads(line)["amplifier_set"]})
+        reflectors = sorted({ip for event in jsonl(out(ws, "det") / "attacks.jsonl")
+                             for ip in event["amplifier_set"]})
         (tmp_path / "seen.csv").write_text("ip,first_seen,last_seen\n" + "".join(
             f"{ip},2019-05-01,2019-05-30\n" for ip in reflectors[::2]))
         # every third reflector is an authoritative nameserver
@@ -728,7 +734,8 @@ class TestIngestStage:
         stats = json.loads((ing / "ingest_stats.json").read_text())
         assert stats["kept_records"] > 0
         assert 0.0 <= stats["dropped_packet_share"] <= 1.0
-        kept_lines = sum(1 for _ in (ing / "annotated.jsonl").open())
+        with (ing / "annotated.jsonl").open() as handle:
+            kept_lines = sum(1 for _ in handle)
         assert kept_lines == stats["kept_records"]
 
     def test_annotation_adds_asns(self, ws):
@@ -869,7 +876,7 @@ class TestSelectStage:
 class TestDetectStage:
     def test_finds_all_planted_attacks(self, ws):
         det = out(ws, "det")
-        events = [json.loads(line) for line in (det / "attacks.jsonl").open()]
+        events = jsonl(det / "attacks.jsonl")
         got = {(e["victim_ip"], e["day"]) for e in events}
         assert got == {("10.1.0.1", "2019-06-01"), ("10.2.0.1", "2019-06-01"),
                        ("10.3.0.1", "2019-06-02")}
@@ -948,7 +955,7 @@ def fp_dir(ws, tmp_path_factory):
 
 class TestFingerprintStage:
     def test_attribution_rows(self, ws, fp_dir):
-        rows = [json.loads(line) for line in (fp_dir / "attribution.jsonl").open()]
+        rows = jsonl(fp_dir / "attribution.jsonl")
         assert len(rows) == 3
         by_victim = {r["victim_ip"]: r for r in rows}
         alpha = by_victim["10.1.0.1"]
@@ -986,7 +993,7 @@ class TestFingerprintStage:
                                     "id_patterns": ["pure", "phased"]}))
         assert run("fingerprint", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
                    "--fingerprint-spec", str(spec), "--out-dir", str(tmp_path)) == 0
-        rows = [json.loads(line) for line in (tmp_path / "attribution.jsonl").open()]
+        rows = jsonl(tmp_path / "attribution.jsonl")
         classified = [row for row in rows if row["id_pattern"] is not None]
         assert any(row["attributed"] for row in classified)
         assert any(not row["attributed"] for row in classified)
@@ -1132,8 +1139,7 @@ class TestClusterStage:
         attacks = tmp_path / "attacks.jsonl"
         reflectors = 0
         with attacks.open("w") as handle:
-            for line in (out(ws, "det") / "attacks.jsonl").open():
-                event = json.loads(line)
+            for event in jsonl(out(ws, "det") / "attacks.jsonl"):
                 event["qname_counts"] = {"a,b.example.": sum(event["qname_counts"].values())}
                 reflectors += len(event["amplifier_set"])
                 handle.write(json.dumps(event) + "\n")
@@ -1229,7 +1235,7 @@ class TestSnoopStage:
         ttls.write_text("qname,ttl\nanchor.example.,300\n")
         assert run("snoop", "--responses", str(probes),
                    "--ttl-table", str(ttls), "--out-dir", str(tmp_path)) == 0
-        rows = [json.loads(line) for line in (tmp_path / "snoop.jsonl").open()]
+        rows = jsonl(tmp_path / "snoop.jsonl")
         assert len(rows) == 2
         caches = {r["target_ip"]: r["cache"] for r in rows}
         assert caches["198.18.0.1"] == "hit"
@@ -1288,8 +1294,7 @@ class TestCompareStage:
         assert overlap["honeypot_matched_fraction"] == 1.0
 
     def test_events_and_convergence_written(self, cmp_dir):
-        events = [json.loads(line)
-                  for line in (cmp_dir / "honeypot_events.jsonl").open()]
+        events = jsonl(cmp_dir / "honeypot_events.jsonl")
         assert len(events) == 3
         assert (cmp_dir / "convergence.csv").is_file()
 

@@ -169,6 +169,7 @@ class TestDeciles:
 
     def test_matches_rational_reference(self):
         rng = random.Random(23)
+        assert det.decile_ranks([]) == decile_reference([]) == []
         for _ in range(200):
             n = rng.randint(1, 40)
             counts = [rng.randint(1, 8) for _ in range(n)]

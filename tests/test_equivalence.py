@@ -38,7 +38,8 @@ from oracles import (aggregate_client_days_rows, annotate_rows, benign_client_re
                      sanitize_rows,
                      selector_any_volume_rows, selector_ground_truth_rows,
                      selector_max_size_rows, selector_rankings_reference,
-                     serialize_trace_rows, trace_line_reference)
+                     serialize_trace_rows, trace_line_reference,
+                     visibility_curve_reference)
 
 # Small pools so that keys repeat within one trace, as they do in real ones.
 ADDRESSES = ("10.0.0.1", "192.0.2.53", "198.18.0.7", "2001:db8::1", "::1",
@@ -483,6 +484,10 @@ def test_jaccard_distance_matrix_matches_reference(sets):
     reference = jaccard_distance_matrix_reference(sets)
     assert matrix.shape == reference.shape == (len(sets), len(sets))
     assert np.array_equal(matrix.view(np.uint64), reference.view(np.uint64))
+    # DBSCAN visits each neighborhood in this order, read from the stored entries
+    for eps in (0.0, 0.5, math.nextafter(1.0, 0.0)):
+        assert rows.neighborhoods(eps) == [[j for j, d in enumerate(row) if d <= eps]
+                                           for row in reference.tolist()]
 
 
 @given(set_families())
@@ -695,6 +700,15 @@ client_days = st.lists(st.builds(
         misused_pkts=min(misused, total)),
     st.integers(0, 255), st.integers(1, 60), st.integers(0, 60)), max_size=30)
 thresholds = st.floats(min_value=1e-6, max_value=1.0)
+
+
+@given(client_days, st.one_of(st.none(), st.integers(0, 70)))
+@example([], None)
+@example([], 5)
+def test_visibility_curve_matches_reference(stats, max_packets):
+    # totals run 1..60, so max_packets falls below and above the largest
+    assert det.visibility_curve(stats, max_packets) == \
+        visibility_curve_reference(stats, max_packets)
 
 
 @given(client_days, thresholds, thresholds, st.integers(1, 70), st.integers(1, 70))

@@ -243,6 +243,19 @@ class TestAttribution:
         attributed, _, _ = fp.attribute_entity([ev2], self.FP)
         assert attributed == []
 
+    @pytest.mark.parametrize("qname, matches", [
+        ("gov-dns.example.", True), ("a.gov-dns.example.", True), ("A.Gov-DNS.Example", True),
+        ("notgov-dns.example.", False), ("a.notgov-dns.example.", False),
+        ("dns.example.", False)])
+    def test_suffix_matches_on_label_boundary(self, qname, matches):
+        assert self.FP.matches_name(qname) is matches
+        attributed, _, _ = fp.attribute_entity([event(dns_ids=[1, 3, 5], qname=qname)], self.FP)
+        assert bool(attributed) is matches
+
+    @pytest.mark.parametrize("qname", [".", "example.", "a.b.example."])
+    def test_root_suffix_matches_every_name(self, qname):
+        assert fp.EntityFingerprint(name_suffixes=(".",)).matches_name(qname)
+
     def test_phased_fingerprint(self):
         spec = fp.EntityFingerprint(name_suffixes=("x.example.",),
                                     id_patterns=("phased",))
@@ -258,6 +271,12 @@ class TestAttribution:
     def test_unknown_pattern_token_rejected(self):
         with pytest.raises(ValueError):
             fp.EntityFingerprint(name_suffixes=("a.",), id_patterns=("odd",))
+
+    @pytest.mark.parametrize("suffix", [".gov-dns.example.", "a..example.", "x" * 64 + ".example."])
+    def test_suffix_that_no_name_can_match_rejected(self, suffix):
+        # no valid name equals such a suffix or ends with "." + suffix
+        with pytest.raises(ValueError, match="not a valid DNS name"):
+            fp.EntityFingerprint(name_suffixes=("a.", suffix))
 
     def test_read_fingerprint(self, tmp_path):
         path = tmp_path / "fp.json"

@@ -24,15 +24,14 @@ PACKAGE = Path(dnsamp.__file__).resolve().parent
 
 # The dnsamp.* modules that `import dnsamp.cli` loads, and those each stage
 # adds in the form the benchmark runs it, with {run} its inputs' directory.
-# `cli` and `pipeline` import them inside the functions that call into them;
-# select-names loads detector only as honeypot's import.
+# `cli` and `pipeline` import them inside the functions that call into them.
 CLI_MODULES = ["cli", "fileio", "pipeline", "records"]
 STAGE_MODULES = {
     "ingest": ("ingest --trace {run}/trace.jsonl --prefix-table {run}/prefixes.csv",
                ["trace"]),
     "select-names": ("select-names --trace {run}/annotated.jsonl "
                      "--honeypot {run}/honeypot.csv",
-                     ["detector", "honeypot", "selectors", "trace"]),
+                     ["honeypot", "selectors", "trace"]),
     "detect": ("detect --trace {run}/annotated.jsonl --names {run}/names.json",
                ["detector", "selectors", "trace"]),
     "fingerprint": ("fingerprint --attacks {run}/attacks.jsonl "
