@@ -50,7 +50,7 @@ def main() -> None:
     print()
     print("=== DNS-ID parity classes per victim ===")
     for victim in ("10.7.0.1", "10.8.0.1", "10.9.0.1"):
-        kinds = {fp.classify_dnsid_pattern(e).kind
+        kinds = {fp.classify_dnsid_pattern(e.dns_ids).kind
                  for e in events if e.victim_ip == victim}
         print(f"  {victim}: {', '.join(sorted(kinds))}")
 

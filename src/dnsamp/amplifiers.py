@@ -23,6 +23,9 @@ from .fileio import is_iso_day, read_csv, write_float_csv
 from .selectors import jaccard
 
 NOISE = -1
+# The least a cluster needs to be reported as a stable amplifier set.
+STABLE_MIN_ATTACKS = 5
+STABLE_MIN_AMPLIFIERS = 5
 
 
 def amplifier_sets(events: Sequence[AttackEvent]) -> list[tuple[str, ...]]:
@@ -135,10 +138,10 @@ class ClusterResult:
         return sum(1 for label in self.labels if label == NOISE) / len(self.labels)
 
 
-def dbscan_cluster(matrix: Sequence[Sequence[float]], eps: float = 0.6,
+def dbscan_cluster(matrix: DistanceMatrix, eps: float = 0.6,
                    min_pts: int = 5) -> ClusterResult:
-    """DBSCAN over a precomputed distance matrix, given as n rows of n; a
-    DistanceMatrix is read from its stored entries, without building rows.
+    """DBSCAN over a distance matrix, each neighbourhood read from its stored
+    entries (`DistanceMatrix.neighborhoods`).
 
     Neighborhoods are closed balls (d <= eps) including the point itself.
     Points are visited in index order and seed sets expand FIFO, so border
@@ -149,15 +152,7 @@ def dbscan_cluster(matrix: Sequence[Sequence[float]], eps: float = 0.6,
     if min_pts < 1:
         raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     n = len(matrix)
-    if isinstance(matrix, DistanceMatrix):
-        neighborhoods = matrix.neighborhoods(eps)
-    else:
-        neighborhoods = []
-        for i, row in enumerate(matrix):
-            if len(row) != n:
-                raise ValueError(f"need a square distance matrix, but row {i} of {n} "
-                                 f"has {len(row)} entries")
-            neighborhoods.append([j for j, d in enumerate(row) if d <= eps])
+    neighborhoods = matrix.neighborhoods(eps)
     UNVISITED = -2
     labels = [UNVISITED] * n
     cluster = 0
@@ -196,14 +191,14 @@ class StableSetReport:
     static: bool
 
 
-def stable_sets(events: Sequence[AttackEvent], labels: Sequence[int],
-                min_attacks: int = 5, min_amplifiers: int = 5) -> list[StableSetReport]:
+def stable_sets(events: Sequence[AttackEvent], labels: Sequence[int]) -> list[StableSetReport]:
     """Summarize clusters that qualify as stable amplifier sets.
 
-    A cluster qualifies with at least min_attacks events whose union holds at
-    least min_amplifiers reflectors. Drift is the Jaccard distance between
-    consecutive member sets in (day, victim) order; a set is static when every
-    step has drift zero. span_days counts calendar days inclusively.
+    A cluster qualifies with at least STABLE_MIN_ATTACKS events whose union
+    holds at least STABLE_MIN_AMPLIFIERS reflectors. Drift is the Jaccard
+    distance between consecutive member sets in (day, victim) order; a set is
+    static when every step has drift zero. span_days counts calendar days
+    inclusively.
     """
     if len(events) != len(labels):
         raise ValueError("events and labels must align")
@@ -214,11 +209,11 @@ def stable_sets(events: Sequence[AttackEvent], labels: Sequence[int],
     reports = []
     for label in sorted(members):
         group = sorted(members[label], key=lambda e: (e.day, e.victim_ip))
-        if len(group) < min_attacks:
+        if len(group) < STABLE_MIN_ATTACKS:
             continue
         sets = [frozenset(e.amplifier_set) for e in group]
         union = frozenset().union(*sets)
-        if len(union) < min_amplifiers:
+        if len(union) < STABLE_MIN_AMPLIFIERS:
             continue
         core = sets[0]
         for s in sets[1:]:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import typing
 import zlib
@@ -177,6 +178,27 @@ def read_csv(path: str, first_column: str) -> Iterator[tuple[int, list[str]]]:
                 raise ValueError(f"{path} line {lineno}: not UTF-8") from None
             if row and not (lineno == 1 and row[0].lower() == header):
                 yield lineno, row
+
+
+def csv_int(text: str) -> int:
+    """A CSV integer field: ASCII digits once stripped, else ValueError. No
+    sign, underscore or other script's digit, which int() would take."""
+    text = text.strip()
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
+def csv_float(text: str) -> float:
+    """A CSV float field: once stripped, a finite number in ASCII decimal
+    notation (an optional sign, digits with an optional point, an optional
+    exponent), else ValueError. float() alone would also take an
+    underscore, another script's digit, nan and inf."""
+    text = text.strip()
+    value = float(text) if text.isascii() and "_" not in text else math.nan
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite decimal number, got {text!r}")
+    return value
 
 
 def read_json(path: str) -> Any:

@@ -65,27 +65,21 @@ class DnsIdPattern:
     kind: str
     change_point: int | None = None
 
-    @property
-    def is_pure(self) -> bool:
-        return self.kind in (PATTERN_PURE_ODD, PATTERN_PURE_EVEN)
-
 
 def _check_min_segment(min_segment: int) -> None:
     if min_segment < 1:
         raise ValueError(f"min_segment must be >= 1, got {min_segment}")
 
 
-def classify_dnsid_pattern(ids: AttackEvent | Sequence[int],
-                           min_segment: int = 3) -> DnsIdPattern:
-    """Classify a time-ordered DNS-ID sequence by parity structure.
+def classify_dnsid_pattern(ids: Sequence[int], min_segment: int = 3) -> DnsIdPattern:
+    """Classify a time-ordered DNS-ID sequence, such as an event's dns_ids,
+    by parity structure.
 
     pure_odd / pure_even: one parity throughout. phased: exactly one parity
     switch with both segments at least min_segment long (change_point is the
     index where the second segment starts). Anything else is mixed.
     """
     _check_min_segment(min_segment)
-    if isinstance(ids, AttackEvent):
-        ids = list(ids.dns_ids)
     if len(ids) < 2:
         raise ValueError(f"need at least 2 DNS IDs to classify, got {len(ids)}")
     parities = [value & 1 for value in ids]
@@ -97,13 +91,6 @@ def classify_dnsid_pattern(ids: AttackEvent | Sequence[int],
         if cut >= min_segment and len(parities) - cut >= min_segment:
             return DnsIdPattern(PATTERN_PHASED, change_point=cut)
     return DnsIdPattern(PATTERN_MIXED)
-
-
-def pure_parity_probability(n: int) -> float:
-    """Chance that n uniform-random DNS IDs all share one parity: 2*(1/2)^n."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return 2.0 * 0.5 ** n
 
 
 @dataclass(slots=True)
@@ -287,7 +274,7 @@ def attribute_entity(events: Sequence[AttackEvent],
     for event in events:
         pattern = None
         if len(event.dns_ids) >= 2:
-            pattern = classify_dnsid_pattern(event, min_segment=min_segment)
+            pattern = classify_dnsid_pattern(event.dns_ids, min_segment=min_segment)
             if pattern.kind in allowed and fingerprint.matches_name(event.dominant_qname()):
                 attributed.append(event)
         patterns.append(pattern)

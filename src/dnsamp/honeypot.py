@@ -8,12 +8,11 @@ matched against trace-side events by victim and time window.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .fileio import (Memo, decode_lines, from_obj, read_csv, read_jsonl, shared, to_obj,
+from .fileio import (Memo, csv_float, csv_int, decode_lines, read_csv, shared, to_obj,
                      write_csv, write_jsonl)
 
 if TYPE_CHECKING:
@@ -47,11 +46,8 @@ def _request_from_row(strings: Memo, row: list[str]) -> HoneypotRequest:
     """`strings` maps a sensor, victim or qname to the one string that every
     request of the call shares for it."""
     ts, sensor_id, victim_ip, qname, qtype = row  # a row of another width raises
-    request = HoneypotRequest(float(ts), strings[sensor_id], strings[victim_ip],
-                              strings[qname], int(qtype))
-    if not math.isfinite(request.ts):
-        raise ValueError(f"ts {ts!r} is not finite")
-    return request
+    return HoneypotRequest(csv_float(ts), strings[sensor_id], strings[victim_ip],
+                           strings[qname], csv_int(qtype))
 
 
 def read_honeypot_csv(path: str) -> tuple[list[HoneypotRequest], int]:
@@ -248,8 +244,3 @@ def convergence_curve(events: Sequence[HoneypotEvent]) -> list[tuple[int, float]
 
 def write_honeypot_events(events: Iterable[HoneypotEvent], path: str) -> None:
     write_jsonl(map(to_obj, events), path)
-
-
-def read_honeypot_events(path: str) -> list[HoneypotEvent]:
-    return [from_obj(HoneypotEvent, obj, f"{path} line {lineno}")
-            for lineno, obj in read_jsonl(path)]

@@ -115,9 +115,6 @@ class MisusedNameList:
     missing_selectors: tuple[str, ...] = ()
     curve: tuple[tuple[int, float], ...] = field(default=(), repr=False)
 
-    def __contains__(self, qname: str) -> bool:
-        return qname in self.provenance
-
     def __len__(self) -> int:
         return len(self.names)
 

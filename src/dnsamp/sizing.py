@@ -48,13 +48,12 @@ class SizeEstimate:
     exceeds_edns: bool
 
 
-def estimate_any_response_size(record_set: RecordSet,
-                               edns_limit: int = EDNS_DEFAULT_LIMIT) -> SizeEstimate:
+def estimate_any_response_size(record_set: RecordSet) -> SizeEstimate:
     """Uncompressed wire size of the ANY response for a record set.
 
     est = header + (owner + 4) question + sum(owner + 10 + rdata_len) per
-    record. Estimates above the EDNS limit are flagged, never clamped: the
-    flag marks answers that need TCP or larger buffers.
+    record. Estimates above EDNS_DEFAULT_LIMIT are flagged, never clamped:
+    the flag marks answers that need TCP or larger buffers.
     """
     if not qname_is_valid(record_set.owner):
         raise ValueError(f"invalid owner name {record_set.owner!r}")
@@ -67,7 +66,7 @@ def estimate_any_response_size(record_set: RecordSet,
     return SizeEstimate(
         owner=record_set.owner,
         est_bytes=total,
-        exceeds_edns=total > edns_limit,
+        exceeds_edns=total > EDNS_DEFAULT_LIMIT,
     )
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Iterable, Mapping, Sequence
 
-from .fileio import decode_lines, from_obj, read_csv, read_lines
+from .fileio import csv_int, decode_lines, from_obj, read_csv, read_lines
 from .records import normalize_qname
 
 RCODE_NOERROR = 0
@@ -133,7 +133,7 @@ def read_default_ttls(path: str) -> dict[str, int]:
         if len(row) != 2:
             raise ValueError(f"ttl table line {lineno}: expected qname,ttl")
         try:
-            table[normalize_qname(row[0])] = int(row[1])
+            table[normalize_qname(row[0])] = csv_int(row[1])
         except ValueError:
             raise ValueError(f"ttl table line {lineno}: bad ttl {row[1]!r}")
     return table

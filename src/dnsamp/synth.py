@@ -243,13 +243,6 @@ class AttackTruth:
     daily_packets: dict[str, int]
     daily_amplifiers: dict[str, tuple[str, ...]]
 
-    @property
-    def amplifiers(self) -> tuple[str, ...]:
-        merged: set[str] = set()
-        for day_set in self.daily_amplifiers.values():
-            merged.update(day_set)
-        return tuple(sorted(merged))
-
 
 @dataclass(slots=True)
 class GroundTruth:

@@ -27,8 +27,8 @@ from functools import partial
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, TextIO
 
-from .fileio import (Memo, file_digest, read_arrays, read_csv, read_lines, write_arrays,
-                     write_lines)
+from .fileio import (Memo, csv_int, file_digest, read_arrays, read_csv, read_lines,
+                     write_arrays, write_lines)
 from .records import (COLUMNS, FIELD_TYPES, PLAIN_RECORD_TYPES, TS_END, TS_MIN, PacketRecord,
                       Trace, as_trace, ip_or_none, ipv4_int, normalize_qname, record_values,
                       row_filler)
@@ -264,7 +264,6 @@ class PrefixTable:
         # maps (ip_version, prefix_len) -> {masked_int: asn}
         self._buckets: dict[tuple[int, int], dict[int, int]] = {}
         self._lengths: dict[int, list[int]] = {4: [], 6: []}
-        self._size = 0
         for index, (prefix, asn) in enumerate(rows):
             self._add(prefix, asn, f"row {index}")
 
@@ -280,10 +279,6 @@ class PrefixTable:
             self._lengths[network.version].append(network.prefixlen)
             self._lengths[network.version].sort(reverse=True)
         self._buckets.setdefault(key, {})[int(network.network_address)] = asn
-        self._size += 1
-
-    def __len__(self) -> int:
-        return self._size
 
     @classmethod
     def from_csv(cls, path: str) -> "PrefixTable":
@@ -295,7 +290,7 @@ class PrefixTable:
                 raise ValueError(f"prefix table line {lineno}: expected prefix,asn")
             asn_text = row[1].strip()
             try:
-                asn: object = int(asn_text)
+                asn: object = csv_int(asn_text)
             except ValueError:
                 asn = asn_text  # reported as a bad ASN
             table._add(row[0].strip(), asn, f"line {lineno}")
@@ -318,20 +313,13 @@ class PrefixTable:
         return None
 
 
-def annotate(records: Iterable[PacketRecord], table: PrefixTable) -> Iterable[PacketRecord]:
-    """Fill src_as/dst_as in place via longest-prefix match, one lookup per
-    distinct address; membership of the records never changes. Unmatched
-    addresses stay None. A Trace gets new AS columns for its rows; other
-    records are set one by one."""
-    asn = Memo(table.lookup)
-    if isinstance(records, Trace):
-        values = records.values
-        as_index = {address: records.intern(asn[values[address]])
-                    for address in {*records.src_ip, *records.dst_ip}}
-        records.src_as = array("I", map(as_index.__getitem__, records.src_ip))
-        records.dst_as = array("I", map(as_index.__getitem__, records.dst_ip))
-    else:
-        for record in records:
-            record.src_as = asn[record.src_ip]
-            record.dst_as = asn[record.dst_ip]
-    return records
+def annotate(trace: Trace, table: PrefixTable) -> Trace:
+    """Set the trace's src_as/dst_as columns by longest-prefix match, one
+    lookup per distinct address (the table of values holds each address
+    once); which rows it holds never changes. Unmatched addresses get None."""
+    values = trace.values
+    as_index = {address: trace.intern(table.lookup(values[address]))
+                for address in {*trace.src_ip, *trace.dst_ip}}
+    trace.src_as = array("I", map(as_index.__getitem__, trace.src_ip))
+    trace.dst_as = array("I", map(as_index.__getitem__, trace.dst_ip))
+    return trace

@@ -135,20 +135,20 @@ class TestDistanceMatrix:
 
 
 class TestDbscan:
-    def random_matrix(self, rng, n):
-        """Distance matrix from random point sets so the metric is honest."""
+    def random_sets(self, rng, n):
+        """Random point sets, so the Jaccard metric is honest."""
         universe = list(range(24))
         sets = []
         for _ in range(n):
             size = rng.randint(1, 10)
             sets.append(frozenset(rng.sample(universe, size)))
-        return amp.jaccard_distance_matrix(sets)
+        return sets
 
     def test_matches_reference_on_random_instances(self):
         rng = random.Random(41)
         for trial in range(150):
             n = rng.randint(5, 40)
-            matrix = self.random_matrix(rng, n)
+            matrix = amp.jaccard_distance_matrix(self.random_sets(rng, n))
             eps = rng.choice([0.3, 0.5, 0.6, 0.8])
             min_pts = rng.choice([2, 3, 5])
             result = amp.dbscan_cluster(matrix, eps=eps, min_pts=min_pts)
@@ -159,7 +159,8 @@ class TestDbscan:
         rng = random.Random(13)
         for trial in range(30):
             n = rng.randint(6, 25)
-            matrix = self.random_matrix(rng, n)
+            sets = self.random_sets(rng, n)
+            matrix = amp.jaccard_distance_matrix(sets)
             reference = dbscan_reference(matrix, 0.6, 3)
             # border points reachable from two clusters may legitimately
             # flip allegiance under reordering; skip those instances
@@ -170,7 +171,7 @@ class TestDbscan:
             base = amp.dbscan_cluster(matrix, eps=0.6, min_pts=3).labels
             perm = list(range(n))
             rng.shuffle(perm)
-            permuted = np.asarray(matrix)[np.ix_(perm, perm)]
+            permuted = amp.jaccard_distance_matrix([sets[i] for i in perm])
             shuffled = amp.dbscan_cluster(permuted, eps=0.6, min_pts=3).labels
             # labels under permutation must induce the same partition
             mapping = {}
@@ -180,23 +181,15 @@ class TestDbscan:
                 if a != -1:
                     assert mapping.setdefault(a, b) == b
 
-    def test_rows_and_ndarray_give_the_same_labels(self):
-        rng = random.Random(17)
-        for trial in range(40):
-            rows = self.random_matrix(rng, rng.randint(0, 30))
-            eps = rng.choice([0.3, 0.6, 0.8, 1.0])
-            assert amp.dbscan_cluster(rows, eps=eps, min_pts=3).labels == \
-                amp.dbscan_cluster(np.asarray(rows), eps=eps, min_pts=3).labels
-
     def test_all_points_identical_single_cluster(self):
-        matrix = np.zeros((6, 6))
+        matrix = amp.jaccard_distance_matrix([frozenset({"a", "b"})] * 6)
         result = amp.dbscan_cluster(matrix, eps=0.5, min_pts=5)
         assert result.n_clusters == 1
         assert list(result.labels) == [0] * 6
         assert result.outlier_share == 0.0
 
     def test_sparse_points_all_noise(self):
-        matrix = 1.0 - np.eye(4)
+        matrix = amp.jaccard_distance_matrix([frozenset({i}) for i in "abcd"])
         result = amp.dbscan_cluster(matrix, eps=0.5, min_pts=2)
         assert result.n_clusters == 0
         assert list(result.labels) == [-1] * 4
@@ -204,19 +197,17 @@ class TestDbscan:
 
     def test_neighborhood_is_closed_ball(self):
         # distance exactly eps still counts as a neighbor
-        matrix = np.array([[0.0, 0.6], [0.6, 0.0]])
+        matrix = amp.jaccard_distance_matrix([frozenset("ab"), frozenset("abcde")])
+        assert matrix[0][1] == 0.6
         result = amp.dbscan_cluster(matrix, eps=0.6, min_pts=2)
         assert result.n_clusters == 1
 
     def test_rejects_bad_inputs(self):
+        matrix = amp.jaccard_distance_matrix([frozenset()] * 3)
         with pytest.raises(ValueError):
-            amp.dbscan_cluster(np.zeros((2, 3)), eps=0.5, min_pts=2)
+            amp.dbscan_cluster(matrix, eps=-0.1, min_pts=2)
         with pytest.raises(ValueError):
-            amp.dbscan_cluster([array("d", [0.0, 1.0]), array("d", [1.0])], eps=0.5, min_pts=2)
-        with pytest.raises(ValueError):
-            amp.dbscan_cluster(np.zeros((3, 3)), eps=-0.1, min_pts=2)
-        with pytest.raises(ValueError):
-            amp.dbscan_cluster(np.zeros((3, 3)), eps=0.5, min_pts=0)
+            amp.dbscan_cluster(matrix, eps=0.5, min_pts=0)
 
 
 class TestStableSets:

@@ -261,9 +261,8 @@ class TestSummary:
                 day["prefixes_8"]) == (2, 1, 1, 1)
 
     def test_victim_ases_counted_when_annotated(self):
-        records = burst(12, 0)
         table = tr.PrefixTable([("10.0.0.0/8", 64512), ("192.0.2.0/24", 5)])
-        tr.annotate(records, table)
+        records = tr.annotate(tr.Trace.of(burst(12, 0)), table)
         stats = det.aggregate_client_days(records, MISUSED)
         events = det.detect_attacks(stats, det.DetectorConfig())
         assert events[0].victim_as == 64512
@@ -273,9 +272,8 @@ class TestSummary:
 
 class TestEventSerialization:
     def test_jsonl_round_trip(self, tmp_path):
-        records = burst(40, 4) + burst(12, 0, client="10.0.0.2")
         table = tr.PrefixTable([("10.0.0.0/8", 64512), ("192.0.2.0/24", 5)])
-        tr.annotate(records, table)
+        records = tr.annotate(tr.Trace.of(burst(40, 4) + burst(12, 0, client="10.0.0.2")), table)
         stats = det.aggregate_client_days(records, MISUSED)
         events = det.detect_attacks(stats, det.DetectorConfig())
         det.intensity_deciles(events)

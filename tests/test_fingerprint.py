@@ -3,7 +3,6 @@
 import json
 import random
 
-import numpy as np
 import pytest
 
 from dnsamp import detector as det
@@ -69,8 +68,8 @@ class TestParityPatterns:
     def test_pure_classes(self):
         odd = fp.classify_dnsid_pattern([1, 3, 5, 7, 9])
         even = fp.classify_dnsid_pattern([0, 2, 4, 6, 8])
-        assert odd.kind == "pure_odd" and odd.is_pure
-        assert even.kind == "pure_even" and even.is_pure
+        assert odd.kind == "pure_odd"
+        assert even.kind == "pure_even"
         assert odd.change_point is None
 
     def test_phased_five_five(self):
@@ -119,26 +118,6 @@ class TestParityPatterns:
     def test_too_few_ids_raise(self):
         with pytest.raises(ValueError):
             fp.classify_dnsid_pattern([7])
-
-    def test_accepts_event_argument(self):
-        ev = event(dns_ids=[1, 3, 5, 7])
-        assert fp.classify_dnsid_pattern(ev).kind == "pure_odd"
-
-    def test_chance_rate_formula(self):
-        assert fp.pure_parity_probability(1) == 1.0
-        assert fp.pure_parity_probability(2) == 0.5
-        assert fp.pure_parity_probability(9) == pytest.approx(0.00390625)
-
-    def test_chance_rate_monte_carlo(self):
-        # pure share among random-id events should track 2 * 0.5^n
-        rng = np.random.default_rng(7)
-        n, trials = 6, 20000
-        ids = rng.integers(0, 65536, size=(trials, n))
-        parity = ids & 1
-        pure = np.sum(np.all(parity == parity[:, :1], axis=1))
-        expected = fp.pure_parity_probability(n)
-        sd = (expected * (1 - expected) / trials) ** 0.5
-        assert abs(pure / trials - expected) < 4 * sd
 
 
 class TestTimeline:

@@ -277,6 +277,21 @@ class TestIO:
         reread, malformed = hp.read_honeypot_csv(str(path))
         assert len(reread) == 1 and malformed == 4
 
+    def test_csv_numbers_take_the_ascii_decimal_grammar(self, tmp_path):
+        # float() and int() would read every number of the first four rows
+        path = tmp_path / "honeypot.csv"
+        path.write_text("ts,sensor_id,victim_ip,qname,qtype\n"
+                        "1_000.5,s1,10.0.0.1,a.example.,2_55\n"
+                        "1000.5,s1,10.0.0.1,a.example.,+255\n"
+                        "\u0661\u0660\u0660\u0660,s1,10.0.0.1,a.example.,255\n"
+                        "1000.5,s1,10.0.0.1,a.example.,\u0662\u0665\u0665\n"
+                        " 1e3 ,s1,10.0.0.1,a.example., 255 \n"
+                        "-.5,s1,10.0.0.1,a.example.,255\n"
+                        "+7.,s1,10.0.0.1,a.example.,1\n", encoding="utf-8")
+        reread, malformed = hp.read_honeypot_csv(str(path))
+        assert malformed == 4
+        assert [(r.ts, r.qtype) for r in reread] == [(1000.0, 255), (-0.5, 255), (7.0, 1)]
+
     def test_csv_reader_shares_repeated_strings(self, tmp_path):
         path = tmp_path / "honeypot.csv"
         path.write_text("ts,sensor_id,victim_ip,qname,qtype\n"
@@ -287,10 +302,3 @@ class TestIO:
         assert first.sensor_id is second.sensor_id
         assert first.victim_ip is second.victim_ip
         assert first.qname is second.qname
-
-    def test_event_jsonl_round_trip(self, tmp_path):
-        events = hp.infer_honeypot_attacks([req(float(i)) for i in range(5)])
-        hp.score_honeypot_deciles(events)
-        path = tmp_path / "events.jsonl"
-        hp.write_honeypot_events(events, str(path))
-        assert hp.read_honeypot_events(str(path)) == events

@@ -79,6 +79,44 @@ def test_every_imported_name_is_used():
     assert unused == []
 
 
+# Public definitions that no stage, demo or benchmark file calls yet, each
+# kept for the caller named here.
+UNCALLED_KEPT = {
+    "server_ip": "read by the row-path reference in tests/oracles.py",
+    "ingress_as": "read by the row-path reference in tests/oracles.py",
+    "dns_payload_len": "read by the row-path reference in tests/oracles.py",
+    "visibility_curve": "for detect's near-miss counts (ROADMAP items 3 and 9)",
+    "read_truth": "for the score command (ROADMAP item 3)",
+}
+
+
+def test_every_public_definition_has_a_caller():
+    """Each def or class of src/dnsamp whose name has no leading underscore is
+    referenced by name in src/dnsamp, demos/ or bench/: as a name, an
+    attribute, an import alias or a string constant (bench/tracing.py wraps
+    functions by their attribute's name). The check is by name alone, so a
+    dunder, or a name that another attribute or variable shares (as
+    AttackTruth.amplifiers shared a client-day's amplifiers), needs a line
+    trace of the stages."""
+    root = PACKAGE.parents[1]
+    files = [*PACKAGE.glob("*.py"), *(root / "demos").glob("*.py"), *(root / "bench").glob("*.py")]
+    defined, referenced = set(), set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.alias):
+                referenced.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)) and path.parent == PACKAGE \
+                    and not node.name.startswith("_"):
+                defined.add(node.name)
+    assert sorted(defined - referenced) == sorted(UNCALLED_KEPT)
+
+
 def test_trace_stages_leave_numpy_unloaded():
     imports = "; ".join(f"import {m}" for m in TRACE_STAGE_MODULES)
     assert python(f"import sys; {imports}; print('numpy' in sys.modules)").strip() == "False"

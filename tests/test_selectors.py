@@ -225,8 +225,3 @@ class TestSerialization:
         lines = (tmp_path / "curve.csv").read_text().splitlines()
         assert lines[0] == "k,mean_jaccard"
         assert len(lines) == 1 + len(result["names.json"].curve) > 1
-
-    def test_membership_helpers(self):
-        merged = self.build()
-        assert "big.example." in merged
-        assert "nope.example." not in merged

@@ -150,3 +150,13 @@ class TestIO:
         path.write_text("qname,ttl\nprobe.example.,fast\n")
         with pytest.raises(ValueError):
             snoop.read_default_ttls(str(path))
+
+    # int() would read each of these as a number
+    @pytest.mark.parametrize("ttl", ["3_00", "-5", "+300", "\u0663\u0660\u0660"],
+                             ids=["underscore", "negative", "plus", "arabic-indic"])
+    def test_read_default_ttls_takes_ascii_digits_only(self, tmp_path, ttl):
+        path = tmp_path / "ttls.csv"
+        path.write_text(f"qname,ttl\nprobe.example., 300 \nb.example.,{ttl}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as info:
+            snoop.read_default_ttls(str(path))
+        assert str(info.value) == f"ttl table line 3: bad ttl {ttl!r}"

@@ -447,15 +447,19 @@ class TestPrefixTable:
             tr.PrefixTable.from_csv(str(path))
 
     @pytest.mark.parametrize("row, message", [
-        ("10.0.0.0/8,-3", "prefix table line 2: bad ASN -3"),
+        ("10.0.0.0/8,-3", "prefix table line 2: bad ASN '-3'"),
         ("10.0.0.0/8,x", "prefix table line 2: bad ASN 'x'"),
+        # int() would read these three as 64500, 64 and 64
+        ("10.0.0.0/8,6_4500", "prefix table line 2: bad ASN '6_4500'"),
+        ("10.0.0.0/8,+64", "prefix table line 2: bad ASN '+64'"),
+        ("10.0.0.0/8,\u0666\u0664", "prefix table line 2: bad ASN '\u0666\u0664'"),
         ("10.0.0.1/8,5", "prefix table line 2: bad CIDR '10.0.0.1/8'"),
         ("not-a-prefix,1", "prefix table line 2: bad CIDR 'not-a-prefix'"),
         ("10.0.0.0/8", "prefix table line 2: expected prefix,asn"),
     ])
     def test_from_csv_names_the_file_line(self, tmp_path, row, message):
         path = tmp_path / "prefixes.csv"
-        path.write_text(f"prefix,asn\n{row}\n")
+        path.write_text(f"prefix,asn\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError) as info:
             tr.PrefixTable.from_csv(str(path))
         assert str(info.value).startswith(message)
