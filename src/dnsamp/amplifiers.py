@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, deque
-from collections.abc import Collection, Iterable, Iterator, Mapping, MutableSequence, Sequence
+from collections.abc import Collection, Iterable, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from itertools import chain
@@ -19,7 +19,7 @@ from operator import index
 from typing import AbstractSet
 
 from .detector import AttackEvent
-from .fileio import is_iso_day, read_csv, write_float_csv
+from .fileio import Memo, is_iso_day, read_csv, write_lines
 from .selectors import jaccard
 
 NOISE = -1
@@ -66,12 +66,6 @@ class DistanceMatrix(Sequence):
             return [list(range(n)) for _ in range(n)]
         return [[j for j, d in zip(cols, vals) if d <= eps]
                 for cols, vals in zip(self._cols, self._vals)]
-
-    def float_rows(self) -> Iterator[list[float]]:
-        """m[i].tolist() for each row, built from the stored entries."""
-        n = len(self._vals)
-        for cols, vals in zip(self._cols, self._vals):
-            yield _put([1.0] * n, cols, vals)
 
 
 def _put(row: MutableSequence, cols: Iterable[int], vals: Iterable) -> MutableSequence:
@@ -403,5 +397,9 @@ def qname_role_breakdown(events: Sequence[AttackEvent],
 
 def write_distance_matrix(matrix: DistanceMatrix, path: str) -> None:
     """The bytes `fileio.write_csv(path, None, rows)` writes for the matrix's
-    rows as lists of floats, built row by row from the stored entries."""
-    write_float_csv(path, matrix.float_rows())
+    rows as lists of floats: each row's texts are "1.0" but for its stored
+    entries' reprs. Each distinct distance is encoded once: a stored entry is
+    never nan or -0.0, which a memo keyed by value would confuse."""
+    ones, reprs = ["1.0"] * len(matrix), Memo(repr)
+    write_lines((",".join(_put(ones.copy(), cols, map(reprs.__getitem__, vals)))
+                 for cols, vals in zip(matrix._cols, matrix._vals)), path)

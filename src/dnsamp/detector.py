@@ -15,11 +15,12 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, groupby
+from itertools import accumulate, chain, compress, groupby, pairwise
 from operator import not_
-from typing import AbstractSet, Iterable, Sequence
+from typing import AbstractSet, Any, Iterable, Sequence
 
-from .fileio import from_obj, is_iso_day, read_jsonl, shared, to_obj, write_jsonl
+from .fileio import (from_obj, is_iso_day, read_bound_arrays, read_jsonl, shared, to_obj,
+                     write_bound_arrays, write_jsonl)
 from .records import TS_END, TS_MIN, PacketRecord, as_trace, day_index, utc_day
 
 ROOT_NAME = "."
@@ -335,11 +336,117 @@ def write_events(events: Iterable[AttackEvent], path: str) -> None:
     write_jsonl(({**to_obj(event), "duration_s": event.duration_s} for event in events), path)
 
 
+# attacks.columns holds the events of the attacks.jsonl beside it
+# (`fileio.write_bound_arrays`). Its table holds None, then each distinct
+# string, AS number and decile once. Its arrays are one per field in
+# declaration order, a value per event; then, in field order, the items of
+# each tuple, and the keys and then the values of each dict. Its rows are
+# the event count, then the length of each item array. The kind of a field,
+# then of its items: "S" a string and "N" an int or None, as an index into
+# the table; "T" a tuple's and "M" a dict's length; else an array type code.
+EVENTS_FORMAT = 1
+_KINDS = {"victim_ip": "S", "day": "S", "share": "d", "share_excluding_root": "d",
+          "first_ts": "d", "last_ts": "d", "qname_counts": "MSq", "amplifier_set": "TS",
+          "dns_ids": "TH", "req_ip_ids": "TH", "req_src_ports": "TH", "req_dns_ids": "TH",
+          "ingress_as_counts": "Mqq", "victim_as": "N", "intensity_decile": "N"}
+_FIELDS = AttackEvent.__match_args__
+_FIELD_KINDS = [_KINDS.get(name, "q")[0] for name in _FIELDS]
+_ITEM_KINDS = [kind for name in _FIELDS for kind in _KINDS.get(name, "q")[1:]]
+# each kind's array type code, and the exact types of the values it holds
+_CODES = {"S": ("I", {str}), "N": ("I", {int, type(None)}), "T": ("I", {tuple, list}),
+          "M": ("I", {dict}), "q": ("q", {int}), "H": ("H", {int}), "d": ("d", {float})}
+
+
+def write_event_columns(events: Sequence[AttackEvent], path: str) -> None:
+    """attacks.columns at path, of the events that write_events has just
+    written to the attacks.jsonl beside it. Events with a value that the
+    arrays cannot give back as the JSONL read gives it (an int past int64,
+    an int in a float field, an ID or port past 16 bits, a value of another
+    type) get a file that read_events does not load."""
+    table, arrays, items = {None: 0}, [], []
+    try:
+        for name in _FIELDS:
+            kind, *item_kinds = _KINDS.get(name, "q")
+            column = [getattr(event, name) for event in events]
+            arrays.append(_to_array(kind, column, table))
+            if item_kinds:
+                items.append(_to_array(item_kinds[0], [*chain.from_iterable(column)], table))
+            if kind == "M":
+                items.append(_to_array(item_kinds[1],
+                                       [*chain.from_iterable(map(dict.values, column))], table))
+        rows = [len(events), *map(len, items)]
+    except (ValueError, OverflowError):  # another type, or out of range
+        table, arrays, items, rows = {None: 0}, [], [], None  # rows that no layout takes
+    write_bound_arrays(path, EVENTS_FORMAT, rows, list(table), arrays + items)
+
+
+def _to_array(kind: str, values: list, table: dict) -> array:
+    code, types = _CODES[kind]
+    if not {*map(type, values)} <= types:
+        raise ValueError(f"a value that kind {kind!r} cannot hold")
+    if kind in "SN":
+        values = [table.setdefault(value, len(table)) for value in values]
+    elif kind in "TM":
+        values = map(len, values)
+    return array(code, values)
+
+
+def _layout(rows: Any) -> list[tuple[str, int]]:
+    if type(rows) is not list or len(rows) != 1 + len(_ITEM_KINDS):
+        raise ValueError("not the counts of events and items")
+    return [(_CODES[kind][0], count) for kind, count
+            in zip(_FIELD_KINDS + _ITEM_KINDS, rows[:1] * len(_FIELDS) + rows[1:])]
+
+
+def _load_events(path: str) -> list[AttackEvent] | None:
+    """The events in the attacks.columns beside the event log at path, when
+    fileio.read_bound_arrays reads it, its table, indices and lengths are as
+    write_event_columns writes them, and its events pass read_events'
+    checks; else None. As with a trace's columns, which field indexes which
+    of the table's types is not checked."""
+    loaded = read_bound_arrays(path, EVENTS_FORMAT, _layout)
+    if loaded is None:
+        return None
+    rows, table, arrays = loaded
+    columns, items = dict(zip(_FIELDS, arrays)), iter(arrays[len(_FIELDS):])
+    if table[:1] != [None] or not {*map(type, table)} <= {str, int, type(None)} \
+            or len(set(table)) < len(table) \
+            or [sum(columns[name]) for name in _FIELDS for _ in _KINDS.get(name, "q")[1:]] \
+            != rows[1:] \
+            or not all(max(values, default=0) < len(table) for kind, values
+                       in zip(_FIELD_KINDS + _ITEM_KINDS, arrays) if kind in "SN") \
+            or not all(is_iso_day(table[day]) for day in set(columns["day"])) \
+            or not all(TS_MIN <= first <= last < TS_END
+                       for first, last in zip(columns["first_ts"], columns["last_ts"])):
+        return None
+    # each field's values one event at a time, with no list of all the items
+    get = table.__getitem__
+    for name, kind in zip(_FIELDS, _FIELD_KINDS):
+        if kind in "SN":
+            columns[name] = map(get, columns[name])
+        elif kind in "TM":
+            bounds, keys = pairwise(accumulate(columns[name], initial=0)), next(items)
+            if _KINDS[name][1] == "S":
+                keys = tuple(map(get, keys))  # whose slices are tuples
+            if kind == "T":
+                columns[name] = [tuple(keys[a:b]) for a, b in bounds]
+            else:
+                values = next(items)
+                columns[name] = [dict(zip(keys[a:b], values[a:b])) for a, b in bounds]
+    return list(map(AttackEvent, *columns.values()))
+
+
 def read_events(path: str) -> list[AttackEvent]:
     """The events of an event log. Events of one call share each distinct
     victim, day, reflector address and qname as one string. A day must be
-    written YYYY-MM-DD, and a first_ts or last_ts must fall on a UTC day from
-    0001-01-01 to 9999-12-31."""
+    written YYYY-MM-DD, a first_ts or last_ts must fall on a UTC day from
+    0001-01-01 to 9999-12-31, and last_ts must not come before first_ts.
+
+    A log whose attacks.columns (write_event_columns) is sound and bound to
+    its bytes loads from those columns instead: the same events."""
+    events = _load_events(path)
+    if events is not None:
+        return events
     strings = shared()
     events = []
     for lineno, obj in read_jsonl(path):
@@ -353,6 +460,9 @@ def read_events(path: str) -> list[AttackEvent]:
             if not TS_MIN <= ts < TS_END:  # nan and the infinities fail too
                 raise ValueError(f"{path} line {lineno}: key {key!r}: expected a time from "
                                  f"0001-01-01 to 9999-12-31 UTC, got {ts!r}")
+        if event.last_ts < event.first_ts:
+            raise ValueError(f"{path} line {lineno}: key 'last_ts': expected a time at or "
+                             f"after first_ts, got {event.last_ts!r}")
         event.victim_ip = strings[event.victim_ip]
         event.day = strings[event.day]
         event.qname_counts = {strings[q]: n for q, n in event.qname_counts.items()}

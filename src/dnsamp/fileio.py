@@ -4,7 +4,8 @@ Only this module opens files. JSON is indented by 2 with a trailing newline,
 and JSONL holds one compact object per line, read by `read_lines`. CSV rows
 end in "\\n", and a field is quoted, per RFC 4180, only when it holds a
 comma, a quote or a line break. A binary table of arrays is one line of JSON,
-then each array's raw bytes (`write_arrays`, `read_arrays`).
+then each array's raw bytes (`write_arrays`, `read_arrays`); a columns file
+is one bound to the JSONL beside it (`write_bound_arrays`, `read_bound_arrays`).
 
 A dataclass record's JSON form is an object of its fields in declaration
 order (`to_obj`). `from_obj` reads it back, checked against the field
@@ -18,6 +19,7 @@ import csv
 import json
 import math
 import os
+import sys
 import typing
 import zlib
 from array import array
@@ -87,26 +89,6 @@ def csv_writer(header: Sequence[str]) -> Callable[[Iterable[Sequence[Any]], str]
     return lambda rows, path: write_csv(path, header, rows)
 
 
-def write_float_csv(path: str, rows: Iterable[Sequence[float]]) -> None:
-    """The bytes `write_csv(path, None, rows)` writes for rows of floats.
-
-    A float's repr needs no quoting, so a row is its reprs joined by commas,
-    and each distinct value is encoded once."""
-    reprs = _FloatReprs()
-    write_lines((",".join(map(reprs.__getitem__, row)) for row in rows), path)
-
-
-class _FloatReprs(dict):
-    """repr of a float, memoized. Zeros stay out of the memo, where -0.0
-    would find 0.0, and so does nan, which never finds itself."""
-
-    def __missing__(self, value: float) -> str:
-        text = repr(value)
-        if value == value != 0.0:
-            self[value] = text
-        return text
-
-
 # Files are read for a digest 64 KB at a time: 1 MB chunks raised the peak
 # RSS of a stage that loads a trace's columns by about 0.85 MB. The digest is
 # zlib's CRC-32, not hashlib's: importing hashlib maps OpenSSL, about 3.6 MB.
@@ -157,6 +139,68 @@ def read_arrays(path: str | PathLike, layout: Callable[[Any], Iterable[tuple[str
                 raise ValueError(f"{path}: expected {size} bytes of arrays") from None
             arrays.append(values)
     return header, arrays
+
+
+# A columns file `<name>.columns` holds what its JSONL `<name>.jsonl` holds, as
+# a table of values and arrays (`write_arrays`), and is bound to that JSONL's
+# bytes. Its header's keys, in order:
+_BOUND_KEYS = ("format", "byteorder", "rows", "values", "crc32", "jsonl_bytes", "jsonl_crc32")
+
+
+def write_bound_arrays(path: str, file_format: int, rows: Any, values: list,
+                       arrays: Sequence[array]) -> None:
+    """The columns file at path: a header of the format number, the byte
+    order, the row counts, the table of values, the CRC-32 of that table
+    and the arrays, and the length and CRC-32 of the JSONL beside it, which
+    bind the two files; then the arrays."""
+    jsonl_bytes, jsonl_crc32 = file_digest(os.path.splitext(path)[0] + ".jsonl")
+    header = dict(zip(_BOUND_KEYS, (file_format, sys.byteorder, rows, values,
+                                    _crc32(values, arrays), jsonl_bytes, jsonl_crc32)))
+    write_arrays(path, header, arrays)
+
+
+def read_bound_arrays(path: str | PathLike, file_format: int,
+                      layout: Callable[[Any], Iterable[tuple[str, int]]]
+                      ) -> tuple[Any, list, list[array]] | None:
+    """(rows, values, arrays) of the columns file beside the JSONL at path,
+    when it is well formed, of `file_format` and this machine's byte
+    order, as its CRC-32 says it was written, and bound to path's bytes;
+    else None. `layout(rows)` gives each array's type code and length, or
+    raises ValueError."""
+    stem, extension = os.path.splitext(os.fspath(path))
+
+    def shapes(header: Any) -> list[tuple[str, int]]:
+        if type(header) is not dict or tuple(header) != _BOUND_KEYS:
+            raise ValueError("not a columns header")
+        numbers = [header[key] for key in ("format", "crc32", "jsonl_bytes", "jsonl_crc32")]
+        if list(map(type, numbers)) != [int] * 4 or numbers[0] != file_format \
+                or header["byteorder"] != sys.byteorder:
+            raise ValueError("another format or another byte order")
+        counted = list(layout(header["rows"]))
+        if not all(type(count) is int and count >= 0 for _, count in counted):
+            raise ValueError("a count that is not a length")
+        return counted
+
+    if extension != ".jsonl":
+        return None
+    try:
+        header, arrays = read_arrays(stem + ".columns", shapes)
+        if file_digest(path) != (header["jsonl_bytes"], header["jsonl_crc32"]):
+            return None
+    except (OSError, ValueError):
+        return None
+    values = header["values"]
+    if type(values) is not list or _crc32(values, arrays) != header["crc32"]:
+        return None
+    return header["rows"], values, arrays
+
+
+def _crc32(values: list, arrays: Iterable[array]) -> int:
+    """CRC-32 of the table as JSON, then of each array's bytes."""
+    crc = zlib.crc32(json.dumps(values).encode())
+    for column in arrays:
+        crc = zlib.crc32(column, crc)
+    return crc
 
 
 def read_csv(path: str, first_column: str) -> Iterator[tuple[int, list[str]]]:

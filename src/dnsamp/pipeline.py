@@ -145,8 +145,8 @@ def select_names(records: Sequence[tr.PacketRecord], settings: Settings,
 
 def detect(records: Sequence[tr.PacketRecord], names: AbstractSet[str],
            settings: Settings) -> StageResult:
-    """detect: the attack events with their intensity deciles, and the tables
-    of their `victim_summary`."""
+    """detect: the attack events with their intensity deciles, their columns
+    for the stages that read them, and the tables of their `victim_summary`."""
     from . import detector as det
 
     config = det.DetectorConfig(share_threshold=settings.share_threshold,
@@ -158,6 +158,7 @@ def detect(records: Sequence[tr.PacketRecord], names: AbstractSet[str],
     summary = det.victim_summary(events)
     return StageResult({
         "attacks.jsonl": (det.write_events, events),
+        "attacks.columns": (det.write_event_columns, events),
         "victims_daily.csv": (csv_writer(("day", "victims", "prefixes_24", "prefixes_16",
                                           "prefixes_8", "victim_ases")),
                               [tuple(row.values()) for row in summary["daily"]]),

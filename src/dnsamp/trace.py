@@ -19,16 +19,14 @@ import ipaddress
 import json
 import math
 import os
-import sys
-import zlib
 from array import array
 from copy import copy
 from functools import partial
 from operator import itemgetter
 from typing import Any, Iterable, Iterator, TextIO
 
-from .fileio import (Memo, csv_int, file_digest, read_arrays, read_csv, read_lines,
-                     write_arrays, write_lines)
+from .fileio import (Memo, csv_int, read_bound_arrays, read_csv, read_lines,
+                     write_bound_arrays, write_lines)
 from .records import (COLUMNS, FIELD_TYPES, PLAIN_RECORD_TYPES, TS_END, TS_MIN, PacketRecord,
                       Trace, as_trace, ip_or_none, ipv4_int, normalize_qname, record_values,
                       row_filler)
@@ -169,66 +167,36 @@ def write_trace(records: Iterable[PacketRecord], path: str) -> None:
 # The columns file: a header line, then each column of COLUMNS in order, its
 # raw bytes in the byte order the header names.
 COLUMNS_FORMAT = 2
-_HEADER_KEYS = ("format", "byteorder", "rows", "values", "crc32", "jsonl_bytes", "jsonl_crc32")
 # The columns that hold an index into the table of values.
 _INTERNED = ("src_ip", "dst_ip", "qname", "udp_len", "ancount", "nscount", "src_as", "dst_as")
 
 
 def write_columns(trace: Trace, path: str) -> None:
     """The columns file `<name>.columns` at path, of the trace that
-    write_trace has just written to `<name>.jsonl` beside it.
-
-    The header holds COLUMNS_FORMAT, the byte order, the row count, the
-    trace's table of values, the CRC-32 of that table and the columns, and
-    the length and CRC-32 of the JSONL's bytes, which bind the two files.
-    Table and columns are written as they are: a load equals the parse row
-    for row, and its table may hold values that only dropped rows used."""
-    jsonl_bytes, jsonl_crc32 = file_digest(os.path.splitext(path)[0] + ".jsonl")
-    values, columns = trace.values, trace.columns
-    header = dict(zip(_HEADER_KEYS, (COLUMNS_FORMAT, sys.byteorder, len(trace), values,
-                                     _crc32(values, columns), jsonl_bytes, jsonl_crc32)))
-    write_arrays(path, header, columns)
+    write_trace has just written to `<name>.jsonl` beside it
+    (`fileio.write_bound_arrays`): its rows are the row count, and its table
+    the trace's table of values. Table and columns are written as they are:
+    a load equals the parse row for row, and its table may hold values that
+    only dropped rows used."""
+    write_bound_arrays(path, COLUMNS_FORMAT, len(trace), trace.values, trace.columns)
 
 
-def _crc32(values: list, columns: Iterable[array]) -> int:
-    """CRC-32 of the table as JSON, then of each column's bytes."""
-    crc = zlib.crc32(json.dumps(values).encode())
-    for column in columns:
-        crc = zlib.crc32(column, crc)
-    return crc
-
-
-def _layout(header: Any) -> list[tuple[str, int]]:
-    """The type code and length of each column a columns header describes;
-    ValueError unless the header is one that write_columns writes here."""
-    if type(header) is not dict or tuple(header) != _HEADER_KEYS:
-        raise ValueError("not a columns header")
-    numbers = [header[key] for key in ("format", "rows", "crc32", "jsonl_bytes", "jsonl_crc32")]
-    if list(map(type, numbers)) != [int] * 5 or numbers[0] != COLUMNS_FORMAT \
-            or header["byteorder"] != sys.byteorder or numbers[1] < 0:
-        raise ValueError("another format, another byte order or a negative row count")
-    return [(code, numbers[1]) for code in COLUMNS.values()]
+def _layout(rows: Any) -> list[tuple[str, int]]:
+    return [(code, rows) for code in COLUMNS.values()]
 
 
 def _load_columns(path: str | os.PathLike) -> Trace | None:
     """The trace in the columns file `<name>.columns` beside the JSONL trace
-    `<name>.jsonl` at path, when that file is well formed and as written, its
-    values in range and its JSONL digest that of path's bytes; else None."""
-    stem, extension = os.path.splitext(os.fspath(path))
-    if extension != ".jsonl":
+    `<name>.jsonl` at path, when `fileio.read_bound_arrays` reads it and its
+    values are in range; else None."""
+    loaded = read_bound_arrays(path, COLUMNS_FORMAT, _layout)
+    if loaded is None:
         return None
-    try:
-        header, columns = read_arrays(stem + ".columns", _layout)
-        if file_digest(path) != (header["jsonl_bytes"], header["jsonl_crc32"]):
-            return None
-    except (OSError, ValueError):
-        return None
-    values = header["values"]
+    _, values, columns = loaded
     # Only strings, ints and None, each once and None first, as a parse's
     # table; a bool or float would equal an int. Every index in range, and
     # every ts on a day that day_index can name, as the parse checks.
-    if type(values) is not list or not {*map(type, values)} <= {str, int, type(None)} \
-            or _crc32(values, columns) != header["crc32"]:
+    if not {*map(type, values)} <= {str, int, type(None)}:
         return None
     trace = Trace()
     for value in values:

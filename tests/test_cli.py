@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -17,8 +18,9 @@ from pathlib import Path
 import pytest
 
 import dnsamp
+from dnsamp import detector, fileio
 from dnsamp.cli import main
-from dnsamp.detector import AttackEvent, write_events
+from dnsamp.detector import AttackEvent, read_events, write_event_columns, write_events
 from dnsamp.fileio import write_csv
 from dnsamp import trace as tr
 from dnsamp.trace import PacketRecord, write_trace
@@ -94,6 +96,18 @@ def reflection_event(i: int, members, day: str = "2019-06-01",
 
 def out(ws, stage: str):
     return ws / stage
+
+
+def edited_event_log(ws, directory: Path, **edits) -> Path:
+    """detect's attacks.jsonl with the edits made to its second event, in
+    directory beside a copy of detect's attacks.columns, which the edit
+    unbinds."""
+    lines = (out(ws, "det") / "attacks.jsonl").read_text().splitlines()
+    attacks = directory / "attacks.jsonl"
+    attacks.write_text("\n".join([lines[0], json.dumps({**json.loads(lines[1]), **edits}),
+                                  *lines[2:]]) + "\n")
+    (directory / "attacks.columns").write_bytes((out(ws, "det") / "attacks.columns").read_bytes())
+    return attacks
 
 
 def jsonl(path: Path) -> list:
@@ -200,17 +214,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", sorted(EVENT_STAGES))
     @pytest.mark.parametrize("day", ["junk", "2019-06-1", "2019-02-30"])
     def test_event_day_not_iso_is_processing_error(self, ws, tmp_path, capsys, command, day):
-        lines = (out(ws, "det") / "attacks.jsonl").read_text().splitlines()
-        obj = json.loads(lines[1])
-        obj["day"] = day
-        attacks = tmp_path / "attacks.jsonl"
-        attacks.write_text("\n".join([lines[0], json.dumps(obj), *lines[2:]]) + "\n")
+        attacks = edited_event_log(ws, tmp_path, day=day)
         (tmp_path / "entity.json").write_text(json.dumps({"name_suffixes": ["alpha.example."]}))
         argv = self.EVENT_STAGES[command].format(ws=ws, tmp=tmp_path).split()
         assert run(command, "--attacks", str(attacks), *argv,
                    "--out-dir", str(tmp_path / "out")) == 1
         assert capsys.readouterr().err == (
             f"error: {attacks} line 2: key 'day': expected a YYYY-MM-DD string, got {day!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", sorted(EVENT_STAGES))
+    def test_event_window_ending_before_it_starts_is_processing_error(self, ws, tmp_path,
+                                                                      capsys, command):
+        first_ts = jsonl(out(ws, "det") / "attacks.jsonl")[1]["first_ts"]
+        attacks = edited_event_log(ws, tmp_path, last_ts=first_ts - 3600.0)
+        (tmp_path / "entity.json").write_text(json.dumps({"name_suffixes": ["alpha.example."]}))
+        argv = self.EVENT_STAGES[command].format(ws=ws, tmp=tmp_path).split()
+        assert run(command, "--attacks", str(attacks), *argv,
+                   "--out-dir", str(tmp_path / "out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {attacks} line 2: key 'last_ts': expected a time at or after first_ts, "
+            f"got {first_ts - 3600.0!r}\n")
         assert not (tmp_path / "out").exists()
 
 
@@ -297,8 +321,9 @@ def file_digests(directory: Path) -> dict[str, str]:
 def assert_pinned(digests: dict[str, str], files: dict[str, str]) -> None:
     """The files written are the files pinned, each with its digest."""
     assert sorted(digests) == sorted(files)
-    if sys.byteorder != "little":  # the columns file is in machine byte order
+    if sys.byteorder != "little":  # the columns files are in machine byte order
         digests.pop("annotated.columns", None)
+        digests.pop("attacks.columns", None)
     assert digests == {name: files[name] for name in digests}
 
 
@@ -357,7 +382,9 @@ class TestPrintedLines:
              "428488ba1b948e5a955b58d3d03119f98a6050d83ff9dbe7931d0cb1d204f42e"}),
         "detect": ("detect --trace {ws}/ing/annotated.jsonl --names {ws}/sel/names.json",
                    "3 attack events from 3 suspicious client-days\n",
-                   {"attacks.jsonl":
+                   {"attacks.columns":
+                    "88058c45781ce14030740b1524c4f302bbe2fd7f40daa626a324db0d7498fc48",
+                    "attacks.jsonl":
                     "7b36c8d9c08151bb2e12f19236007c7d99bf4b5fef8e137202d19ef01a7207e6",
                     "duration_percentiles.csv":
                     "47603e81f3dd7e466e42680d645f8ef2c65ecd36840e7b7773a81dbe165bff2d",
@@ -489,6 +516,21 @@ class TestPrintedLines:
         assert_pinned(file_digests(tmp_path / "out"), files)
 
 
+def test_readme_outputs_are_the_files_the_cases_write():
+    # each row of the README's CLI reference table names in its Outputs cell
+    # the files that its subcommand's TestPrintedLines cases write
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = readme.split("\n| Subcommand |")[1].split("\n\n")[0].splitlines()[2:]
+    cells = [row.split(" | ") for row in rows]
+    outputs = {cell[0].strip("|` "): set(re.findall(r"`([^`]+)`", cell[-1])) for cell in cells}
+    written: dict[str, set[str]] = {}
+    for template, _, files in TestPrintedLines.CASES.values():
+        command = template.split()[0]
+        assert set(files) <= outputs[command], command
+        written.setdefault(command, set()).update(files)
+    assert written == outputs
+
+
 # the benchmark's stage order on the "mixed" scenario of test_synth: each
 # stage's arguments, with {root} filled in, its exact stdout and the SHA-256
 # of each file it writes into its own directory
@@ -528,7 +570,9 @@ MIXED_STAGES = {
         "detect --trace {root}/ingest/annotated.jsonl "
         "--names {root}/select-names/names.json",
         "5 attack events from 5 suspicious client-days\n",
-        {"attacks.jsonl":
+        {"attacks.columns":
+         "240276d1e2c9b1cb816fafaa74fb53e35f26d61e5ab276789ff70ebb55cbf973",
+         "attacks.jsonl":
          "7d517f898bd62aec6f68d5d137f40ff628aa9feeb89b9156c627b838dfbdd1e9",
          "duration_percentiles.csv":
          "509d9f0a97edbb82b1e0ba53875f7f8835b6c16ebd6c71b6a006cf38c107e2f5",
@@ -811,7 +855,7 @@ class TestIngestStage:
             assert run("report", "--attacks", str(directory / "attacks.jsonl"), "--names",
                        names, "--trace", trace, "--out-dir", str(directory)) == 0
             outputs[case] = {path.name: path.read_bytes() for path in directory.iterdir()}
-        assert len(outputs["loaded"]) == 8
+        assert len(outputs["loaded"]) == 9
         assert outputs["loaded"] == outputs["parsed"]
         assert outputs["loaded"]["attacks.jsonl"] == (out(ws, "det") / "attacks.jsonl").read_bytes()
 
@@ -942,6 +986,92 @@ class TestDetectStage:
             (out(ws, "det") / "attacks.jsonl").read_bytes()
 
 
+def copied_event_log(ws, directory: Path) -> Path:
+    """detect's attacks.jsonl and attacks.columns, copied into directory."""
+    for name in ("attacks.jsonl", "attacks.columns"):
+        (directory / name).write_bytes((out(ws, "det") / name).read_bytes())
+    return directory / "attacks.jsonl"
+
+
+class TestEventColumns:
+    """detect's attacks.columns loads in place of its attacks.jsonl while it
+    is bound to those bytes; else the stages read the JSONL."""
+
+    def test_columns_load_the_events_of_the_log(self, ws, tmp_path):
+        attacks = copied_event_log(ws, tmp_path)
+        loaded = detector._load_events(str(attacks))
+        (tmp_path / "attacks.columns").unlink()
+        assert loaded is not None and len(loaded) == 3
+        assert loaded == read_events(str(attacks))
+
+    @pytest.mark.parametrize("mangle", ["digit-edit", "truncated", "other-log", "byte-order"])
+    def test_unbound_columns_leave_the_jsonl_read(self, ws, tmp_path, mangle):
+        attacks = copied_event_log(ws, tmp_path)
+        columns = tmp_path / "attacks.columns"
+        bound = detector._load_events(str(attacks))
+        if mangle == "digit-edit":  # the same length, so only the CRC-32 tells
+            text = attacks.read_text()
+            at = text.index('"packet_count":') + len('"packet_count":')
+            attacks.write_text(text[:at] + ("8" if text[at] == "9" else str(int(text[at]) + 1))
+                               + text[at + 1:])
+        elif mangle == "truncated":
+            columns.write_bytes(columns.read_bytes()[:-1])
+        elif mangle == "other-log":
+            (tmp_path / "other").mkdir()
+            other = tmp_path / "other" / "attacks.jsonl"
+            write_events(bound[:2], str(other))
+            write_event_columns(bound[:2], str(other.with_suffix(".columns")))
+            assert detector._load_events(str(other)) == bound[:2]
+            columns.write_bytes(other.with_suffix(".columns").read_bytes())
+        else:
+            line, _, arrays = columns.read_bytes().partition(b"\n")
+            header = json.loads(line)
+            header["byteorder"] = {"little": "big", "big": "little"}[header["byteorder"]]
+            columns.write_bytes(json.dumps(header, separators=(",", ":")).encode() + b"\n"
+                                + arrays)
+        assert bound is not None and detector._load_events(str(attacks)) is None
+        events = read_events(str(attacks))
+        columns.unlink()
+        assert events == read_events(str(attacks))
+        assert (events[0].packet_count != bound[0].packet_count) == (mangle == "digit-edit")
+
+    # a library caller may write events that read_events rejects: the load
+    # applies the same checks, so the JSONL's error is raised
+    @pytest.mark.parametrize("edit, key", [
+        ({"day": "2019-02-30"}, "day"), ({"first_ts": math.inf}, "first_ts"),
+        ({"last_ts": 253402300800.0}, "last_ts"), ({"last_ts": 1559347000.0}, "last_ts"),
+    ])
+    def test_columns_of_events_read_events_rejects_load_nothing(self, tmp_path, edit, key):
+        events = [reflection_event(i, ["192.0.2.1"]) for i in range(3)]
+        events[1] = replace(events[1], **edit)
+        attacks = tmp_path / "attacks.jsonl"
+        write_events(events, str(attacks))
+        write_event_columns(events, str(tmp_path / "attacks.columns"))
+        assert detector._load_events(str(attacks)) is None
+        with pytest.raises(ValueError, match=f"{attacks} line 2: key '{key}': "):
+            read_events(str(attacks))
+
+    def test_event_stages_decode_no_line_of_a_bound_log(self, ws, tmp_path, monkeypatch):
+        attacks = copied_event_log(ws, tmp_path)
+        (tmp_path / "entity.json").write_text(json.dumps({"name_suffixes": ["alpha.example."]}))
+        sources = []
+        read_lines = fileio.read_lines
+        monkeypatch.setattr(fileio, "read_lines",
+                            lambda source, *args: sources.append(str(source))
+                            or read_lines(source, *args))
+        for columns in ("bound", "deleted"):
+            if columns == "deleted":
+                (tmp_path / "attacks.columns").unlink()
+            for command, flags in sorted(TestExitCodes.EVENT_STAGES.items()):
+                argv = flags.format(ws=ws, tmp=tmp_path).split()
+                assert run(command, "--attacks", str(attacks), *argv,
+                           "--out-dir", str(tmp_path / columns)) == 0
+            decoded = sources.count(str(attacks))
+            assert decoded == {"bound": 0, "deleted": 4}[columns]
+            sources.clear()
+        assert file_digests(tmp_path / "bound") == file_digests(tmp_path / "deleted")
+
+
 @pytest.fixture(scope="module")
 def fp_dir(ws, tmp_path_factory):
     spec = tmp_path_factory.mktemp("fpspec") / "entity.json"
@@ -1037,13 +1167,9 @@ class TestClusterStage:
     ])
     def test_event_time_beyond_the_utc_days_is_processing_error(self, ws, tmp_path, capsys,
                                                                 key, value):
-        lines = (out(ws, "det") / "attacks.jsonl").read_text().splitlines()
-        obj = json.loads(lines[1])
-        obj[key] = value
-        attacks = tmp_path / "attacks.jsonl"
-        attacks.write_text("\n".join([lines[0], json.dumps(obj), *lines[2:]]) + "\n")
+        attacks = edited_event_log(ws, tmp_path, **{key: value})
         (tmp_path / "seen.csv").write_text("ip,first_seen,last_seen\n" + "".join(
-            f"{ip},2019-05-01,2019-05-30\n" for ip in obj["amplifier_set"]))
+            f"{ip},2019-05-01,2019-05-30\n" for ip in jsonl(attacks)[1]["amplifier_set"]))
         assert run("cluster", "--attacks", str(attacks), "--seen-table",
                    str(tmp_path / "seen.csv"), "--out-dir", str(tmp_path / "cl")) == 1
         assert capsys.readouterr().err == (

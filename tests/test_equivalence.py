@@ -503,22 +503,6 @@ def test_write_stored_distance_matrix_matches_write_csv(tmp_path_factory, sets):
         (directory / "reference.csv").read_bytes()
 
 
-special_floats = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
-                                  -2.2250738585072e-308, 1.0, 1 / 3])
-float_matrices = st.integers(1, 6).flatmap(lambda width: st.lists(
-    st.lists(st.one_of(special_floats, st.floats()), min_size=width, max_size=width),
-    max_size=6).map(lambda rows: np.array(rows, dtype=np.float64).reshape(len(rows), width)))
-
-
-@given(float_matrices)
-def test_write_float_csv_matches_write_csv(tmp_path_factory, matrix):
-    directory = tmp_path_factory.mktemp("matrix")
-    fileio.write_float_csv(str(directory / "matrix.csv"), matrix.tolist())
-    fileio.write_csv(str(directory / "reference.csv"), None, matrix.tolist())
-    assert (directory / "matrix.csv").read_bytes() == \
-        (directory / "reference.csv").read_bytes()
-
-
 @given(st.one_of(tables(st.text(max_size=8)),
                  st.tuples(st.just(("col0",)), st.lists(st.lists(st.text(max_size=8),
                                                                   min_size=1, max_size=1)))))
@@ -540,18 +524,30 @@ event_times = st.one_of(st.floats(-62135596800.0, 253402300800.0, exclude_max=Tr
 # the days read_events takes: YYYY-MM-DD
 iso_days = st.dates().map(date.isoformat)
 
-events = st.builds(
-    det.AttackEvent,
-    victim_ip=texts, day=iso_days, packet_count=st.integers(), misused_packet_count=st.integers(),
-    est_original_packets=st.integers(), est_misused_packets=st.integers(),
-    share=numbers, share_excluding_root=numbers, first_ts=event_times, last_ts=event_times,
-    request_count=st.integers(), response_count=st.integers(),
-    qname_counts=st.dictionaries(texts, st.integers(), max_size=3),
-    amplifier_set=st.lists(texts, max_size=4).map(tuple),
-    dns_ids=int_tuples, req_ip_ids=int_tuples, req_src_ports=int_tuples, req_dns_ids=int_tuples,
-    ingress_as_counts=st.dictionaries(st.integers(-5, 2 ** 32), st.integers(), max_size=3),
-    victim_as=st.one_of(st.none(), st.integers()),
-    intensity_decile=st.one_of(st.none(), st.integers(1, 10)))
+def attack_events(integers, numbers, times, id_tuples):
+    """Events of values that these strategies draw, each window ending at or
+    after its start, as read_events takes it."""
+    return st.builds(
+        det.AttackEvent,
+        victim_ip=texts, day=iso_days, packet_count=integers, misused_packet_count=integers,
+        est_original_packets=integers, est_misused_packets=integers,
+        share=numbers, share_excluding_root=numbers, first_ts=times, last_ts=times,
+        request_count=integers, response_count=integers,
+        qname_counts=st.dictionaries(texts, integers, max_size=3),
+        amplifier_set=st.lists(texts, max_size=4).map(tuple),
+        dns_ids=id_tuples, req_ip_ids=id_tuples, req_src_ports=id_tuples, req_dns_ids=id_tuples,
+        ingress_as_counts=st.dictionaries(st.integers(-5, 2 ** 32), integers, max_size=3),
+        victim_as=st.one_of(st.none(), integers),
+        intensity_decile=st.one_of(st.none(), st.integers(1, 10))).map(
+            lambda event: dataclasses.replace(event, **dict(zip(
+                ("first_ts", "last_ts"), sorted((event.first_ts, event.last_ts))))))
+
+
+events = attack_events(st.integers(), numbers, event_times, int_tuples)
+# events whose values attacks.columns can hold
+held_events = attack_events(st.integers(-2 ** 63, 2 ** 63 - 1), st.floats(allow_nan=False),
+                            st.floats(-62135596800.0, 253402300800.0, exclude_max=True),
+                            st.lists(st.integers(0, 2 ** 16 - 1), max_size=6).map(tuple))
 
 
 @given(st.lists(events, max_size=5))
@@ -563,6 +559,71 @@ def test_event_lines_match_reference(tmp_path_factory, batch):
                      for e in batch]
     assert det.read_events(str(path)) == batch
     assert [event_from_obj_reference(json.loads(line)) for line in lines] == batch
+
+
+INT64 = range(-2 ** 63, 2 ** 63)
+
+
+def columns_hold(event):
+    """Whether attacks.columns holds the event as the JSONL read gives it
+    back: each int within int64 (the optional ones, in the table, may be any
+    int); each float field a float; each ID and port within 16 bits."""
+    ints = [event.packet_count, event.misused_packet_count, event.est_original_packets,
+            event.est_misused_packets, event.request_count, event.response_count,
+            *event.qname_counts.values(), *event.ingress_as_counts,
+            *event.ingress_as_counts.values()]
+    ids = [*event.dns_ids, *event.req_ip_ids, *event.req_src_ports, *event.req_dns_ids]
+    times = (event.share, event.share_excluding_root, event.first_ts, event.last_ts)
+    return (all(n in INT64 for n in ints) and all(type(t) is float for t in times)
+            and all(0 <= n < 2 ** 16 for n in ids))
+
+
+def string_identities(events):
+    """Per string of the events, in order, the index of its object among the
+    distinct objects seen: equal lists share alike."""
+    seen = {}
+    return [seen.setdefault(id(text), len(seen)) for event in events
+            for text in (event.victim_ip, event.day, *event.qname_counts, *event.amplifier_set)]
+
+
+EVENT = det.AttackEvent(
+    victim_ip="10.0.0.1", day="2019-06-01", packet_count=12, misused_packet_count=12,
+    est_original_packets=192000, est_misused_packets=192000, share=1.0,
+    share_excluding_root=0.5, first_ts=1559347200.5, last_ts=1559347260.25, request_count=2,
+    response_count=10, qname_counts={"a.example.": 8, "10.0.0.1": 4},
+    amplifier_set=("192.0.2.1", "192.0.2.2"), dns_ids=(0, 65535, 7), req_ip_ids=(1, 2),
+    req_src_ports=(53, 4000), req_dns_ids=(7, 65535), ingress_as_counts={64512: 9, 0: 3},
+    victim_as=64512, intensity_decile=3)
+
+
+# attacks.columns, written after the JSONL, loads what the JSONL read gives:
+# equal events, each field of the same type, the strings shared alike. Events
+# it cannot hold leave a file that the load refuses.
+@given(st.one_of(st.lists(held_events, max_size=5), st.lists(events, max_size=5)))
+@example([])
+@example([EVENT, dataclasses.replace(EVENT, victim_ip="192.0.2.2", victim_as=None,
+                                     intensity_decile=None, qname_counts={})])
+@example([dataclasses.replace(EVENT, packet_count=2 ** 63)])
+@example([dataclasses.replace(EVENT, ingress_as_counts={-2 ** 63 - 1: 1})])
+@example([dataclasses.replace(EVENT, share=1)])
+@example([dataclasses.replace(EVENT, first_ts=1559347200)])
+@example([dataclasses.replace(EVENT, victim_as=2 ** 70)])
+@example([EVENT, dataclasses.replace(EVENT, req_ip_ids=(65536,))])
+@example([dataclasses.replace(EVENT, dns_ids=(-1,))])
+def test_loaded_event_columns_equal_the_jsonl_read(tmp_path_factory, batch):
+    path = tmp_path_factory.mktemp("events") / "attacks.jsonl"
+    det.write_events(batch, str(path))
+    read = det.read_events(str(path))
+    det.write_event_columns(batch, str(path.with_suffix(".columns")))
+    loaded = det._load_events(str(path))
+    assert (loaded is not None) == all(map(columns_hold, batch))
+    if loaded is not None:
+        assert loaded == read
+        assert [[type(value) for value in dataclasses.astuple(event)] for event in loaded] == \
+            [[type(value) for value in dataclasses.astuple(event)] for event in read]
+        assert repr(loaded) == repr(read)  # the items' types too
+        assert string_identities(loaded) == string_identities(read)
+        assert det.read_events(str(path)) == read
 
 
 honeypot_events = st.builds(

@@ -320,10 +320,10 @@ def edit_columns(change, seal=True):
     it has one, is made to match, so that another check must find the
     defect."""
     def defect(jsonl, columns):
-        header, arrays = fileio.read_arrays(columns, tr._layout)
+        header, arrays = fileio.read_arrays(columns, lambda header: tr._layout(header["rows"]))
         change(header, arrays)
         if seal and "crc32" in header:
-            header["crc32"] = tr._crc32(header["values"], arrays)
+            header["crc32"] = fileio._crc32(header["values"], arrays)
         fileio.write_arrays(str(columns), header, arrays)
     return defect
 
