@@ -14,8 +14,9 @@ from collections import Counter, deque
 from collections.abc import Collection, Iterable, Mapping, MutableSequence, Sequence
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from functools import reduce
 from itertools import chain
-from operator import index
+from operator import add, index
 from typing import AbstractSet
 
 from .detector import AttackEvent
@@ -212,6 +213,8 @@ def stable_sets(events: Sequence[AttackEvent], labels: Sequence[int]) -> list[St
         core = sets[0]
         for s in sets[1:]:
             core &= s
+        # Means sum left to right: from Python 3.12, sum() compensates float
+        # rounding, and the written means would differ by version.
         drifts = [1.0 - jaccard(a, b) for a, b in zip(sets, sets[1:])]
         first_day, last_day = group[0].day, group[-1].day
         span = (date.fromisoformat(last_day) - date.fromisoformat(first_day)).days + 1
@@ -223,7 +226,7 @@ def stable_sets(events: Sequence[AttackEvent], labels: Sequence[int]) -> list[St
             first_day=first_day,
             last_day=last_day,
             span_days=span,
-            mean_drift=sum(drifts) / len(drifts) if drifts else 0.0,
+            mean_drift=reduce(add, drifts) / len(drifts) if drifts else 0.0,
             max_drift=max(drifts) if drifts else 0.0,
             static=all(d == 0.0 for d in drifts),
         ))
@@ -265,7 +268,7 @@ def churn_metrics(daily_sets: Mapping[str, AbstractSet[str]]) -> ChurnReport:
     first_last = None
     if len(days) >= 2 and daily_sets[days[0]]:
         first_last = len(daily_sets[days[0]] & daily_sets[days[-1]]) / len(daily_sets[days[0]])
-    mean = sum(v for _, _, v in overlaps) / len(overlaps) if overlaps else None
+    mean = reduce(add, (v for _, _, v in overlaps)) / len(overlaps) if overlaps else None
     return ChurnReport(
         overlaps=tuple(overlaps),
         mean_overlap=mean,

@@ -391,30 +391,25 @@ def _to_array(kind: str, values: list, table: dict) -> array:
     return array(code, values)
 
 
-def _layout(rows: Any) -> list[tuple[str, int]]:
+def _layout(rows: Any) -> list[tuple[str, Any, bool]]:
     if type(rows) is not list or len(rows) != 1 + len(_ITEM_KINDS):
         raise ValueError("not the counts of events and items")
-    return [(_CODES[kind][0], count) for kind, count
+    return [(_CODES[kind][0], count, kind in "SN") for kind, count
             in zip(_FIELD_KINDS + _ITEM_KINDS, rows[:1] * len(_FIELDS) + rows[1:])]
 
 
 def _load_events(path: str) -> list[AttackEvent] | None:
     """The events in the attacks.columns beside the event log at path, when
-    fileio.read_bound_arrays reads it, its table, indices and lengths are as
-    write_event_columns writes them, and its events pass read_events'
-    checks; else None. As with a trace's columns, which field indexes which
-    of the table's types is not checked."""
+    fileio.read_bound_arrays reads it, its lengths sum to its item counts,
+    and its events pass read_events' checks; else None. As with a trace's
+    columns, which field indexes which of the table's types is not
+    checked."""
     loaded = read_bound_arrays(path, EVENTS_FORMAT, _layout)
     if loaded is None:
         return None
     rows, table, arrays = loaded
     columns, items = dict(zip(_FIELDS, arrays)), iter(arrays[len(_FIELDS):])
-    if table[:1] != [None] or not {*map(type, table)} <= {str, int, type(None)} \
-            or len(set(table)) < len(table) \
-            or [sum(columns[name]) for name in _FIELDS for _ in _KINDS.get(name, "q")[1:]] \
-            != rows[1:] \
-            or not all(max(values, default=0) < len(table) for kind, values
-                       in zip(_FIELD_KINDS + _ITEM_KINDS, arrays) if kind in "SN") \
+    if [sum(columns[name]) for name in _FIELDS for _ in _KINDS.get(name, "q")[1:]] != rows[1:] \
             or not all(is_iso_day(table[day]) for day in set(columns["day"])) \
             or not all(TS_MIN <= first <= last < TS_END
                        for first, last in zip(columns["first_ts"], columns["last_ts"])):

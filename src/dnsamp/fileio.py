@@ -3,9 +3,11 @@
 Only this module opens files. JSON is indented by 2 with a trailing newline,
 and JSONL holds one compact object per line, read by `read_lines`. CSV rows
 end in "\\n", and a field is quoted, per RFC 4180, only when it holds a
-comma, a quote or a line break. A binary table of arrays is one line of JSON,
-then each array's raw bytes (`write_arrays`, `read_arrays`); a columns file
-is one bound to the JSONL beside it (`write_bound_arrays`, `read_bound_arrays`).
+comma, a quote or a line break. A columns file is one line of JSON, then
+raw arrays, bound to the JSONL beside it by that file's length and CRC-32
+(`write_bound_arrays`, `read_bound_arrays`). Its table of values holds None
+first, then strings and ints, each once, and the arrays that index it stay
+in range, or `read_bound_arrays` does not load it.
 
 A dataclass record's JSON form is an object of its fields in declaration
 order (`to_obj`). `from_obj` reads it back, checked against the field
@@ -27,7 +29,6 @@ from contextlib import nullcontext
 from dataclasses import MISSING, dataclass, fields, is_dataclass
 from datetime import date
 from functools import cache
-from operator import contains
 from os import PathLike
 from types import SimpleNamespace, UnionType
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
@@ -105,45 +106,10 @@ def file_digest(path: str | PathLike) -> tuple[int, int]:
     return length, crc
 
 
-def write_arrays(path: str, header: Any, arrays: Iterable[array]) -> None:
-    """The header as one line of ASCII JSON, then each array's raw bytes in
-    the machine's byte order."""
-    with open(path, "wb") as handle:
-        handle.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
-        for values in arrays:
-            values.tofile(handle)
-
-
-def read_arrays(path: str | PathLike, layout: Callable[[Any], Iterable[tuple[str, int]]]
-                ) -> tuple[Any, list[array]]:
-    """(header, arrays) of a `write_arrays` file: `layout(header)` gives each
-    array's type code and length. ValueError if the header is not JSON, or
-    the file holds fewer or more bytes than the layout; nothing is read
-    beyond the file's size."""
-    with open(path, "rb") as handle:
-        line = handle.readline()
-        try:
-            header = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
-        shapes = list(layout(header))
-        size = sum(array(code).itemsize * count for code, count in shapes)
-        if size != os.fstat(handle.fileno()).st_size - len(line):
-            raise ValueError(f"{path}: expected {size} bytes of arrays")
-        arrays = []
-        for code, count in shapes:
-            values = array(code)
-            try:
-                values.fromfile(handle, count)
-            except EOFError:  # cut short since the size was read
-                raise ValueError(f"{path}: expected {size} bytes of arrays") from None
-            arrays.append(values)
-    return header, arrays
-
-
 # A columns file `<name>.columns` holds what its JSONL `<name>.jsonl` holds, as
-# a table of values and arrays (`write_arrays`), and is bound to that JSONL's
-# bytes. Its header's keys, in order:
+# a table of values and arrays, and is bound to that JSONL's bytes. Its header
+# line of ASCII JSON has these keys, in order; each array's raw bytes follow
+# it, in the byte order it names.
 _BOUND_KEYS = ("format", "byteorder", "rows", "values", "crc32", "jsonl_bytes", "jsonl_crc32")
 
 
@@ -156,41 +122,55 @@ def write_bound_arrays(path: str, file_format: int, rows: Any, values: list,
     jsonl_bytes, jsonl_crc32 = file_digest(os.path.splitext(path)[0] + ".jsonl")
     header = dict(zip(_BOUND_KEYS, (file_format, sys.byteorder, rows, values,
                                     _crc32(values, arrays), jsonl_bytes, jsonl_crc32)))
-    write_arrays(path, header, arrays)
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n")
+        for column in arrays:
+            column.tofile(handle)
 
 
 def read_bound_arrays(path: str | PathLike, file_format: int,
-                      layout: Callable[[Any], Iterable[tuple[str, int]]]
+                      layout: Callable[[Any], Iterable[tuple[str, int, bool]]]
                       ) -> tuple[Any, list, list[array]] | None:
     """(rows, values, arrays) of the columns file beside the JSONL at path,
     when it is well formed, of `file_format` and this machine's byte
-    order, as its CRC-32 says it was written, and bound to path's bytes;
-    else None. `layout(rows)` gives each array's type code and length, or
-    raises ValueError."""
+    order, as its CRC-32 says it was written, bound to path's bytes, and
+    its table is sound; else None. `layout(rows)` gives each array's type
+    code, length and whether it holds indexes into the table, or raises
+    ValueError. A sound table holds None first, then strings and ints
+    (never a bool), each once, and every index is in range. Nothing is
+    read beyond the file's size."""
     stem, extension = os.path.splitext(os.fspath(path))
-
-    def shapes(header: Any) -> list[tuple[str, int]]:
-        if type(header) is not dict or tuple(header) != _BOUND_KEYS:
-            raise ValueError("not a columns header")
-        numbers = [header[key] for key in ("format", "crc32", "jsonl_bytes", "jsonl_crc32")]
-        if list(map(type, numbers)) != [int] * 4 or numbers[0] != file_format \
-                or header["byteorder"] != sys.byteorder:
-            raise ValueError("another format or another byte order")
-        counted = list(layout(header["rows"]))
-        if not all(type(count) is int and count >= 0 for _, count in counted):
-            raise ValueError("a count that is not a length")
-        return counted
-
     if extension != ".jsonl":
         return None
     try:
-        header, arrays = read_arrays(stem + ".columns", shapes)
+        with open(stem + ".columns", "rb") as handle:
+            line = handle.readline()
+            header = json.loads(line)
+            if type(header) is not dict or tuple(header) != _BOUND_KEYS:
+                return None
+            numbers = [header[key] for key in ("format", "crc32", "jsonl_bytes", "jsonl_crc32")]
+            if list(map(type, numbers)) != [int] * 4 or numbers[0] != file_format \
+                    or header["byteorder"] != sys.byteorder:
+                return None
+            shapes = list(layout(header["rows"]))
+            if not all(type(count) is int and count >= 0 for _, count, _ in shapes) \
+                    or sum(array(code).itemsize * count for code, count, _ in shapes) \
+                    != os.fstat(handle.fileno()).st_size - len(line):
+                return None
+            arrays = [array(code) for code, _, _ in shapes]
+            for column, (_, count, _) in zip(arrays, shapes):
+                column.fromfile(handle, count)  # EOFError: cut short since its size was read
         if file_digest(path) != (header["jsonl_bytes"], header["jsonl_crc32"]):
             return None
-    except (OSError, ValueError):
+    except (OSError, EOFError, ValueError, RecursionError):
         return None
     values = header["values"]
-    if type(values) is not list or _crc32(values, arrays) != header["crc32"]:
+    # the type check comes first: a list or dict in the table is no set member
+    if type(values) is not list or _crc32(values, arrays) != header["crc32"] \
+            or values[:1] != [None] or not {*map(type, values)} <= {str, int, type(None)} \
+            or len(set(values)) < len(values) \
+            or not all(max(column, default=0) < len(values)
+                       for column, (_, _, indexes) in zip(arrays, shapes) if indexes):
         return None
     return header["rows"], values, arrays
 
@@ -468,48 +448,18 @@ def _decoder(hint: Any) -> Callable[[Any], Any]:
     return decode
 
 
-def _json_types(hint: Any) -> frozenset:
-    """The exact types of the JSON values an annotation takes, as far as
-    their type shows: its scalars, or the list or object that holds it."""
-    if typing.get_origin(hint) is tuple:
-        return frozenset({list, tuple})
-    return _scalar_types(hint) or frozenset({dict})
-
-
 def _dataclass_decoder(cls: type) -> Callable[[Any], Any]:
     hints = field_types(cls)
     init = [f for f in fields(cls) if f.init]
     decoders = {f.name: _decoder(hints[f.name]) for f in init}
     required = [f.name for f in init if f.default is MISSING and f.default_factory is MISSING]
-    # scalar values are checked here, without a call each
-    scalars = {name: _scalar_types(hints[name]) for name in decoders}
     valid = ", ".join(map(repr, decoders))
-    # An object whose keys are the fields in order is decoded whole: one pass
-    # checks the type of every value, and only the list and object values are
-    # decoded, by position. Any misfit goes the per-key way, which names it.
-    names = tuple(decoders)
-    accepted = [_json_types(hints[name]) for name in decoders]
-    containers = [(index, decoders[name]) for index, name in enumerate(decoders)
-                  if not scalars[name]]
 
     def decode(obj):
         if type(obj) is not dict:
             raise _misfit(cls, obj)
-        if tuple(obj) == names:
-            values = list(obj.values())
-            if all(map(contains, accepted, map(type, values))):
-                try:
-                    for index, decode_value in containers:
-                        values[index] = decode_value(values[index])
-                except ValueError:
-                    pass
-                else:
-                    return cls(*values)
         kwargs = {}
         for key, value in obj.items():
-            if type(value) in scalars.get(key, ()):
-                kwargs[key] = value
-                continue
             if key not in decoders:
                 raise ValueError(f"key {key!r}: expected one of the keys {valid}")
             try:

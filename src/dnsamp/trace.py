@@ -181,33 +181,25 @@ def write_columns(trace: Trace, path: str) -> None:
     write_bound_arrays(path, COLUMNS_FORMAT, len(trace), trace.values, trace.columns)
 
 
-def _layout(rows: Any) -> list[tuple[str, int]]:
-    return [(code, rows) for code in COLUMNS.values()]
+def _layout(rows: Any) -> list[tuple[str, Any, bool]]:
+    return [(code, rows, name in _INTERNED) for name, code in COLUMNS.items()]
 
 
 def _load_columns(path: str | os.PathLike) -> Trace | None:
     """The trace in the columns file `<name>.columns` beside the JSONL trace
-    `<name>.jsonl` at path, when `fileio.read_bound_arrays` reads it and its
-    values are in range; else None."""
+    `<name>.jsonl` at path, when `fileio.read_bound_arrays` reads it and
+    every ts is on a day that day_index can name, as the parse checks; else
+    None."""
     loaded = read_bound_arrays(path, COLUMNS_FORMAT, _layout)
     if loaded is None:
         return None
     _, values, columns = loaded
-    # Only strings, ints and None, each once and None first, as a parse's
-    # table; a bool or float would equal an int. Every index in range, and
-    # every ts on a day that day_index can name, as the parse checks.
-    if not {*map(type, values)} <= {str, int, type(None)}:
-        return None
     trace = Trace()
-    for value in values:
-        trace.intern(value)
     for name, column in zip(COLUMNS, columns):
-        if name in _INTERNED and max(column, default=0) >= len(values):
-            return None
         setattr(trace, name, column)
-    if trace.values != values or not (all(map(TS_MIN.__le__, trace.ts))
-                                       and all(map(TS_END.__gt__, trace.ts))):
+    if not (all(map(TS_MIN.__le__, trace.ts)) and all(map(TS_END.__gt__, trace.ts))):
         return None
+    trace.values, trace._index = values, dict(zip(values, range(len(values))))
     return trace
 
 

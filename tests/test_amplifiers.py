@@ -1,5 +1,6 @@
 """Amplifier-set clustering, stability, churn, and inventory."""
 
+import math
 import random
 import tracemalloc
 from array import array
@@ -261,6 +262,18 @@ class TestStableSets:
         labels = [-1] * 10
         assert amp.stable_sets(events, labels) == []
 
+    def test_mean_drift_sums_left_to_right(self):
+        # drifts 1 - 1/3, 1, 1, 1 - 1/3: summed left to right they round to a
+        # mean one ulp above the correctly rounded one, which Python 3.12's
+        # sum() gives; the bytes of clusters.json must not depend on the version
+        members = [(0, 1), (1, 2), (3, 4), (0, 1), (1, 2)]
+        events = [event([ip(i) for i in pair], day=f"2019-06-{day:02d}")
+                  for day, pair in enumerate(members, 1)]
+        drifts = [1.0 - 1 / 3, 1.0, 1.0, 1.0 - 1 / 3]
+        report, = amp.stable_sets(events, [0] * 5)
+        assert report.max_drift == 1.0
+        assert report.mean_drift == 0.8333333333333335 != math.fsum(drifts) / 4
+
 
 class TestChurn:
     def test_full_retention(self):
@@ -293,6 +306,17 @@ class TestChurn:
         pairs = [(a, b) for a, b, _ in report.overlaps]
         assert ("2019-06-02", "2019-06-04") not in pairs
         assert report.mean_overlap == 1.0
+
+    def test_mean_overlap_sums_left_to_right(self):
+        # overlaps 2/3, 1/2, 1/3 sum to 1.4999999999999998 left to right,
+        # where Python 3.12's sum() gives 1.5
+        daily = {"2019-06-01": {ip(i) for i in (0, 2, 3, 5, 7, 9)},
+                 "2019-06-02": {ip(i) for i in (2, 5, 7, 9)},
+                 "2019-06-03": {ip(i) for i in (4, 5, 9)},
+                 "2019-06-04": {ip(i) for i in (0, 1, 4, 6)}}
+        report = amp.churn_metrics(daily)
+        assert [value for _, _, value in report.overlaps] == [2 / 3, 1 / 2, 1 / 3]
+        assert report.mean_overlap == 0.49999999999999994 != 1.5 / 3
 
     def test_daily_sets_from_events(self):
         events = [event([ip(0), ip(1)], day="2019-06-01"),

@@ -26,6 +26,7 @@ from dnsamp import trace as tr
 from dnsamp.trace import PacketRecord, write_trace
 from oracles import jaccard_distance_matrix_reference
 import test_synth
+from test_trace import edit_columns
 
 
 def run(*argv: str) -> int:
@@ -993,6 +994,12 @@ def copied_event_log(ws, directory: Path) -> Path:
     return directory / "attacks.jsonl"
 
 
+def retype_first_int(values: list, to) -> None:
+    """Put to(v) in the table in place of its first int v."""
+    at = next(i for i, value in enumerate(values) if type(value) is int)
+    values[at] = to(values[at])
+
+
 class TestEventColumns:
     """detect's attacks.columns loads in place of its attacks.jsonl while it
     is bound to those bytes; else the stages read the JSONL."""
@@ -1050,6 +1057,24 @@ class TestEventColumns:
         assert detector._load_events(str(attacks)) is None
         with pytest.raises(ValueError, match=f"{attacks} line 2: key '{key}': "):
             read_events(str(attacks))
+
+    # TestColumnsFile's sealed table defects of a trace, on an event log
+    TABLE_DEFECTS = {
+        "bool-in-table": lambda values, arrays: retype_first_int(values, bool),
+        "float-in-table": lambda values, arrays: retype_first_int(values, float),
+        "duplicate-in-table": lambda values, arrays: values.__setitem__(2, values[1]),
+        "none-not-first": lambda values, arrays: values.reverse(),
+        "index-past-table": lambda values, arrays: arrays[
+            AttackEvent.__match_args__.index("victim_ip")].__setitem__(0, len(values)),
+    }
+
+    @pytest.mark.parametrize("defect", TABLE_DEFECTS)
+    def test_sealed_table_defect_leaves_the_jsonl_read(self, ws, tmp_path, defect):
+        attacks = copied_event_log(ws, tmp_path)
+        change = self.TABLE_DEFECTS[defect]
+        edit_columns(lambda header, arrays: change(header["values"], arrays),
+                     layout=detector._layout)(attacks, tmp_path / "attacks.columns")
+        assert detector._load_events(str(attacks)) is None
 
     def test_event_stages_decode_no_line_of_a_bound_log(self, ws, tmp_path, monkeypatch):
         attacks = copied_event_log(ws, tmp_path)

@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -314,17 +315,22 @@ def parse_lines_of(path):
     return tr.parse_trace(path.read_text(encoding="utf-8").splitlines())
 
 
-def edit_columns(change, seal=True):
+def edit_columns(change, seal=True, layout=tr._layout):
     """A defect that rewrites the columns file as change(header, columns)
-    leaves it. Sealed, the header's CRC-32 of the table and the columns, when
-    it has one, is made to match, so that another check must find the
-    defect."""
+    leaves it; `layout(rows)` gives each column's type code and length.
+    Sealed, the header's CRC-32 of the table and the columns, when it has
+    one, is made to match, so that another check must find the defect."""
     def defect(jsonl, columns):
-        header, arrays = fileio.read_arrays(columns, lambda header: tr._layout(header["rows"]))
+        with columns.open("rb") as handle:
+            header, arrays = json.loads(handle.readline()), []
+            for code, count, _ in layout(header["rows"]):
+                arrays.append(array(code))
+                arrays[-1].fromfile(handle, count)
         change(header, arrays)
         if seal and "crc32" in header:
             header["crc32"] = fileio._crc32(header["values"], arrays)
-        fileio.write_arrays(str(columns), header, arrays)
+        columns.write_bytes(json.dumps(header, separators=(",", ":")).encode("ascii") + b"\n"
+                            + b"".join(map(array.tobytes, arrays)))
     return defect
 
 
