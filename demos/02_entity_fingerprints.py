@@ -33,7 +33,7 @@ def main() -> None:
 
     records, _, truth = synth.generate_scenario(cfg)
     stats = det.aggregate_client_days(records, set(truth.misused_names))
-    events = det.detect_attacks(stats, det.DetectorConfig())
+    events = det.detect_attacks(stats)
     print(f"detected {len(events)} events across "
           f"{len({e.victim_ip for e in events})} victims over 10 days")
 

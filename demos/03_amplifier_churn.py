@@ -33,7 +33,7 @@ def main() -> None:
                                sensor_count=1)
     records, _, truth = synth.generate_scenario(cfg)
     stats = det.aggregate_client_days(records, set(truth.misused_names))
-    events = det.detect_attacks(stats, det.DetectorConfig())
+    events = det.detect_attacks(stats)
     print(f"{len(events)} attack events detected")
 
     matrix = amp.jaccard_distance_matrix(amp.amplifier_sets(events))

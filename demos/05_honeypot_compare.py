@@ -72,8 +72,7 @@ def main() -> None:
     records, hp_requests, truth = synth.generate_scenario(cfg)
 
     stats = det.aggregate_client_days(records, set(truth.misused_names))
-    trace_events = det.intensity_deciles(
-        det.detect_attacks(stats, det.DetectorConfig()))
+    trace_events = det.intensity_deciles(det.detect_attacks(stats))
     hp_events = hp.score_honeypot_deciles(hp.infer_honeypot_attacks(hp_requests))
     print(f"backbone sees {len(trace_events)} events, "
           f"honeypots see {len(hp_events)}")

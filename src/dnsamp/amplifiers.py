@@ -142,10 +142,6 @@ def dbscan_cluster(matrix: DistanceMatrix, eps: float = 0.6,
     Points are visited in index order and seed sets expand FIFO, so border
     points land in the first cluster (creation order) that reaches them.
     """
-    if not 0.0 <= eps:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if min_pts < 1:
-        raise ValueError(f"min_pts must be >= 1, got {min_pts}")
     n = len(matrix)
     neighborhoods = matrix.neighborhoods(eps)
     UNVISITED = -2

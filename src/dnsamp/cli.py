@@ -234,6 +234,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        # the settings, all bounds checked, come before the subcommand reads any input
         _write(args.func(args, _settings(args)), Path(args.out_dir))
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

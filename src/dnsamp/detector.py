@@ -1,8 +1,8 @@
 """Attack detection over per-client, per-UTC-day aggregates.
 
-A client-day becomes an attack event when at least min_sampled_packets DNS
-packets were sampled for the client and at least share_threshold of them
-carry misused names. Original packet volumes are estimated by scaling sampled
+A client-day becomes an attack event when at least min_packets DNS packets
+were sampled for the client and at least share_threshold of them carry
+misused names. Original packet volumes are estimated by scaling sampled
 counts with the sampling denominator (integer arithmetic, so threshold cases
 stay exact).
 """
@@ -24,21 +24,6 @@ from .fileio import (from_obj, is_iso_day, read_bound_arrays, read_jsonl, shared
 from .records import TS_END, TS_MIN, PacketRecord, as_trace, day_index, utc_day
 
 ROOT_NAME = "."
-
-
-@dataclass(slots=True)
-class DetectorConfig:
-    share_threshold: float = 0.9
-    min_sampled_packets: int = 10
-    sampling_denominator: int = 16000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.share_threshold <= 1.0:
-            raise ValueError(f"share_threshold must be in (0, 1], got {self.share_threshold}")
-        if self.min_sampled_packets < 1:
-            raise ValueError(f"min_sampled_packets must be >= 1, got {self.min_sampled_packets}")
-        if self.sampling_denominator < 1:
-            raise ValueError(f"sampling_denominator must be >= 1, got {self.sampling_denominator}")
 
 
 @dataclass(slots=True)
@@ -182,28 +167,27 @@ def _majority_as(counts: Counter) -> int | None:
     return min(counts, key=lambda asn: (-counts[asn], asn))
 
 
-def detect_attacks(stats: Sequence[ClientDayStats],
-                   config: DetectorConfig | None = None) -> list[AttackEvent]:
+def detect_attacks(stats: Sequence[ClientDayStats], *, min_packets: int = 10,
+                   share_threshold: float = 0.9, sampling: int = 16000) -> list[AttackEvent]:
     """Apply the two detection thresholds and materialize events.
 
     Events are sorted by (day, victim_ip). Estimated original volumes are
     sampled counts times the sampling denominator; the misused estimate uses
     the misused sampled count directly so the arithmetic stays integral.
     """
-    cfg = config or DetectorConfig()
     events = []
     for s in stats:
-        if s.total_pkts < cfg.min_sampled_packets:
+        if s.total_pkts < min_packets:
             continue
-        if s.share < cfg.share_threshold:
+        if s.share < share_threshold:
             continue
         events.append(AttackEvent(
             victim_ip=s.client_ip,
             day=s.day,
             packet_count=s.total_pkts,
             misused_packet_count=s.misused_pkts,
-            est_original_packets=s.total_pkts * cfg.sampling_denominator,
-            est_misused_packets=s.misused_pkts * cfg.sampling_denominator,
+            est_original_packets=s.total_pkts * sampling,
+            est_misused_packets=s.misused_pkts * sampling,
             share=s.share,
             share_excluding_root=s.share_excluding_root,
             first_ts=s.first_ts,

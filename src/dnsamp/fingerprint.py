@@ -66,11 +66,6 @@ class DnsIdPattern:
     change_point: int | None = None
 
 
-def _check_min_segment(min_segment: int) -> None:
-    if min_segment < 1:
-        raise ValueError(f"min_segment must be >= 1, got {min_segment}")
-
-
 def classify_dnsid_pattern(ids: Sequence[int], min_segment: int = 3) -> DnsIdPattern:
     """Classify a time-ordered DNS-ID sequence, such as an event's dns_ids,
     by parity structure.
@@ -79,7 +74,6 @@ def classify_dnsid_pattern(ids: Sequence[int], min_segment: int = 3) -> DnsIdPat
     switch with both segments at least min_segment long (change_point is the
     index where the second segment starts). Anything else is mixed.
     """
-    _check_min_segment(min_segment)
     if len(ids) < 2:
         raise ValueError(f"need at least 2 DNS IDs to classify, got {len(ids)}")
     parities = [value & 1 for value in ids]
@@ -109,8 +103,7 @@ def _interval_overlap(a: tuple[str, str], b: tuple[str, str]) -> tuple[str, str]
     return (lo, hi) if lo <= hi else None
 
 
-def parity_alternation_period(daily_parity: Sequence[tuple[str, int]],
-                              max_lag: int | None = None) -> int | None:
+def parity_alternation_period(daily_parity: Sequence[tuple[str, int]]) -> int | None:
     """Alternation interval (days) of a daily majority-parity signal.
 
     Days are mapped to +1 (odd majority) / -1 (even majority) / 0 (tie or no
@@ -126,9 +119,8 @@ def parity_alternation_period(daily_parity: Sequence[tuple[str, int]],
     signal = [0] * span
     for day, value in days:
         signal[date.fromisoformat(day).toordinal() - first] = value
-    top = span - 1 if max_lag is None else min(max_lag, span - 1)
     best_lag, best_value = None, 0.0
-    for lag in range(1, top + 1):
+    for lag in range(1, span):
         products = [a * b for a, b in zip(signal, signal[lag:]) if a and b]
         if not products:
             continue
@@ -267,7 +259,6 @@ def attribute_entity(events: Sequence[AttackEvent],
     its DNS-ID pattern class is allowed. Events with fewer than two IDs are
     unclassifiable and never match.
     """
-    _check_min_segment(min_segment)
     allowed = fingerprint.allowed_kinds()
     attributed = []
     patterns: list[DnsIdPattern | None] = []

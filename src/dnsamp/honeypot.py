@@ -73,10 +73,6 @@ def infer_honeypot_attacks(requests: Sequence[HoneypotRequest],
     segments from different sensors whose windows intersect (touching counts)
     merge into one event with the union of sensors.
     """
-    if min_requests < 1:
-        raise ValueError(f"min_requests must be >= 1, got {min_requests}")
-    if max_gap_s <= 0:
-        raise ValueError(f"max_gap_s must be > 0, got {max_gap_s}")
     streams: dict[tuple[str, str], list[float]] = {}
     for req in requests:
         streams.setdefault((req.sensor_id, req.victim_ip), []).append(req.ts)
@@ -153,8 +149,6 @@ def overlap(trace_events: Sequence[AttackEvent],
     (then earliest-starting), which keeps the pairing maximal on interval
     instances. Every event matches at most once.
     """
-    if slack_s < 0:
-        raise ValueError(f"slack_s must be >= 0, got {slack_s}")
     by_victim: dict[str, list[int]] = {}
     for idx, event in enumerate(honeypot_events):
         by_victim.setdefault(event.victim_ip, []).append(idx)

@@ -42,7 +42,9 @@ PRESETS: dict[str, tuple[int, float]] = {
 @dataclass(frozen=True)
 class Settings:
     """The keys a --config file may hold, with their defaults. Each is also
-    the flag --<key with dashes> of the subcommands that read it."""
+    the flag --<key with dashes> of the subcommands that read it. Each key's
+    bound is checked here alone: the library functions that take these
+    values do not check them."""
 
     share_threshold: float = 0.9
     min_packets: int = 10
@@ -58,10 +60,25 @@ class Settings:
     min_step: int = 256
 
     def __post_init__(self) -> None:
-        # nan fails every comparison, so no threshold would reject it
-        for key, value in vars(self).items():
-            if value != value:
-                raise ValueError(f"key {key!r}: expected a number, got nan")
+        # nan fails every comparison, so each bound rejects it too
+        checks = (
+            ("share_threshold", "a number in (0, 1]", self.share_threshold,
+             0 < self.share_threshold <= 1),
+            ("min_packets", "an integer >= 1", self.min_packets, self.min_packets >= 1),
+            ("sampling", "an integer >= 1", self.sampling, self.sampling >= 1),
+            ("k_max", "an integer >= 1", self.k_max, self.k_max >= 1),
+            ("slack", "a number >= 0", self.slack, self.slack >= 0),
+            ("min_requests", "an integer >= 1", self.min_requests, self.min_requests >= 1),
+            ("max_gap", "a number > 0", self.max_gap, self.max_gap > 0),
+            ("eps", "a number >= 0", self.eps, self.eps >= 0),
+            ("min_pts", "an integer >= 1", self.min_pts, self.min_pts >= 1),
+            ("min_segment", "an integer >= 1", self.min_segment, self.min_segment >= 1),
+            ("min_days", "an integer >= 1", self.min_days, self.min_days >= 1),
+            ("min_step", "an integer >= 1", self.min_step, self.min_step >= 1),
+        )
+        for key, expected, value, ok in checks:
+            if not ok:
+                raise ValueError(f"key {key!r}: expected {expected}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -149,11 +166,10 @@ def detect(records: Sequence[tr.PacketRecord], names: AbstractSet[str],
     for the stages that read them, and the tables of their `victim_summary`."""
     from . import detector as det
 
-    config = det.DetectorConfig(share_threshold=settings.share_threshold,
-                                min_sampled_packets=settings.min_packets,
-                                sampling_denominator=settings.sampling)
     stats = det.aggregate_client_days(records, names)
-    events = det.detect_attacks(stats, config)
+    events = det.detect_attacks(stats, min_packets=settings.min_packets,
+                                share_threshold=settings.share_threshold,
+                                sampling=settings.sampling)
     det.intensity_deciles(events)
     summary = det.victim_summary(events)
     return StageResult({

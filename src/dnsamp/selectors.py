@@ -79,8 +79,6 @@ def selector_ground_truth(records: Iterable[PacketRecord],
                           slack_s: float = 300.0) -> SelectorRanking:
     """Rank names seen in trace traffic whose client address matches a known
     victim inside its (slack-widened) attack window."""
-    if slack_s < 0:
-        raise ValueError(f"slack_s must be >= 0, got {slack_s}")
     windows: dict[str, list[tuple[float, float]]] = {}
     for event in victim_windows:
         windows.setdefault(event.victim_ip, []).append(
@@ -132,8 +130,6 @@ def consensus_merge(rankings: Sequence[SelectorRanking],
     union of the top-k_star sets, each name tagged with the selectors that
     contributed it.
     """
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
     active = [r for r in rankings if len(r) > 0]
     missing = tuple(sorted(r.selector_id for r in rankings if len(r) == 0))
     if not active:

@@ -142,10 +142,6 @@ def detect_rollover_plateaus(series: Sequence[int], min_days: int = 7,
     Invariant to adding a constant to the whole series (only differences
     matter). The series is assumed to be one value per consecutive day.
     """
-    if min_days < 1:
-        raise ValueError(f"min_days must be >= 1, got {min_days}")
-    if min_step_bytes < 1:
-        raise ValueError(f"min_step_bytes must be >= 1, got {min_step_bytes}")
     hold = min_step_bytes / 4
     plateaus = []
     n = len(series)

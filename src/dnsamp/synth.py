@@ -88,23 +88,19 @@ class AttackSpec:
 
     def __post_init__(self) -> None:
         self.qname = normalize_qname(self.qname)
-        if self.qps <= 0:
-            raise ValueError(f"attack qps must be > 0, got {self.qps}")
-        if self.duration_s <= 0:
-            raise ValueError(f"attack duration must be > 0, got {self.duration_s}")
-        if self.dns_id_mode not in DNS_ID_MODES:
-            raise ValueError(f"unknown dns_id_mode {self.dns_id_mode!r}")
-        if self.amplifier_mode not in AMPLIFIER_MODES:
-            raise ValueError(f"unknown amplifier_mode {self.amplifier_mode!r}")
-        if self.amplifier_mode != "pool" and self.amplifier_group is None:
-            raise ValueError("static/drift amplifier modes need an amplifier_group")
-        if not 0.0 <= self.request_fraction <= 1.0:
-            raise ValueError("request_fraction must be within [0, 1]")
-        if self.amplifiers_per_attack < 1:
-            raise ValueError("amplifiers_per_attack must be >= 1")
         # the DNS IDs of the parity modes keep one bit fixed: 32768 to draw from
         ids = 65536 if self.dns_id_mode == "random" else 32768
         checks = (
+            ("qps", "a number > 0", self.qps, self.qps > 0),
+            ("duration_s", "a number > 0", self.duration_s, self.duration_s > 0),
+            ("request_fraction", "a number in [0, 1]", self.request_fraction,
+             0 <= self.request_fraction <= 1),
+            ("amplifiers_per_attack", "an integer >= 1", self.amplifiers_per_attack,
+             self.amplifiers_per_attack >= 1),
+            ("dns_id_mode", f"one of {', '.join(map(repr, DNS_ID_MODES))}", self.dns_id_mode,
+             self.dns_id_mode in DNS_ID_MODES),
+            ("amplifier_mode", f"one of {', '.join(map(repr, AMPLIFIER_MODES))}",
+             self.amplifier_mode, self.amplifier_mode in AMPLIFIER_MODES),
             ("response_size", "an integer >= 0", self.response_size, self.response_size >= 0),
             ("benign_packets_per_day", "an integer >= 0", self.benign_packets_per_day,
              self.benign_packets_per_day >= 0),
@@ -123,6 +119,8 @@ class AttackSpec:
         for key, expected, value, ok in checks:
             if not ok:
                 raise ValueError(f"key {key!r}: expected {expected}, got {value!r}")
+        if self.amplifier_mode != "pool" and self.amplifier_group is None:
+            raise ValueError("static/drift amplifier modes need an amplifier_group")
 
 
 @dataclass(slots=True)
@@ -143,20 +141,7 @@ class ScenarioConfig:
     sensor_coverage: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
-        if not is_iso_day(self.start_day):
-            raise ValueError(f"key 'start_day': expected a YYYY-MM-DD string, "
-                             f"got {self.start_day!r}")
-        if self.duration_days < 1:
-            raise ValueError("duration_days must be >= 1")
-        if self.sampling_denominator < 1:
-            raise ValueError("sampling_denominator must be >= 1")
-        if not 0.0 < self.churn_retention <= 1.0:
-            raise ValueError("churn_retention must be in (0, 1]")
-        if self.amplifier_pool_size < 1:
-            raise ValueError("amplifier_pool_size must be >= 1")
-        if self.sensor_count < 1:
-            raise ValueError("sensor_count must be >= 1")
-        self._check_background_ranges()
+        self._check_ranges()
         total = self.duration_days * DAY_S
         # a static or drift group is one reflector set, of one size
         group_sizes: dict[str, tuple[int, int]] = {}
@@ -178,11 +163,20 @@ class ScenarioConfig:
                     f"got {spec.amplifiers_per_attack}")
         self._check_honeypot_spacing()
 
-    def _check_background_ranges(self) -> None:
-        # The numbers handed to numpy's draws; a daily rate is rounded to the
-        # int64 count of a binomial draw.
+    def _check_ranges(self) -> None:
+        # The scenario's shape and the numbers handed to numpy's draws; a
+        # daily rate is rounded to the int64 count of a binomial draw.
         low, high = self.background_daily_rate
         checks = (
+            ("start_day", "a YYYY-MM-DD string", self.start_day, is_iso_day(self.start_day)),
+            ("duration_days", "an integer >= 1", self.duration_days, self.duration_days >= 1),
+            ("sampling_denominator", "an integer >= 1", self.sampling_denominator,
+             self.sampling_denominator >= 1),
+            ("churn_retention", "a number in (0, 1]", self.churn_retention,
+             0 < self.churn_retention <= 1),
+            ("amplifier_pool_size", "an integer >= 1", self.amplifier_pool_size,
+             self.amplifier_pool_size >= 1),
+            ("sensor_count", "an integer >= 1", self.sensor_count, self.sensor_count >= 1),
             ("background_clients", "an integer >= 0", self.background_clients,
              self.background_clients >= 0),
             ("background_names", "an integer >= 1", self.background_names,

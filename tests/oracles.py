@@ -404,7 +404,7 @@ def event_from_obj_reference(obj: dict):
     )
 
 
-def parity_alternation_period_reference(daily_parity, max_lag=None):
+def parity_alternation_period_reference(daily_parity):
     """fingerprint.parity_alternation_period as it was written over numpy."""
     if len(daily_parity) < 2:
         return None
@@ -415,9 +415,8 @@ def parity_alternation_period_reference(daily_parity, max_lag=None):
     signal = np.zeros(span, dtype=float)
     for day, value in days:
         signal[date.fromisoformat(day).toordinal() - first] = value
-    top = span - 1 if max_lag is None else min(max_lag, span - 1)
     best_lag, best_value = None, 0.0
-    for lag in range(1, top + 1):
+    for lag in range(1, span):
         products = signal[:-lag] * signal[lag:]
         valid = np.count_nonzero(products)
         if valid == 0:

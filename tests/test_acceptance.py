@@ -69,7 +69,7 @@ def test_c01_detection_recall(capsys):
                                                   slack_s=300.0))
         names = sel.consensus_merge(rankings, k_max=64).name_set()
         stats = det.aggregate_client_days(records, names)
-        events = det.detect_attacks(stats, det.DetectorConfig())
+        events = det.detect_attacks(stats)
         detected = {(e.victim_ip, e.day) for e in events}
         expected = set(truth.expected_detections())
         planted += len(expected)
@@ -98,7 +98,7 @@ def test_c02_extrapolation_arithmetic(capsys):
                                    dst_ip="198.18.0.2", dns_id=4,
                                    qname="benign.example.", **base))
     stats = det.aggregate_client_days(records, {"evil.example."})
-    events = det.detect_attacks(stats, det.DetectorConfig())
+    events = det.detect_attacks(stats)
     assert len(events) == 1
     estimate = events[0].est_misused_packets
     assert isinstance(estimate, int)
@@ -284,7 +284,7 @@ def test_c09_overlap_fidelity(capsys):
         cfg = _overlap_scenario(int(900 + 100 * fraction), visible)
         records, hp_requests, truth = synth.generate_scenario(cfg)
         stats = det.aggregate_client_days(records, set(truth.misused_names))
-        events = det.detect_attacks(stats, det.DetectorConfig())
+        events = det.detect_attacks(stats)
         assert len(events) == 50  # every planted attack surfaces in the trace
         hp_events = hp.infer_honeypot_attacks(hp_requests)
         report = hp.overlap(events, hp_events, slack_s=300.0)
@@ -320,7 +320,7 @@ def test_c10_entity_attribution(capsys):
         amplifier_pool_size=80, sensor_count=1)
     records, _, truth = synth.generate_scenario(cfg)
     stats = det.aggregate_client_days(records, set(truth.misused_names))
-    events = det.detect_attacks(stats, det.DetectorConfig())
+    events = det.detect_attacks(stats)
     assert len(events) == 30
 
     fingerprint = fp.EntityFingerprint(name_suffixes=("gov.",),

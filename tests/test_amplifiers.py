@@ -203,13 +203,6 @@ class TestDbscan:
         result = amp.dbscan_cluster(matrix, eps=0.6, min_pts=2)
         assert result.n_clusters == 1
 
-    def test_rejects_bad_inputs(self):
-        matrix = amp.jaccard_distance_matrix([frozenset()] * 3)
-        with pytest.raises(ValueError):
-            amp.dbscan_cluster(matrix, eps=-0.1, min_pts=2)
-        with pytest.raises(ValueError):
-            amp.dbscan_cluster(matrix, eps=0.5, min_pts=0)
-
 
 class TestStableSets:
     def build_static(self, n_events=20, pool=30, days=10):

@@ -182,6 +182,52 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0]
 
+    # a subcommand that reads each key, and the flags of its input files
+    READERS = {
+        "share_threshold": "detect --trace --names", "min_packets": "detect --trace --names",
+        "sampling": "detect --trace --names", "k_max": "select-names --trace",
+        "slack": "compare --attacks --honeypot", "min_requests": "compare --attacks --honeypot",
+        "max_gap": "compare --attacks --honeypot", "eps": "cluster --attacks",
+        "min_pts": "cluster --attacks", "min_segment": "fingerprint --attacks --fingerprint-spec",
+        "min_days": "estimate --records", "min_step": "estimate --records",
+    }
+
+    # each key's bound: the value at it, accepted, and the first value past it
+    @pytest.mark.parametrize("key, inside, outside, expected", [
+        ("share_threshold", 1.0, math.nextafter(1.0, 2.0), "a number in (0, 1]"),
+        ("share_threshold", math.nextafter(0.0, 1.0), 0.0, "a number in (0, 1]"),
+        ("min_packets", 1, 0, "an integer >= 1"),
+        ("sampling", 1, 0, "an integer >= 1"),
+        ("k_max", 1, 0, "an integer >= 1"),
+        ("slack", 0.0, math.nextafter(0.0, -1.0), "a number >= 0"),
+        ("min_requests", 1, 0, "an integer >= 1"),
+        ("max_gap", math.nextafter(0.0, 1.0), 0.0, "a number > 0"),
+        ("eps", 0.0, math.nextafter(0.0, -1.0), "a number >= 0"),
+        ("min_pts", 1, 0, "an integer >= 1"),
+        ("min_segment", 1, 0, "an integer >= 1"),
+        ("min_days", 1, 0, "an integer >= 1"),
+        ("min_step", 1, 0, "an integer >= 1"),
+    ])
+    def test_setting_bound_is_checked_before_any_input_is_read(self, tmp_path, capsys, key,
+                                                                inside, outside, expected):
+        # every input file is missing: a value past the bound is the error,
+        # while the value at it lets the stage go on to fail on its first input
+        absent = tmp_path / "absent"
+        command, *inputs = self.READERS[key].split()
+        argv = [command, *(arg for flag in inputs for arg in (flag, str(absent))),
+                "--out-dir", str(tmp_path / "out")]
+        cfg = tmp_path / "cfg.json"
+        for value, accepted in ((inside, True), (outside, False)):
+            cfg.write_text(json.dumps({key: value}))
+            # the = form, since argparse reads "-5e-324" alone as an option
+            flag = f"--{key.replace('_', '-')}={value!r}"
+            for where, given in (("", [*argv, flag]), (f"{cfg}: ", ["--config", str(cfg), *argv])):
+                assert run(*given) == 1
+                assert capsys.readouterr().err == (
+                    f"error: [Errno 2] No such file or directory: '{absent}'\n" if accepted else
+                    f"error: {where}key {key!r}: expected {expected}, got {value!r}\n")
+                assert not (tmp_path / "out").exists()
+
     # every subcommand's option strings, in order, as the parser had them
     # when each flag was declared by hand
     OPTIONS = {
@@ -697,6 +743,12 @@ class TestSynthStage:
         ("honeypot_requests_per_sensor", 2, "an integer >= 5"),
         ("background_names", 0, "an integer >= 1"),
         ("background_names", -5, "an integer >= 1"),
+        ("duration_days", 0, "an integer >= 1"),
+        ("sampling_denominator", 0, "an integer >= 1"),
+        ("churn_retention", 0, "a number in (0, 1]"),
+        ("churn_retention", 1.5, "a number in (0, 1]"),
+        ("amplifier_pool_size", 0, "an integer >= 1"),
+        ("sensor_count", 0, "an integer >= 1"),
     ])
     def test_out_of_range_scenario_value_is_processing_error(self, tmp_path, capsys,
                                                               key, value, expected):
@@ -720,6 +772,12 @@ class TestSynthStage:
         ("honeypot_requests_per_sensor", 0, "null or an integer >= 5"),
         ("honeypot_requests_per_sensor", -3, "null or an integer >= 5"),
         ("honeypot_requests_per_sensor", 2, "null or an integer >= 5"),
+        ("qps", 0, "a number > 0"),
+        ("duration_s", -10.0, "a number > 0"),
+        ("request_fraction", 1.5, "a number in [0, 1]"),
+        ("amplifiers_per_attack", 0, "an integer >= 1"),
+        ("dns_id_mode", "x", "one of 'random', 'pure_parity', 'phased', 'alternating_48h'"),
+        ("amplifier_mode", "x", "one of 'pool', 'static', 'drift'"),
     ])
     def test_out_of_range_attack_value_is_processing_error(self, tmp_path, capsys,
                                                            key, value, expected):
@@ -906,7 +964,8 @@ class TestSelectStage:
         assert run("select-names", "--trace", str(out(ws, "ing") / "annotated.jsonl"),
                    "--honeypot", str(out(ws, "gen") / "honeypot.csv"),
                    "--slack", "-100000", "--out-dir", str(tmp_path / "sel")) == 1
-        assert capsys.readouterr().err == "error: slack_s must be >= 0, got -100000.0\n"
+        assert capsys.readouterr().err == \
+            "error: key 'slack': expected a number >= 0, got -100000.0\n"
         assert not (tmp_path / "sel").exists()
 
     def test_rerun_byte_identical(self, ws, tmp_path):
@@ -1129,7 +1188,8 @@ class TestFingerprintStage:
         assert run("fingerprint", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
                    "--fingerprint-spec", str(spec), "--min-segment", value,
                    "--out-dir", str(tmp_path / "fp")) == 1
-        assert capsys.readouterr().err == f"error: min_segment must be >= 1, got {value}\n"
+        assert capsys.readouterr().err == \
+            f"error: key 'min_segment': expected an integer >= 1, got {value}\n"
         assert not (tmp_path / "fp").exists()
 
     def test_each_pattern_classified_once(self, ws, fp_dir, tmp_path, monkeypatch):
@@ -1202,10 +1262,11 @@ class TestClusterStage:
             f"9999-12-31 UTC, got {value!r}\n")
         assert not (tmp_path / "cl").exists()
 
-    def test_bad_eps_writes_nothing(self, ws, tmp_path, capsys):
-        assert run("cluster", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
+    def test_bad_eps_writes_nothing(self, tmp_path, capsys):
+        # the bound is checked before the event log, here missing, is read
+        assert run("cluster", "--attacks", str(tmp_path / "absent.jsonl"),
                    "--eps", "-1", "--out-dir", str(tmp_path / "cl")) == 1
-        assert capsys.readouterr().err == "error: eps must be >= 0, got -1.0\n"
+        assert capsys.readouterr().err == "error: key 'eps': expected a number >= 0, got -1.0\n"
         assert not (tmp_path / "cl").exists()
 
     def test_outputs_exist(self, cl_dir):
@@ -1435,7 +1496,8 @@ class TestCompareStage:
         assert run("compare", "--attacks", str(out(ws, "det") / "attacks.jsonl"),
                    "--honeypot", str(out(ws, "gen") / "honeypot.csv"),
                    "--slack", "-100000", "--out-dir", str(tmp_path / "cmp")) == 1
-        assert capsys.readouterr().err == "error: slack_s must be >= 0, got -100000.0\n"
+        assert capsys.readouterr().err == \
+            "error: key 'slack': expected a number >= 0, got -100000.0\n"
         assert not (tmp_path / "cmp").exists()
 
     def test_all_visible_attacks_matched(self, cmp_dir):

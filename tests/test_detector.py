@@ -86,7 +86,7 @@ class TestAggregation:
 class TestThresholds:
     def detect(self, records, **cfg):
         stats = det.aggregate_client_days(records, MISUSED)
-        return det.detect_attacks(stats, det.DetectorConfig(**cfg))
+        return det.detect_attacks(stats, **cfg)
 
     def test_both_thresholds_must_hold(self):
         # 9 misused of 9 total: pure but too few packets
@@ -143,18 +143,9 @@ class TestThresholds:
         assert keys == sorted(keys)
 
     def test_custom_config(self):
-        events = self.detect(burst(5, 0), min_sampled_packets=5,
-                             share_threshold=0.5, sampling_denominator=100)
+        events = self.detect(burst(5, 0), min_packets=5, share_threshold=0.5, sampling=100)
         assert len(events) == 1
         assert events[0].est_original_packets == 500
-
-    def test_bad_config_rejected(self):
-        with pytest.raises(ValueError):
-            det.DetectorConfig(share_threshold=1.5)
-        with pytest.raises(ValueError):
-            det.DetectorConfig(min_sampled_packets=0)
-        with pytest.raises(ValueError):
-            det.DetectorConfig(sampling_denominator=0)
 
 
 class TestDeciles:
@@ -178,7 +169,7 @@ class TestDeciles:
     def test_inplace_scoring(self):
         records = burst(50, 0) + burst(12, 0, client="10.0.0.2")
         stats = det.aggregate_client_days(records, MISUSED)
-        events = det.detect_attacks(stats, det.DetectorConfig())
+        events = det.detect_attacks(stats)
         det.intensity_deciles(events)
         big = next(e for e in events if e.victim_ip == "10.0.0.1")
         small = next(e for e in events if e.victim_ip == "10.0.0.2")
@@ -210,7 +201,7 @@ class TestSummary:
                    burst(12, 0, client="10.2.0.1") +
                    burst(12, 0, client="172.16.0.1"))
         stats = det.aggregate_client_days(records, MISUSED)
-        events = det.detect_attacks(stats, det.DetectorConfig())
+        events = det.detect_attacks(stats)
         summary = det.victim_summary(events)
         day = summary["daily"][0]
         assert day["victims"] == 4
@@ -225,8 +216,7 @@ class TestSummary:
         records = [record for client in ("2001:db8:1::1", "2001:db8:1::2", "2001:db8:2::1",
                                          "10.0.0.1")
                    for record in burst(12, 0, client=client)]
-        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED),
-                                    det.DetectorConfig())
+        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED))
         day = det.victim_summary(events)["daily"][0]
         assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
                 day["prefixes_8"]) == (4, 3, 2, 1)
@@ -236,16 +226,14 @@ class TestSummary:
                    for record in burst(12, 0, client=client)]
         records, dropped = tr.sanitize(records)
         assert dropped == 0
-        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED),
-                                    det.DetectorConfig())
+        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED))
         day = det.victim_summary(events)["daily"][0]
         assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
                 day["prefixes_8"]) == (2, 2, 2, 2)
 
     def test_ipv4_mapped_victim_shares_prefixes_with_its_ipv4_form(self):
         records = burst(12, 0, client="10.1.1.1") + burst(12, 0, client="::ffff:10.1.1.2")
-        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED),
-                                    det.DetectorConfig())
+        events = det.detect_attacks(det.aggregate_client_days(records, MISUSED))
         day = det.victim_summary(events)["daily"][0]
         assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
                 day["prefixes_8"]) == (2, 1, 1, 1)
@@ -253,8 +241,7 @@ class TestSummary:
     def test_victim_that_is_no_address_counts_only_as_victim(self):
         # no aggregate of records has such a client, since sanitize drops
         # them; a hand-edited event log can
-        event = det.detect_attacks(det.aggregate_client_days(burst(12, 0), MISUSED),
-                                   det.DetectorConfig())[0]
+        event = det.detect_attacks(det.aggregate_client_days(burst(12, 0), MISUSED))[0]
         events = [event, dataclasses.replace(event, victim_ip="victim.example")]
         day = det.victim_summary(events)["daily"][0]
         assert (day["victims"], day["prefixes_24"], day["prefixes_16"],
@@ -264,7 +251,7 @@ class TestSummary:
         table = tr.PrefixTable([("10.0.0.0/8", 64512), ("192.0.2.0/24", 5)])
         records = tr.annotate(tr.Trace.of(burst(12, 0)), table)
         stats = det.aggregate_client_days(records, MISUSED)
-        events = det.detect_attacks(stats, det.DetectorConfig())
+        events = det.detect_attacks(stats)
         assert events[0].victim_as == 64512
         summary = det.victim_summary(events)
         assert summary["daily"][0]["victim_ases"] == 1
@@ -275,7 +262,7 @@ class TestEventSerialization:
         table = tr.PrefixTable([("10.0.0.0/8", 64512), ("192.0.2.0/24", 5)])
         records = tr.annotate(tr.Trace.of(burst(40, 4) + burst(12, 0, client="10.0.0.2")), table)
         stats = det.aggregate_client_days(records, MISUSED)
-        events = det.detect_attacks(stats, det.DetectorConfig())
+        events = det.detect_attacks(stats)
         det.intensity_deciles(events)
         path = tmp_path / "attacks.jsonl"
         det.write_events(events, str(path))
@@ -303,6 +290,5 @@ class TestEventSerialization:
         records = [packet(qname="evil.example.", ts=1.0),
                    packet(qname="bad.example.", ts=2.0)]
         stats = det.aggregate_client_days(records, MISUSED)
-        event = det.detect_attacks(
-            stats, det.DetectorConfig(min_sampled_packets=1))[0]
+        event = det.detect_attacks(stats, min_packets=1)[0]
         assert event.dominant_qname() == "bad.example."

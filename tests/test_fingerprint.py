@@ -93,16 +93,6 @@ class TestParityPatterns:
         assert fp.classify_dnsid_pattern(ids, min_segment=2).kind == "phased"
         assert fp.classify_dnsid_pattern(ids, min_segment=3).kind == "mixed"
 
-    @pytest.mark.parametrize("min_segment", [0, -5])
-    def test_min_segment_below_one_rejected(self, min_segment):
-        message = f"min_segment must be >= 1, got {min_segment}"
-        with pytest.raises(ValueError, match=message):
-            fp.classify_dnsid_pattern([1, 3, 2, 4], min_segment=min_segment)
-        spec = fp.EntityFingerprint(name_suffixes=("x.example.",), id_patterns=("phased",))
-        for events in ([], [event(dns_ids=[1, 3, 2, 4], qname="x.example.")]):
-            with pytest.raises(ValueError, match=message):
-                fp.attribute_entity(events, spec, min_segment=min_segment)
-
     def test_relabel_symmetry(self):
         # flipping every id's parity swaps odd and even but keeps structure
         rng = random.Random(31)

@@ -186,8 +186,7 @@ from dnsamp import detector as det, fingerprint as fp, trace as tr
 records = [tr.PacketRecord(day * 86400.0 + i, "10.0.0.1", "192.0.2.1", 1024 + i, 53, 60, i,
                            100, False, day + i, "evil.example.", 255, 0, 0, 0)
            for day in range(3) for i in range(12)]
-events = det.detect_attacks(det.aggregate_client_days(records, {"evil.example."}),
-                            det.DetectorConfig())
+events = det.detect_attacks(det.aggregate_client_days(records, {"evil.example."}))
 fp.build_name_timeline(events)
 print(len({e.day for e in events}), "numpy" in sys.modules)
 """

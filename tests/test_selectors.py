@@ -189,10 +189,6 @@ class TestConsensus:
             sel.consensus_merge([sel.SelectorRanking("a", ()),
                                  sel.SelectorRanking("b", ())])
 
-    def test_bad_k_max_raises(self):
-        with pytest.raises(ValueError):
-            sel.consensus_merge([ranking_of(["a."])], k_max=0)
-
 
 class TestSerialization:
     def build(self):

@@ -151,7 +151,7 @@ class TestGroundTruth:
         records, _, truth = synth.generate_scenario(scenario())
         names = {"alpha.example.", "beta.example."}
         stats = det.aggregate_client_days(records, names)
-        events = det.detect_attacks(stats, det.DetectorConfig())
+        events = det.detect_attacks(stats)
         got = sorted((e.victim_ip, e.day) for e in events)
         assert got == sorted(truth.expected_detections())
 
