@@ -25,6 +25,7 @@ from .fileio import field_types, from_obj, read_json
 from .pipeline import PRESETS, Settings, StageResult
 
 if TYPE_CHECKING:
+    from .detector import AttackEvent
     from .records import Trace
 
 
@@ -61,6 +62,13 @@ def _records(args: argparse.Namespace) -> Trace:
     return _cmd_ingest(args)["annotated.jsonl"]
 
 
+def _events(args: argparse.Namespace) -> list[AttackEvent]:
+    """The events of --attacks, with the fields the subcommand's stage reads."""
+    from . import detector as det
+
+    return det.read_events(args.attacks, pipeline.EVENT_FIELDS[args.command])
+
+
 def _cmd_select_names(args: argparse.Namespace, config: Settings) -> StageResult:
     records = _records(args)
     requests = None
@@ -77,10 +85,9 @@ def _cmd_detect(args: argparse.Namespace, config: Settings) -> StageResult:
 
 
 def _cmd_fingerprint(args: argparse.Namespace, config: Settings) -> StageResult:
-    from . import detector as det
     from . import fingerprint as fp
 
-    events = det.read_events(args.attacks)
+    events = _events(args)
     spec = fp.read_fingerprint(args.fingerprint_spec)
     names = _load_names(args.names) if args.names else None
     return pipeline.fingerprint(events, spec, config, names)
@@ -88,9 +95,8 @@ def _cmd_fingerprint(args: argparse.Namespace, config: Settings) -> StageResult:
 
 def _cmd_cluster(args: argparse.Namespace, config: Settings) -> StageResult:
     from . import amplifiers as amp
-    from . import detector as det
 
-    events = det.read_events(args.attacks)
+    events = _events(args)
     seen_table = amp.read_seen_table(args.seen_table) if args.seen_table else None
     ns_table = amp.read_ns_ip_table(args.ns_table) if args.ns_table else None
     return pipeline.cluster(events, config, seen_table, ns_table)
@@ -126,17 +132,13 @@ def _cmd_synth(args: argparse.Namespace, config: Settings) -> StageResult:
 
 
 def _cmd_compare(args: argparse.Namespace, config: Settings) -> StageResult:
-    from . import detector as det
     from . import honeypot as hp
 
-    events = det.read_events(args.attacks)
-    return pipeline.compare(events, hp.read_honeypot_csv(args.honeypot)[0], config)
+    return pipeline.compare(_events(args), hp.read_honeypot_csv(args.honeypot)[0], config)
 
 
 def _cmd_report(args: argparse.Namespace, config: Settings) -> StageResult:
-    from . import detector as det
-
-    events = det.read_events(args.attacks)
+    events = _events(args)
     names = _load_names(args.names) if args.names else None
     return pipeline.report(events, names, _records(args) if args.trace else None)
 

@@ -15,7 +15,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, groupby, pairwise
+from itertools import accumulate, chain, compress, groupby, pairwise, repeat
 from operator import not_
 from typing import AbstractSet, Any, Iterable, Sequence
 
@@ -335,6 +335,8 @@ _KINDS = {"victim_ip": "S", "day": "S", "share": "d", "share_excluding_root": "d
           "ingress_as_counts": "Mqq", "victim_as": "N", "intensity_decile": "N"}
 _FIELDS = AttackEvent.__match_args__
 _FIELD_KINDS = [_KINDS.get(name, "q")[0] for name in _FIELDS]
+# the tuple and dict fields, which read_events builds only when asked
+ITEM_FIELDS = tuple(name for name, kind in zip(_FIELDS, _FIELD_KINDS) if kind in "TM")
 _ITEM_KINDS = [kind for name in _FIELDS for kind in _KINDS.get(name, "q")[1:]]
 # each kind's array type code, and the exact types of the values it holds
 _CODES = {"S": ("I", {str}), "N": ("I", {int, type(None)}), "T": ("I", {tuple, list}),
@@ -382,12 +384,13 @@ def _layout(rows: Any) -> list[tuple[str, Any, bool]]:
             in zip(_FIELD_KINDS + _ITEM_KINDS, rows[:1] * len(_FIELDS) + rows[1:])]
 
 
-def _load_events(path: str) -> list[AttackEvent] | None:
+def _load_events(path: str, built: AbstractSet[str] = frozenset(ITEM_FIELDS)
+                 ) -> list[AttackEvent] | None:
     """The events in the attacks.columns beside the event log at path, when
     fileio.read_bound_arrays reads it, its lengths sum to its item counts,
-    and its events pass read_events' checks; else None. As with a trace's
-    columns, which field indexes which of the table's types is not
-    checked."""
+    and its events pass read_events' checks; else None. A tuple or dict
+    field not in built holds None. As with a trace's columns, which field
+    indexes which of the table's types is not checked."""
     loaded = read_bound_arrays(path, EVENTS_FORMAT, _layout)
     if loaded is None:
         return None
@@ -404,28 +407,49 @@ def _load_events(path: str) -> list[AttackEvent] | None:
         if kind in "SN":
             columns[name] = map(get, columns[name])
         elif kind in "TM":
-            bounds, keys = pairwise(accumulate(columns[name], initial=0)), next(items)
+            keys, values = next(items), next(items) if kind == "M" else None
+            if name not in built:
+                columns[name] = repeat(None)
+                continue
+            bounds = pairwise(accumulate(columns[name], initial=0))
             if _KINDS[name][1] == "S":
                 keys = tuple(map(get, keys))  # whose slices are tuples
             if kind == "T":
                 columns[name] = [tuple(keys[a:b]) for a, b in bounds]
             else:
-                values = next(items)
                 columns[name] = [dict(zip(keys[a:b], values[a:b])) for a, b in bounds]
     return list(map(AttackEvent, *columns.values()))
 
 
-def read_events(path: str) -> list[AttackEvent]:
+def read_events(path: str, fields: Iterable[str] | None = None) -> list[AttackEvent]:
     """The events of an event log. Events of one call share each distinct
     victim, day, reflector address and qname as one string. A day must be
     written YYYY-MM-DD, a first_ts or last_ts must fall on a UTC day from
     0001-01-01 to 9999-12-31, and last_ts must not come before first_ts.
 
+    fields names the tuple and dict fields (ITEM_FIELDS) to build, all of
+    them when None; every scalar field is built. A field not named is unset
+    on every event, so reading it raises AttributeError; a name outside
+    ITEM_FIELDS raises ValueError. write_events, write_event_columns, ==,
+    repr and dataclasses.replace need events with every field built.
+
     A log whose attacks.columns (write_event_columns) is sound and bound to
-    its bytes loads from those columns instead: the same events."""
-    events = _load_events(path)
-    if events is not None:
-        return events
+    its bytes loads from those columns instead: the same events. Each line
+    of a log read without them is decoded and checked in full."""
+    built = set(ITEM_FIELDS if fields is None else fields)
+    if unknown := built.difference(ITEM_FIELDS):
+        raise ValueError(f"not a tuple or dict field of AttackEvent: {', '.join(sorted(unknown))}")
+    unset = [name for name in ITEM_FIELDS if name not in built]
+    events = _load_events(path, built)
+    if events is None:
+        events = _decode_events(path)
+    for event in events:
+        for name in unset:
+            delattr(event, name)
+    return events
+
+
+def _decode_events(path: str) -> list[AttackEvent]:
     strings = shared()
     events = []
     for lineno, obj in read_jsonl(path):

@@ -38,6 +38,16 @@ PRESETS: dict[str, tuple[int, float]] = {
     "amppot": (100, 3600.0),
 }
 
+# The tuple and dict fields of AttackEvent (detector.ITEM_FIELDS) that each
+# event stage reads, by subcommand: its events are read with only these built.
+EVENT_FIELDS: dict[str, tuple[str, ...]] = {
+    "fingerprint": ("qname_counts", "dns_ids", "req_ip_ids", "req_src_ports", "req_dns_ids",
+                    "ingress_as_counts"),
+    "cluster": ("qname_counts", "amplifier_set"),
+    "compare": (),
+    "report": ("qname_counts", "ingress_as_counts"),
+}
+
 
 @dataclass(frozen=True)
 class Settings:

@@ -92,6 +92,8 @@ class AttackSpec:
         ids = 65536 if self.dns_id_mode == "random" else 32768
         checks = (
             ("qps", "a number > 0", self.qps, self.qps > 0),
+            ("qps", "a finite number", self.qps, self.qps < math.inf),
+            ("start_s", "a number >= 0", self.start_s, self.start_s >= 0),
             ("duration_s", "a number > 0", self.duration_s, self.duration_s > 0),
             ("request_fraction", "a number in [0, 1]", self.request_fraction,
              0 <= self.request_fraction <= 1),
@@ -146,7 +148,7 @@ class ScenarioConfig:
         # a static or drift group is one reflector set, of one size
         group_sizes: dict[str, tuple[int, int]] = {}
         for index, spec in enumerate(self.attacks):
-            if spec.start_s < 0 or spec.start_s + spec.duration_s > total:
+            if spec.start_s + spec.duration_s > total:
                 raise ValueError(
                     f"attack on {spec.victim_ip} ({spec.qname}) leaves the scenario window")
             if spec.amplifier_mode == "pool":

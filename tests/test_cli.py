@@ -10,6 +10,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stdout
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -18,9 +19,10 @@ from pathlib import Path
 import pytest
 
 import dnsamp
-from dnsamp import detector, fileio
+from dnsamp import detector, fileio, pipeline
 from dnsamp.cli import main
-from dnsamp.detector import AttackEvent, read_events, write_event_columns, write_events
+from dnsamp.detector import (ITEM_FIELDS, AttackEvent, read_events, write_event_columns,
+                             write_events)
 from dnsamp.fileio import write_csv
 from dnsamp import trace as tr
 from dnsamp.trace import PacketRecord, write_trace
@@ -773,6 +775,9 @@ class TestSynthStage:
         ("honeypot_requests_per_sensor", -3, "null or an integer >= 5"),
         ("honeypot_requests_per_sensor", 2, "null or an integer >= 5"),
         ("qps", 0, "a number > 0"),
+        ("qps", math.inf, "a finite number"),
+        ("start_s", math.nan, "a number >= 0"),
+        ("start_s", -1.0, "a number >= 0"),
         ("duration_s", -10.0, "a number > 0"),
         ("request_fraction", 1.5, "a number in [0, 1]"),
         ("amplifiers_per_attack", 0, "an integer >= 1"),
@@ -1154,6 +1159,183 @@ class TestEventColumns:
             assert decoded == {"bound": 0, "deleted": 4}[columns]
             sources.clear()
         assert file_digests(tmp_path / "bound") == file_digests(tmp_path / "deleted")
+
+
+def drawn_event_log(directory: Path, events: int = 60, ids: int = 40) -> Path:
+    """An event log with its columns in directory: events over 3 days, half
+    of them drawing 10 reflectors of one 12-reflector pool so that they
+    cluster, with up to ids DNS IDs each (all even for every fourth event),
+    request fields, ingress ASes and no deciles."""
+    rng = random.Random(30)
+    pool = [f"198.18.2.{i}" for i in range(12)]
+    log = []
+    for i in range(events):
+        members = rng.sample(pool, 10) if i % 2 else \
+            {f"203.0.{rng.randrange(8)}.{rng.randrange(256)}" for _ in range(rng.randint(0, 20))}
+        requests = rng.randint(0, ids // 2)
+        log.append(replace(
+            reflection_event(i, members, day=f"2019-06-0{1 + i % 3}",
+                             qname=f"{'abc'[i % 3]}.example."),
+            request_count=requests,
+            dns_ids=tuple(rng.randrange(0, 65536, 2 if i % 4 == 0 else 1)
+                          for _ in range(rng.randint(ids // 2, ids))),
+            req_ip_ids=tuple(rng.randrange(65536) for _ in range(requests)),
+            req_src_ports=tuple(rng.randrange(65536) for _ in range(requests)),
+            req_dns_ids=tuple(rng.randrange(65536) for _ in range(requests)),
+            ingress_as_counts={rng.randrange(64500, 64510): rng.randint(1, 9)
+                               for _ in range(rng.randint(0, 3))}))
+    attacks = directory / "attacks.jsonl"
+    write_events(log, str(attacks))
+    write_event_columns(log, str(directory / "attacks.columns"))
+    assert detector._load_events(str(attacks)) is not None
+    return attacks
+
+
+@pytest.fixture(scope="module")
+def stage_inputs(ws, tmp_path_factory):
+    """The event stages' inputs other than the events: an entity spec, the
+    names, each log's seen and NS tables, the honeypot's requests and the
+    records, and the logs: detect's, and a drawn one without deciles."""
+    from dnsamp import amplifiers as amp
+    from dnsamp import fingerprint as fp
+    from dnsamp import honeypot as hp
+    from dnsamp import selectors as sel
+
+    root = tmp_path_factory.mktemp("fields")
+    (root / "entity.json").write_text(json.dumps(
+        {"name_suffixes": ["alpha.example.", "a.example."], "id_patterns": ["pure", "phased"]}))
+    logs = {"detect": out(ws, "det") / "attacks.jsonl", "drawn": drawn_event_log(root)}
+    tables = {}
+    for log, attacks in logs.items():
+        reflectors = sorted({ip for event in jsonl(attacks) for ip in event["amplifier_set"]})
+        (root / f"{log}-seen.csv").write_text("ip,first_seen,last_seen\n" + "".join(
+            f"{ip},2019-05-01,2019-05-30\n" for ip in reflectors[::2]))
+        (root / f"{log}-ns.csv").write_text("ip,ns_name\n" + "".join(
+            f"{ip},ns{i}.example.\n" for i, ip in enumerate(reflectors[::3])))
+        tables[log] = (amp.read_seen_table(str(root / f"{log}-seen.csv")),
+                       amp.read_ns_ip_table(str(root / f"{log}-ns.csv")))
+    return {"logs": logs, "tables": tables,
+            "spec": fp.read_fingerprint(str(root / "entity.json")),
+            "names": sel.read_name_list(str(out(ws, "sel") / "names.json")).name_set(),
+            "requests": hp.read_honeypot_csv(str(out(ws, "gen") / "honeypot.csv"))[0],
+            "records": tr.parse_trace(str(out(ws, "ing") / "annotated.jsonl"))[0]}
+
+
+def stage_digests(result: pipeline.StageResult, directory: Path) -> dict[str, str]:
+    """The SHA-256 of each file of a StageResult, written into directory, and its line."""
+    directory.mkdir()
+    for name, (writer, value) in result.files.items():
+        writer(value, str(directory / name))
+    return {**file_digests(directory), "line": result.line}
+
+
+class TestEventFields:
+    """Each event stage reads its events with only the tuple and dict fields
+    of pipeline.EVENT_FIELDS built, and writes what it writes from a full read."""
+
+    SETTINGS = pipeline.Settings()
+    # each case: its subcommand, and its stage function of (events, inputs, log)
+    CASES = {
+        "fingerprint": ("fingerprint", lambda events, inputs, log: pipeline.fingerprint(
+            events, inputs["spec"], TestEventFields.SETTINGS)),
+        "fingerprint-names": ("fingerprint", lambda events, inputs, log: pipeline.fingerprint(
+            events, inputs["spec"], TestEventFields.SETTINGS, inputs["names"])),
+        "cluster": ("cluster", lambda events, inputs, log: pipeline.cluster(
+            events, TestEventFields.SETTINGS)),
+        "cluster-tables": ("cluster", lambda events, inputs, log: pipeline.cluster(
+            events, TestEventFields.SETTINGS, *inputs["tables"][log])),
+        "compare": ("compare", lambda events, inputs, log: pipeline.compare(
+            events, inputs["requests"], TestEventFields.SETTINGS)),
+        "report": ("report", lambda events, inputs, log: pipeline.report(events)),
+        "report-names": ("report", lambda events, inputs, log: pipeline.report(
+            events, inputs["names"])),
+        "report-trace": ("report", lambda events, inputs, log: pipeline.report(
+            events, inputs["names"], inputs["records"])),
+    }
+
+    def test_table_names_the_event_stages_and_item_fields(self):
+        assert sorted(pipeline.EVENT_FIELDS) == sorted(TestExitCodes.EVENT_STAGES)
+        assert set(ITEM_FIELDS) == {"qname_counts", "amplifier_set", "dns_ids", "req_ip_ids",
+                                    "req_src_ports", "req_dns_ids", "ingress_as_counts"}
+        for fields in pipeline.EVENT_FIELDS.values():
+            assert set(fields) <= set(ITEM_FIELDS)
+
+    @pytest.mark.parametrize("log", ["detect", "drawn"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stage_writes_what_a_full_read_gives(self, stage_inputs, tmp_path, case, log):
+        command, stage = self.CASES[case]
+        attacks = str(stage_inputs["logs"][log])
+        fields = pipeline.EVENT_FIELDS[command]
+        events = read_events(attacks, fields)
+        assert not any(hasattr(events[0], name) for name in ITEM_FIELDS if name not in fields)
+        if log == "drawn":  # the decile branch of compare
+            assert all(event.intensity_decile is None for event in events)
+        assert stage_digests(stage(events, stage_inputs, log), tmp_path / "named") == \
+            stage_digests(stage(read_events(attacks), stage_inputs, log), tmp_path / "full")
+
+    def test_drawn_log_reaches_each_branch(self, stage_inputs, tmp_path):
+        # so the comparisons above cover clusters, attributions and ingress ASes
+        events = read_events(str(stage_inputs["logs"]["drawn"]))
+        settings = self.SETTINGS
+        assert pipeline.cluster(events, settings)["clusters.json"]["n_clusters"] > 0
+        rows = pipeline.fingerprint(events, stage_inputs["spec"], settings)["attribution.jsonl"]
+        assert any(row["attributed"] for row in rows)
+        assert pipeline.report(events)["report.json"]["ingress_concentration"]
+        assert sum(map(len, (event.dns_ids for event in events))) / len(events) >= 20
+
+    @pytest.mark.parametrize("columns", ["bound", "deleted"])
+    def test_unnamed_field_is_unset(self, ws, tmp_path, columns):
+        attacks = copied_event_log(ws, tmp_path)
+        full = read_events(str(attacks))
+        if columns == "deleted":
+            (tmp_path / "attacks.columns").unlink()
+        events = read_events(str(attacks), ["dns_ids"])
+        assert [event.dns_ids for event in events] == [event.dns_ids for event in full]
+        for name in ITEM_FIELDS:
+            if name != "dns_ids":
+                with pytest.raises(AttributeError, match=f"no attribute '{name}'"):
+                    getattr(events[-1], name)
+        with pytest.raises(AttributeError, match="qname_counts"):
+            events[0].dominant_qname()
+
+    @pytest.mark.parametrize("fields", [["victim_ip"], ["dns_ids", "bogus"], ["duration_s"]])
+    def test_name_outside_the_item_fields_is_value_error(self, tmp_path, fields):
+        # raised before the log, here missing, is opened
+        with pytest.raises(ValueError, match=f"not a tuple or dict field of AttackEvent: "
+                                             f"{fields[-1]}$"):
+            read_events(str(tmp_path / "absent.jsonl"), fields)
+
+    @pytest.mark.parametrize("fields", [None, (), *sorted(set(pipeline.EVENT_FIELDS.values()))])
+    @pytest.mark.parametrize("log", ["detect", "drawn"])
+    def test_jsonl_and_columns_give_the_same_fields(self, stage_inputs, tmp_path, fields, log):
+        attacks = stage_inputs["logs"][log]
+        for name in ("attacks.jsonl", "attacks.columns"):
+            (tmp_path / name).write_bytes((attacks.parent / name).read_bytes())
+        columns = read_events(str(tmp_path / "attacks.jsonl"), fields)
+        (tmp_path / "attacks.columns").unlink()
+        decoded = read_events(str(tmp_path / "attacks.jsonl"), fields)
+        assert len(columns) == len(decoded) > 0
+        for name in AttackEvent.__match_args__:
+            if fields is None or name not in ITEM_FIELDS or name in fields:
+                assert [getattr(e, name) for e in columns] == [getattr(e, name) for e in decoded]
+            else:
+                assert not any(hasattr(e, name) for e in columns + decoded)
+
+    def test_columns_read_builds_no_unnamed_field(self, tmp_path):
+        # 300 events of 30 to 60 DNS IDs: the peak of a read that builds no
+        # tuple or dict field is 0.27 of a full read's (Python 3.11), and a
+        # read that built the fields and then deleted them would peak with it
+        attacks = drawn_event_log(tmp_path, events=300, ids=60)
+
+        def peak(fields) -> int:
+            tracemalloc.start()
+            try:
+                read_events(str(attacks), fields)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(()) < peak(None) / 2
 
 
 @pytest.fixture(scope="module")
